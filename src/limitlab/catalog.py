@@ -48,10 +48,6 @@ class CatalogStructure:
         """Number of elements, or None when infinite."""
         return None
 
-    @property
-    def is_infinite(self):
-        return self.size() is None
-
     def param(self):
         """Largest numeric parameter, used for saturation bounds."""
         return 3
@@ -776,10 +772,6 @@ class ReplayPresentation(AdversarialPresentation):
 
     def __init__(self, fragments, label="replay"):
         super().__init__(lambda s: fragments[s], label)
-
-
-def adversarial_presentation(builder, label="adversarial"):
-    return AdversarialPresentation(builder, label)
 
 
 def audit_shape(fragment, shapes):

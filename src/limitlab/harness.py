@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .catalog import Family, Presentation, parse_structure
-from .sigma1 import classify_family, solid_witnesses
+from .sigma1 import classify_family
 from . import learners as L
 from . import reductions as R
 from . import adversaries as A
@@ -39,6 +39,8 @@ class CriterionSpec:
             raise ValueError("unknown criterion: %r" % self.kind)
         if not (self.horizon > self.window > 0):
             raise ValueError("need horizon > window > 0")
+        if not (0 < self.tail <= self.horizon):
+            raise ValueError("need 0 < tail <= horizon")
         if self.kind == "AlphaFin" and self.budget is None:
             raise ValueError("AlphaFin needs a mind-change budget")
 
@@ -50,8 +52,8 @@ class Verdict:
     reason: str = ""
 
     def __post_init__(self):
-        if self.status == "FAIL":
-            assert self.certificate is not None
+        if self.status == "FAIL" and self.certificate is None:
+            raise ValueError("a FAIL verdict needs a certificate")
 
     def to_json(self):
         return {
@@ -302,10 +304,7 @@ def _make_co(family):
 
 
 def _make_nus(family):
-    witnesses = solid_witnesses(family)
-    if witnesses is None:
-        raise ConfigurationError("solid witness search exhausted")
-    return L.NusLearner(family, witnesses)
+    return L.NusLearner(family, classify_family(family))
 
 
 def _make_pl_pairwise(family):
@@ -363,16 +362,19 @@ GAMMAS = {
     "gamma_fin_to_eqnat_total": lambda fam: R.GammaFinToEqnatTotal(
         fam, _make_fin(fam)
     ),
-    "gamma_erange": lambda fam: R.GammaErange(
-        fam, classify_family(fam).witnesses
-    ),
+    "gamma_erange": lambda fam: R.GammaErange(fam, classify_family(fam)),
     "gamma_erange_to_e3": lambda fam: R.GammaErangeToE3(
-        fam, classify_family(fam).witnesses
+        fam, classify_family(fam)
     ),
 }
 
 
 def run_cell(family, learner, spec, member_code, seed):
+    if not 0 <= member_code < len(family):
+        raise ValueError(
+            "member %d out of range: the family has %d members"
+            % (member_code, len(family))
+        )
     presentation = Presentation(family.members[member_code], seed)
     transcript = L.run(learner, presentation, spec.horizon)
     return check(spec, transcript, member_code, family)

@@ -8,9 +8,9 @@ code into the active family or the question mark.  Steps are pure in
 
 from __future__ import annotations
 
-from .pairing import pair, unpair
+from .pairing import unpair
 from .catalog import canonical_fragment, fragment_embeds, strict_order_relation
-from .sigma1 import sat_catalog, sat_fragment, sigma1_leq
+from .sigma1 import leq_matrix, sat_catalog, sat_fragment
 
 QUESTION = "?"
 
@@ -77,7 +77,8 @@ class ExMinMaxLearner(Learner):
         count_min, count_max, done, has_in, has_out = state
         tuples = fragment.tuples()
         if done > len(tuples):
-            done, has_in, has_out = 0, set(), set()
+            done, has_in, has_out = 0, (), ()
+        has_in, has_out = set(has_in), set(has_out)
         for _, (a, b) in tuples[done:]:
             has_out.add(a)
             has_in.add(b)
@@ -249,27 +250,24 @@ class NusLearner(Learner):
     whose theory contains the fragment and whose own formula already
     holds.  The true code, once emitted, is never abandoned."""
 
-    def __init__(self, family, solid_witnesses):
+    def __init__(self, family, classification):
         super().__init__(family)
         members = list(family)
-        n = len(members)
-        leq = [
-            [sigma1_leq(members[i], members[j]) for j in range(n)]
-            for i in range(n)
-        ]
-        for i in range(n):
-            w = solid_witnesses.get(i)
-            if w is None:
-                raise ConfigurationError("missing witness for code %d" % i)
-            if not sat_catalog(w, members[i]):
+        leq = classification.leq
+        witnesses = classification.solid_witnesses
+        if witnesses is None:
+            raise ConfigurationError("solid witness search exhausted")
+        for i, a in enumerate(members):
+            w = witnesses[i]
+            if not sat_catalog(w, a):
                 raise ConfigurationError("witness %d fails on its member" % i)
-            for j in range(n):
+            for j, b in enumerate(members):
                 if j != i and leq[j][i] and not leq[i][j]:
-                    if sat_catalog(w, members[j]):
+                    if sat_catalog(w, b):
                         raise ConfigurationError(
                             "witness %d holds strictly below (%d)" % (i, j)
                         )
-        self.witnesses = dict(solid_witnesses)
+        self.witnesses = dict(witnesses)
 
     def initial_state(self):
         return (QUESTION, True)  # (current hypothesis, first stage flag)
@@ -399,97 +397,6 @@ class PlFromPairwiseEx(Learner):
         return (duel_states, histories, own), hyp
 
 
-class PlFromE3(Learner):
-    """Emits code i for the n-th time once, against every competitor, some
-    tail of the precomputed disagreement positions shows n consecutive
-    agreements between the operator's output on the stream and on member
-    i's canonical stream."""
-
-    def __init__(self, family, operator, depth=64, max_column=16):
-        super().__init__(family)
-        self.operator = operator
-        self.depth = depth
-        members = list(family)
-        n = len(members)
-        # offline reference runs, long enough to fill the tables
-        horizon = pair(max_column, depth) + 1
-        self.refs = []
-        for m in members:
-            state, out = operator.initial(), []
-            size = m.size()
-            top = horizon if size is None else min(horizon, size)
-            for s in range(top):
-                state, new = operator.step(
-                    state, canonical_fragment(m, s + 1)
-                )
-                out.extend(new)
-            self.refs.append(tuple(out))
-        self.d = {}
-        self.p = {}
-        for i in range(n):
-            for j in range(n):
-                if i == j:
-                    continue
-                best = None
-                for col in range(max_column):
-                    rows = []
-                    for row in range(depth):
-                        flat = pair(col, row)
-                        if flat < len(self.refs[i]) and flat < len(
-                            self.refs[j]
-                        ):
-                            if self.refs[i][flat] != self.refs[j][flat]:
-                                rows.append(row)
-                    if rows and (best is None or len(rows) > len(best[1])):
-                        best = (col, rows)
-                if best is not None:
-                    self.d[(i, j)] = best[0]
-                    self.p[(i, j)] = best[1]
-
-    def initial_state(self):
-        return ((self.operator.initial(), ()), tuple([0] * len(self.family)))
-
-    def step(self, state, fragment):
-        (op_state, out), counts = state
-        op_state, new = self.operator.step(op_state, fragment)
-        out = out + tuple(new)
-        counts = list(counts)
-        n = len(self.family)
-        hyp = QUESTION
-        for i in range(n):
-            target = counts[i] + 1
-            ok = True
-            for m in range(n):
-                if m == i:
-                    continue
-                if (i, m) not in self.d:
-                    ok = False  # table exhausted: degrade, never guess
-                    break
-                col, positions = self.d[(i, m)], self.p[(i, m)]
-                found = False
-                for k in range(len(positions) - target + 1):
-                    good = True
-                    for t in range(target):
-                        flat = pair(col, positions[k + t])
-                        if flat >= len(out) or flat >= len(self.refs[i]):
-                            good = False
-                            break
-                        if out[flat] != self.refs[i][flat]:
-                            good = False
-                            break
-                    if good:
-                        found = True
-                        break
-                if not found:
-                    ok = False
-                    break
-            if ok:
-                hyp = i
-                counts[i] += 1
-                break
-        return ((op_state, out), tuple(counts)), hyp
-
-
 def _longest_chain(fragment):
     """Length of the longest chain, and the endpoints of the comparable
     part (least/greatest under the strict order, least index on ties)."""
@@ -615,12 +522,8 @@ class ExMinEmbedLearner(Learner):
 
     def __init__(self, family):
         super().__init__(family)
-        members = list(family)
-        n = len(members)
-        leq = [
-            [sigma1_leq(members[i], members[j]) for j in range(n)]
-            for i in range(n)
-        ]
+        leq = leq_matrix(family)
+        n = len(leq)
         for i in range(n):
             for j in range(n):
                 if i != j and leq[i][j] and leq[j][i]:
@@ -641,24 +544,3 @@ class ExMinEmbedLearner(Learner):
             if fragment_embeds(fragment, m):
                 return state, i
         return state, QUESTION
-
-
-class ExFromPlPair(Learner):
-    """Projects a partial learner's transcript onto a two-member pair:
-    pass its output through when it names either member, else repeat the
-    last such output."""
-
-    def __init__(self, pl, pair_codes):
-        super().__init__(pl.family)
-        self.pl = pl
-        self.pair_codes = frozenset(pair_codes)
-
-    def initial_state(self):
-        return (self.pl.initial_state(), QUESTION)
-
-    def step(self, state, fragment):
-        pl_state, last = state
-        pl_state, h = self.pl.step(pl_state, fragment)
-        if h in self.pair_codes:
-            last = h
-        return (pl_state, last), last

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .pairing import pair, unpair, triple
-from .sigma1 import sat_catalog, sat_fragment, sigma1_leq
+from .sigma1 import sat_catalog, sat_fragment
 from .learners import QUESTION, ConfigurationError
 
 
@@ -127,11 +127,31 @@ class GammaFinToEqnatTotal(GammaFinToEqnat):
 
 
 class _TriggerTracker:
-    """Shared machinery: first stage at which each pair formula holds on
-    the stream, updated with the rooted incremental search."""
+    """Shared machinery: the separating formula of every ordered pair
+    (i, j) whose theories are not included, and the first stage at which
+    each holds on the stream, updated with the rooted incremental search.
+    Members with equal existential theories are rejected."""
 
-    def __init__(self, witnesses):
-        self.witnesses = dict(witnesses)
+    def __init__(self, classification):
+        leq = classification.leq
+        n = len(leq)
+        for i in range(n):
+            for j in range(i + 1, n):
+                if leq[i][j] and leq[j][i]:
+                    raise ConfigurationError(
+                        "members %d and %d have equal existential theories"
+                        % (i, j)
+                    )
+        self.witnesses = {}
+        for i in range(n):
+            for j in range(n):
+                if i != j and not leq[i][j]:
+                    w = classification.witnesses.get((i, j))
+                    if w is None:
+                        raise ConfigurationError(
+                            "missing witness for pair (%d,%d)" % (i, j)
+                        )
+                    self.witnesses[(i, j)] = w
 
     def initial(self):
         return {}
@@ -146,44 +166,15 @@ class _TriggerTracker:
         return out
 
 
-def _require_partial_order(family):
-    members = list(family)
-    n = len(members)
-    leq = [
-        [sigma1_leq(members[i], members[j]) for j in range(n)]
-        for i in range(n)
-    ]
-    for i in range(n):
-        for j in range(n):
-            if i != j and leq[i][j] and leq[j][i]:
-                raise ConfigurationError(
-                    "members %d and %d have equal existential theories" % (i, j)
-                )
-    return leq
-
-
 class GammaErange(ReductionOperator):
     """Position (s, i, j) carries the code pair(i, j) once the (i, j)
     separating formula holds at stage s, else 0; 0 is always in range."""
 
     tag = "Erange"
 
-    def __init__(self, family, witnesses):
+    def __init__(self, family, classification):
         self.family = family
-        leq = _require_partial_order(family)
-        members = list(family)
-        n = len(members)
-        defined = {}
-        for i in range(n):
-            for j in range(n):
-                if i != j and not leq[i][j]:
-                    w = witnesses.get((i, j))
-                    if w is None:
-                        raise ConfigurationError(
-                            "missing witness for pair (%d,%d)" % (i, j)
-                        )
-                    defined[(i, j)] = w
-        self.tracker = _TriggerTracker(defined)
+        self.tracker = _TriggerTracker(classification)
 
     def initial(self):
         return (self.tracker.initial(), 0)
@@ -223,22 +214,9 @@ class GammaErangeToE3(ReductionOperator):
     tag = "E3"
     columnar = True
 
-    def __init__(self, family, witnesses):
+    def __init__(self, family, classification):
         self.family = family
-        leq = _require_partial_order(family)
-        members = list(family)
-        n = len(members)
-        defined = {}
-        for i in range(n):
-            for j in range(n):
-                if i != j and not leq[i][j]:
-                    w = witnesses.get((i, j))
-                    if w is None:
-                        raise ConfigurationError(
-                            "missing witness for pair (%d,%d)" % (i, j)
-                        )
-                    defined[(i, j)] = w
-        self.tracker = _TriggerTracker(defined)
+        self.tracker = _TriggerTracker(classification)
 
     def initial(self):
         return (self.tracker.initial(), 0)

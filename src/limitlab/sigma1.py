@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .structures import SignatureMismatchError, embed_finite, embed_map
+from .structures import SignatureMismatchError, embed_map
 from .catalog import (
     CatalogStructure,
     UnsupportedOracleError,
@@ -172,18 +172,32 @@ def _witness_candidates(a, bound):
     return out
 
 
-def _find_separating_witness(a, others, bound):
-    """A fragment in the age of `a` embedding into none of `others`, or
-    None when the bounded search exhausts."""
-    for cand in _witness_candidates(a, bound):
+def _find_separating_witness(a, candidates, others):
+    """The first of `a`'s witness candidates embedding into none of
+    `others`, or None when the bounded search exhausts."""
+    for cand in candidates:
         if all(not fragment_embeds(cand, o) for o in others):
             label = "prefix(%s)[%d]" % (a.key(), cand.size)
             return FormulaWitness((cand,), (label,))
     return None
 
 
+def leq_matrix(family):
+    """The family's theory-inclusion matrix: entry [i][j] is
+    `sigma1_leq(members[i], members[j])`."""
+    members = list(family)
+    return tuple(tuple(sigma1_leq(a, b) for b in members) for a in members)
+
+
 @dataclass
 class Sigma1Classification:
+    """A family's theory order: the leq matrix, the witnesses that separate
+    its members, and the flags derived from them.
+
+    `solid_witnesses` maps each member to a formula true in it and false
+    throughout its strict lower cone, or is None when a search exhausted.
+    """
+
     level: str
     is_partial_order: bool
     is_antichain: bool
@@ -193,13 +207,14 @@ class Sigma1Classification:
     witnesses: dict = field(default_factory=dict)
     strong_witnesses: dict = field(default_factory=dict)
     inconclusive_pairs: tuple = ()
+    solid_witnesses: dict | None = None
 
     def __post_init__(self):
         # the implication chain must hold on every output
-        if self.level == "StrongAntichain":
-            assert self.is_antichain and self.is_partial_order
-        if self.is_antichain:
-            assert self.is_partial_order
+        if self.is_antichain and not self.is_partial_order:
+            raise ValueError("an antichain must be a partial order")
+        if self.level == "StrongAntichain" and not self.is_antichain:
+            raise ValueError("a strong antichain must be an antichain")
 
     def to_json(self):
         return {
@@ -229,10 +244,12 @@ def classify_family(family, bound=WITNESS_SIZE_BOUND):
     """
     members = list(family)
     n = len(members)
-    leq = tuple(
-        tuple(sigma1_leq(members[i], members[j]) for j in range(n))
-        for i in range(n)
-    )
+    leq = leq_matrix(members)
+    candidates = [_witness_candidates(a, bound) for a in members]
+
+    def separate(i, others):
+        return _find_separating_witness(members[i], candidates[i], others)
+
     distinct = all(
         not (leq[i][j] and leq[j][i]) for i in range(n) for j in range(n)
         if i != j
@@ -246,7 +263,7 @@ def classify_family(family, bound=WITNESS_SIZE_BOUND):
     for i in range(n):
         for j in range(n):
             if i != j and not leq[i][j]:
-                w = _find_separating_witness(members[i], [members[j]], bound)
+                w = separate(i, [members[j]])
                 if w is not None:
                     witnesses[(i, j)] = w
                 else:
@@ -258,29 +275,30 @@ def classify_family(family, bound=WITNESS_SIZE_BOUND):
     else:
         strong = "yes"
         for i in range(n):
-            others = [members[j] for j in range(n) if j != i]
-            w = _find_separating_witness(members[i], others, bound)
+            w = separate(i, [members[j] for j in range(n) if j != i])
             if w is None:
                 strong = "inconclusive"
                 break
             strong_witnesses[i] = w
 
+    solid_witnesses = {}
+    for i in range(n):
+        cone = [
+            members[j]
+            for j in range(n)
+            if j != i and leq[j][i] and not leq[i][j]
+        ]
+        w = separate(i, cone)
+        if w is None:
+            solid_witnesses = None
+            break
+        solid_witnesses[i] = w
     if not distinct:
         solid = "n/a"
+    elif solid_witnesses is None:
+        solid = "inconclusive"
     else:
         solid = "yes"
-        for i in range(n):
-            cone = [
-                members[j]
-                for j in range(n)
-                if j != i and leq[j][i] and not leq[i][j]
-            ]
-            if not cone:
-                continue
-            w = _find_separating_witness(members[i], cone, bound)
-            if w is None:
-                solid = "inconclusive"
-                break
 
     if not distinct:
         level = "NotPartialOrder"
@@ -303,30 +321,8 @@ def classify_family(family, bound=WITNESS_SIZE_BOUND):
         witnesses=witnesses,
         strong_witnesses=strong_witnesses,
         inconclusive_pairs=tuple(inconclusive_pairs),
+        solid_witnesses=solid_witnesses,
     )
-
-
-def solid_witnesses(family, bound=WITNESS_SIZE_BOUND):
-    """Per-member formulas true in the member and false throughout its
-    strict lower cone, or None when the bounded search exhausts."""
-    members = list(family)
-    n = len(members)
-    leq = [
-        [sigma1_leq(members[i], members[j]) for j in range(n)]
-        for i in range(n)
-    ]
-    out = {}
-    for i in range(n):
-        cone = [
-            members[j]
-            for j in range(n)
-            if j != i and leq[j][i] and not leq[i][j]
-        ]
-        w = _find_separating_witness(members[i], cone, bound)
-        if w is None:
-            return None
-        out[i] = w
-    return out
 
 
 def _is_fstar_key(key):

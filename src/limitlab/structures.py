@@ -9,7 +9,6 @@ arguments lie inside its domain.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 
@@ -44,13 +43,6 @@ class Signature:
 
     def arity(self, rel_index):
         return self.relations[rel_index][1]
-
-    def to_json(self):
-        return [{"name": n, "arity": a} for n, a in self.relations]
-
-    @classmethod
-    def from_json(cls, data):
-        return cls(tuple((d["name"], d["arity"]) for d in data))
 
 
 #: the one signature used by the whole structure catalog: a single binary
@@ -437,11 +429,3 @@ def embed_finite(f, g):
 def restrict(presentation, s):
     """The stage-s fragment of a presentation (domain {0..s})."""
     return presentation.restrict(s)
-
-
-def all_induced_subfragments(fragment, max_size=None):
-    """Every induced substructure, relabelled; for brute-force oracles."""
-    bound = fragment.size if max_size is None else min(max_size, fragment.size)
-    for k in range(bound + 1):
-        for subset in itertools.combinations(range(fragment.size), k):
-            yield fragment.induced(subset)

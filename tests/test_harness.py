@@ -115,6 +115,11 @@ class TestCheck:
         with pytest.raises(ValueError):
             H.CriterionSpec("AlphaFin")
 
+    def test_fail_verdict_needs_certificate(self):
+        # checked with raise, not assert, so it also holds under -O
+        with pytest.raises(ValueError):
+            H.Verdict("FAIL")
+
 
 class TestMatrix:
     def test_incompatible_cell_skipped(self):
@@ -165,6 +170,22 @@ class TestCli:
     def test_usage_error_exit_code(self):
         assert cli.main(["run", "omega_pair", "nope", "Ex"]) == 2
         assert cli.main(["frobnicate"]) == 2
+
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            ["--horizon", "100", "--tail", "200", "--window", "10"],
+            ["--horizon", "100", "--tail", "0", "--window", "10"],
+            ["--member", "5"],
+        ],
+        ids=["tail_over_horizon", "tail_below_one", "member_out_of_range"],
+    )
+    def test_bad_run_input_exit_code(self, extra, capsys):
+        assert cli.main(["run", "omega_pair", "ex_minmax", "Ex"] + extra) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
 
     def test_classify_command(self, capsys):
         assert cli.main(["classify", "cycles"]) == 0

@@ -1,3 +1,4 @@
+import copy
 import itertools
 
 import pytest
@@ -183,3 +184,38 @@ class TestPlPairwise:
         for start in range(300, 551, 50):
             assert 0 in transcript[start:start + 50]
         assert all(h in (0, QUESTION) for h in transcript[300:])
+
+
+# a family each registered learner builds on
+PURITY_FAMILIES = {
+    "ex_minmax": "omega_pair",
+    "fin": "cycles",
+    "co": "cyc_comp",
+    "nus": "tilde_chains",
+    "dec_nus": "tilde_chains",
+    "pl_pairwise": "omega_pair",
+    "pl_fstar": "fstar",
+    "ex_poset": "posets",
+    "dec_ex_poset": "posets",
+    "ex_min_embed": "padded_chains",
+    "id_to_co": "cycles",
+}
+
+
+def test_purity_families_cover_every_learner():
+    assert set(PURITY_FAMILIES) == set(H.LEARNERS)
+
+
+@pytest.mark.parametrize("name", sorted(PURITY_FAMILIES))
+def test_step_is_pure(name):
+    fam = H.get_family(PURITY_FAMILIES[name])
+    learner = H.LEARNERS[name](fam)
+    presentation = Presentation(fam.members[0], 3)
+    state = learner.initial_state()
+    for s in range(30):
+        fragment = presentation.restrict(s)
+        snapshot = copy.deepcopy(state)
+        first = learner.step(state, fragment)
+        assert learner.step(state, fragment) == first
+        assert state == snapshot, "step mutated its input at stage %d" % s
+        state = first[0]

@@ -2,6 +2,7 @@ import pytest
 
 from limitlab.catalog import Family, parse_structure, realize
 from limitlab.sigma1 import (
+    Sigma1Classification,
     Sigma2Metadata,
     classify_family,
     embeds,
@@ -9,8 +10,8 @@ from limitlab.sigma1 import (
     sat_catalog,
     sat_fragment,
     sigma1_leq,
-    solid_witnesses,
 )
+from limitlab import harness as H
 
 from _oracles import brute_age_inclusion, brute_embeds_structure
 
@@ -162,10 +163,29 @@ class TestClassifier:
 
     def test_solid_witnesses_helper(self):
         fam = Family((S("tilde(chain(3))"), S("tilde(chain(4))")))
-        ws = solid_witnesses(fam)
+        ws = classify_family(fam).solid_witnesses
         assert ws is not None
         assert sat_catalog(ws[1], S("tilde(chain(4))"))
         assert not sat_catalog(ws[1], S("tilde(chain(3))"))
+
+    @pytest.mark.parametrize("name", sorted(H.FAMILIES))
+    def test_solid_witnesses_miss_the_lower_cone(self, name):
+        members = list(H.get_family(name))
+        cls = classify_family(members)
+        if cls.is_partial_order:
+            assert (cls.solid == "yes") == (cls.solid_witnesses is not None)
+        for i, w in (cls.solid_witnesses or {}).items():
+            assert sat_catalog(w, members[i])
+            for j, b in enumerate(members):
+                if j != i and cls.leq[j][i] and not cls.leq[i][j]:
+                    assert not sat_catalog(w, b)
+
+    def test_invariants_raise_value_error(self):
+        # checked with raise, not assert, so they also hold under -O
+        with pytest.raises(ValueError):
+            Sigma1Classification("Antichain", False, True, "no", "n/a")
+        with pytest.raises(ValueError):
+            Sigma1Classification("StrongAntichain", True, False, "yes", "yes")
 
 
 class TestSigma2Metadata:
