@@ -32,6 +32,7 @@ class CatalogStructure:
 
     def __init__(self):
         self._enum_cache = []
+        self._age = {}  # max_size -> sigma1.age_fragments list
         self._enum_iter = None
         self._exhausted = False
 

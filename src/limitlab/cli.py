@@ -119,7 +119,7 @@ def _cmd_reduce(args):
         report = verify_reduction(operator, family, horizon=args.horizon)
         print(json.dumps(report, indent=2))
         return 0 if report["passed"] else 1
-    presentation = Presentation(family.members[args.member], args.seed)
+    presentation = Presentation(H.member_of(family, args.member), args.seed)
     prefix = run_operator(operator, presentation, args.horizon)
     print(json.dumps({"relation": operator.tag, "values": list(prefix.values)}))
     return 0

@@ -369,13 +369,19 @@ GAMMAS = {
 }
 
 
-def run_cell(family, learner, spec, member_code, seed):
+def member_of(family, member_code):
+    """The family member with this code; a code outside the family is a
+    usage error, not a negative index."""
     if not 0 <= member_code < len(family):
         raise ValueError(
             "member %d out of range: the family has %d members"
             % (member_code, len(family))
         )
-    presentation = Presentation(family.members[member_code], seed)
+    return family.members[member_code]
+
+
+def run_cell(family, learner, spec, member_code, seed):
+    presentation = Presentation(member_of(family, member_code), seed)
     transcript = L.run(learner, presentation, spec.horizon)
     return check(spec, transcript, member_code, family)
 

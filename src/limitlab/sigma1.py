@@ -8,14 +8,17 @@ extension, and truth in a catalog structure reduces to age membership.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
-from .structures import SignatureMismatchError, embed_map
+from .structures import FiniteFragment, SignatureMismatchError, embed_map
 from .catalog import (
     CatalogStructure,
     UnsupportedOracleError,
+    _nonisolated_part,
     canonical_fragment,
     fragment_embeds,
+    graph_components,
     parse_structure,
 )
 
@@ -122,31 +125,50 @@ def sigma1_leq(a, b, max_size=None):
         if size is not None:
             n = min(n, size)
         return fragment_embeds(canonical_fragment(a, n), b)
+    return all(fragment_embeds(sub, b) for sub in age_fragments(a, max_size))
+
+
+def age_fragments(a, max_size):
+    """The labelled-distinct induced subfragments of `a` with at most
+    max_size elements, smallest first, drawn from a canonical prefix deep
+    enough for the bounded comparison in `sigma1_leq`.
+
+    Computed once per (structure, max_size) and kept on the structure; the
+    returned list is shared, so callers must not mutate it.
+    """
+    if max_size < 1:
+        raise ValueError("max_size must be at least 1, got %r" % (max_size,))
+    age = a._age.get(max_size)
+    if age is not None:
+        return age
     n = 2 * max_size + a.param() + 4
     size = a.size()
     if size is not None:
         n = min(n, size)
     prefix = canonical_fragment(a, n)
+    age = []
     seen = set()
-    import itertools
-
     for k in range(1, min(max_size, n) + 1):
         for subset in itertools.combinations(range(n), k):
-            sub = prefix.induced(subset)
-            key = (sub.size, sub.tuple_set())
-            if key in seen:
-                continue
-            seen.add(key)
-            if not fragment_embeds(sub, b):
-                return False
-    return True
+            tuples = frozenset(
+                (0, (i, j))
+                for i, u in enumerate(subset)
+                for j, v in enumerate(subset)
+                if prefix.has(0, (u, v))
+            )
+            key = (k, tuples)
+            if key not in seen:
+                seen.add(key)
+                age.append(
+                    FiniteFragment.from_tuples(prefix.signature, k, tuples)
+                )
+    a._age[max_size] = age
+    return age
 
 
 def _witness_candidates(a, bound):
     """Small fragments from the age of `a`, smallest first: canonical
     prefixes, their comparable cores, and their connected components."""
-    from .catalog import _nonisolated_part, graph_components
-
     top = 2 * bound + 4
     size = a.size()
     if size is not None:

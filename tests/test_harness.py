@@ -187,6 +187,15 @@ class TestCli:
         assert captured.err.startswith("error: ")
         assert captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize("member", ["5", "-1"])
+    def test_bad_reduce_member_exit_code(self, member, capsys):
+        argv = ["reduce", "gamma_erange", "tilde_chains", "--member", member]
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+
     def test_classify_command(self, capsys):
         assert cli.main(["classify", "cycles"]) == 0
         data = json.loads(capsys.readouterr().out)

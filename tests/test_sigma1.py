@@ -1,9 +1,17 @@
+import itertools
+
 import pytest
 
-from limitlab.catalog import Family, parse_structure, realize
+from limitlab.catalog import (
+    Family,
+    canonical_fragment,
+    parse_structure,
+    realize,
+)
 from limitlab.sigma1 import (
     Sigma1Classification,
     Sigma2Metadata,
+    age_fragments,
     classify_family,
     embeds,
     parse_formula,
@@ -14,6 +22,7 @@ from limitlab.sigma1 import (
 from limitlab import harness as H
 
 from _oracles import brute_age_inclusion, brute_embeds_structure
+from test_acceptance import GRID_KEYS
 
 
 def S(key):
@@ -59,6 +68,33 @@ class TestInclusionFacts:
             assert sigma1_leq(a, b, max_size=5) == brute_age_inclusion(
                 a, b, 5
             )
+
+    @pytest.mark.parametrize("max_size", [0, -2])
+    def test_bounded_mode_rejects_max_size_below_one(self, max_size):
+        with pytest.raises(ValueError):
+            sigma1_leq(S("cycle(3)"), S("omega"), max_size=max_size)
+
+
+@pytest.mark.parametrize("key", GRID_KEYS)
+def test_age_fragments_are_the_induced_subsets_of_the_prefix(key):
+    a = S(key)
+    k = 3
+    n = 2 * k + a.param() + 4
+    if a.size() is not None:
+        n = min(n, a.size())
+    prefix = canonical_fragment(a, n)
+    expected = set()
+    for m in range(1, min(k, n) + 1):
+        for subset in itertools.combinations(range(n), m):
+            sub = prefix.induced(subset)
+            expected.add((sub.size, sub.tuple_set()))
+    age = age_fragments(a, k)
+    pairs = [(f.size, f.tuple_set()) for f in age]
+    assert set(pairs) == expected
+    assert len(set(pairs)) == len(pairs)
+    sizes = [f.size for f in age]
+    assert sizes == sorted(sizes)
+    assert age_fragments(a, k) is age
 
 
 class TestFormulas:
