@@ -483,28 +483,16 @@ def parse_structure(text):
 
 
 def strict_order_relation(fragment):
-    """The successor-set map of a strict partial order fragment, or None if
-    the fragment is not one (irreflexive, antisymmetric, transitive)."""
-    below = {}
-    for _, (a, b) in fragment.tuples():
-        if a == b:
-            return None
-        below.setdefault(a, set()).add(b)
-    for a, succ in below.items():
-        for b in succ:
-            if a in below.get(b, ()):  # antisymmetry
-                return None
-            if not below.get(b, set()) <= succ:  # transitivity
-                return None
-    return below
+    """The successor and predecessor masks of a strict partial order
+    fragment (see FiniteFragment.masks), or None if the fragment is not
+    one (irreflexive, antisymmetric, transitive)."""
+    return fragment.masks() if fragment.is_strict_order() else None
 
 
 def is_symmetric_graph(fragment):
-    tuples = fragment.tuple_set()
-    for _, (a, b) in tuples:
-        if a == b or (0, (b, a)) not in tuples:
-            return False
-    return True
+    return all(
+        a != b and fragment.has(0, (b, a)) for _, (a, b) in fragment.tuples()
+    )
 
 
 def graph_components(fragment):
@@ -528,35 +516,27 @@ def graph_components(fragment):
 
 
 def _component_path_or_cycle(fragment, comp):
-    """Classify an undirected component: 'path', 'cycle' or None."""
-    comp_set = set(comp)
-    edges = set()
-    degree = {e: 0 for e in comp}
-    for e in comp:
-        for _, (a, b) in fragment.tuples_of(e):
-            if a in comp_set and b in comp_set and a < b:
-                edges.add((a, b))
-    for a, b in edges:
-        degree[a] += 1
-        degree[b] += 1
-    if any(d > 2 for d in degree.values()):
+    """Classify a component of a symmetric loop-free graph fragment:
+    'path', 'cycle' or None."""
+    # each edge puts two tuples on each of its ends
+    profile = fragment.degree_profile()
+    degree = [profile[e] // 2 for e in comp]
+    if max(degree) > 2:
         return None
-    if len(edges) == len(comp) - 1:
+    edges = sum(degree) // 2
+    if edges == len(comp) - 1:
         return "path"
-    if len(edges) == len(comp) and len(comp) >= 3 and all(
-        d == 2 for d in degree.values()
-    ):
+    if edges == len(comp) and len(comp) >= 3 and min(degree) == 2:
         return "cycle"
     return None
 
 
 def _is_total_chain(fragment):
-    below = strict_order_relation(fragment)
-    if below is None:
-        return False
-    pairs = sum(len(s) for s in below.values())
     n = fragment.size
-    return pairs == n * (n - 1) // 2
+    return (
+        fragment.is_strict_order()
+        and fragment.fact_count() == n * (n - 1) // 2
+    )
 
 
 def _nonisolated_part(fragment):
@@ -606,10 +586,10 @@ def fragment_embeds(fragment, structure):
     if structure.style == "any":
         # isolated structures embed exactly the tuple-free fragments that fit
         size = structure.size()
-        return not fragment.tuples() and (
+        return not fragment.fact_count() and (
             size is None or fragment.size <= size
         )
-    if structure.style == "order" and strict_order_relation(fragment) is None:
+    if structure.style == "order" and not fragment.is_strict_order():
         return False
     if structure.style == "graph" and not is_symmetric_graph(fragment):
         return False
@@ -654,8 +634,8 @@ def fragment_embeds(fragment, structure):
         # g embeds iff the non-maximal elements are totally ordered: evens
         # form a chain, odds are maximal with prefix down-sets that can be
         # spread arbitrarily far apart
-        below = strict_order_relation(fragment)
-        non_maximal = sorted(below.keys())
+        succ, _ = strict_order_relation(fragment)
+        non_maximal = [e for e in range(fragment.size) if succ[e]]
         return _is_total_chain(fragment.induced(non_maximal))
     if isinstance(structure, Tilde):
         return fragment_embeds(_nonisolated_part(fragment), structure.inner)

@@ -113,6 +113,8 @@ def _cmd_duel(args):
 
 
 def _cmd_reduce(args):
+    if args.horizon < 1:
+        raise ValueError("need horizon > 0, got %d" % args.horizon)
     family = H.get_family(args.family)
     operator = H.GAMMAS[args.gamma](family)
     if args.verify:

@@ -11,6 +11,7 @@ from __future__ import annotations
 from .pairing import unpair
 from .catalog import canonical_fragment, fragment_embeds, strict_order_relation
 from .sigma1 import leq_matrix, sat_catalog, sat_fragment
+from .structures import iter_bits
 
 QUESTION = "?"
 
@@ -75,14 +76,13 @@ class ExMinMaxLearner(Learner):
 
     def step(self, state, fragment):
         count_min, count_max, done, has_in, has_out = state
-        tuples = fragment.tuples()
-        if done > len(tuples):
+        if done > fragment.fact_count():
             done, has_in, has_out = 0, (), ()
         has_in, has_out = set(has_in), set(has_out)
-        for _, (a, b) in tuples[done:]:
+        for _, (a, b) in fragment.new_facts(done):
             has_out.add(a)
             has_in.add(b)
-        done = len(tuples)
+        done = fragment.fact_count()
         lo = min(
             (e for e in range(fragment.size) if e not in has_in), default=0
         )
@@ -400,27 +400,28 @@ class PlFromPairwiseEx(Learner):
 def _longest_chain(fragment):
     """Length of the longest chain, and the endpoints of the comparable
     part (least/greatest under the strict order, least index on ties)."""
-    below = strict_order_relation(fragment) or {}
-    above = {}
-    comp = set()
-    for a, succ in below.items():
-        comp.add(a)
-        for b in succ:
-            comp.update((b,))
-            above.setdefault(b, set()).add(a)
+    masks = strict_order_relation(fragment)
+    if masks is None:
+        return 0, None, None
+    succ, pred = masks
+    comp = [e for e in range(fragment.size) if succ[e] or pred[e]]
     if not comp:
         return 0, None, None
-    # longest path in the Hasse DAG == largest |down-set chain|; since the
-    # relation is transitively closed, chain length = 1 + max over
-    # predecessors, computable in increasing order of |below|
-    length = {}
-    for e in sorted(comp, key=lambda e: len(above.get(e, ()))):
-        length[e] = 1 + max(
-            (length[p] for p in above.get(e, ()) if p in length), default=0
-        )
-    lo = min((e for e in comp if not above.get(e)), default=None)
-    hi = min((e for e in comp if not below.get(e)), default=None)
-    return max(length.values()), lo, hi
+    # since the relation is transitively closed, the longest chain ending
+    # at e is one longer than the longest ending at a predecessor, and
+    # predecessors have fewer predecessors; levels[k] holds the elements
+    # whose longest chain has k + 1 elements
+    levels = []
+    for e in sorted(comp, key=lambda e: pred[e].bit_count()):
+        k = len(levels)
+        while k and not pred[e] & levels[k - 1]:
+            k -= 1
+        if k == len(levels):
+            levels.append(0)
+        levels[k] |= 1 << e
+    lo = min(e for e in comp if not pred[e])
+    hi = min(e for e in comp if not succ[e])
+    return len(levels), lo, hi
 
 
 class PlFstarLearner(Learner):
@@ -486,22 +487,20 @@ class ExPosetLearner(Learner):
         return None
 
     def _guard(self, fragment):
-        below = strict_order_relation(fragment)
-        if below is None:
+        masks = strict_order_relation(fragment)
+        if masks is None:
             return False
-        above = {}
-        comp = set()
-        for a, succ in below.items():
-            comp.add(a)
-            for b in succ:
-                comp.add(b)
-                above.setdefault(b, set()).add(a)
-        for b in comp:
-            rest = comp - below.get(b, set()) - {b}
-            if len(rest) == 1:
-                a = next(iter(rest))
-                if b in below.get(a, ()):
-                    return True
+        succ, pred = masks
+        comp = 0
+        for e in range(fragment.size):
+            if succ[e] or pred[e]:
+                comp |= 1 << e
+        # a root b: every other comparable element is above b except one,
+        # which is below b
+        for b in iter_bits(comp):
+            rest = comp & ~succ[b] & ~(1 << b)
+            if rest.bit_count() == 1 and succ[rest.bit_length() - 1] >> b & 1:
+                return True
         return False
 
     def step(self, state, fragment):

@@ -1,5 +1,7 @@
 """Cantor pairing helpers shared by learners and reductions."""
 
+import math
+
 
 def pair(a, b):
     """Cantor pairing: pair(0,0)=0, pair(1,0)=1, bijective on N x N."""
@@ -7,9 +9,9 @@ def pair(a, b):
 
 
 def unpair(n):
-    w = 0
-    while (w + 1) * (w + 2) // 2 <= n:
-        w += 1
+    """Inverse of pair: n lies on diagonal w = a + b, the largest w with
+    w * (w + 1) / 2 <= n."""
+    w = (math.isqrt(8 * n + 1) - 1) // 2
     b = n - w * (w + 1) // 2
     return w - b, b
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from .structures import FiniteFragment, SignatureMismatchError, embed_map
+from .structures import BINARY, FiniteFragment, embed_map
 from .catalog import (
     CatalogStructure,
     UnsupportedOracleError,
@@ -90,8 +90,6 @@ def sat_fragment(formula, fragment, required=None):
     against the newest element.
     """
     for d in formula.disjuncts:
-        if d.signature != fragment.signature:
-            raise SignatureMismatchError("formula over a different signature")
         if embed_map(d, fragment, required=required) is not None:
             return True
     return False
@@ -160,7 +158,7 @@ def age_fragments(a, max_size):
             if key not in seen:
                 seen.add(key)
                 age.append(
-                    FiniteFragment.from_tuples(prefix.signature, k, tuples)
+                    FiniteFragment.from_tuples(BINARY, k, tuples)
                 )
     a._age[max_size] = age
     return age

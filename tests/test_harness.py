@@ -196,6 +196,16 @@ class TestCli:
         assert captured.err.startswith("error: ")
         assert captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize("verify", [False, True])
+    @pytest.mark.parametrize("horizon", ["-3", "0"])
+    def test_bad_reduce_horizon_exit_code(self, horizon, verify, capsys):
+        argv = ["reduce", "gamma_erange", "tilde_chains", "--horizon", horizon]
+        assert cli.main(argv + ["--verify"] * verify) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+
     def test_classify_command(self, capsys):
         assert cli.main(["classify", "cycles"]) == 0
         data = json.loads(capsys.readouterr().out)

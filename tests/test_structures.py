@@ -49,6 +49,14 @@ class TestPairing:
     def test_triple_round_trip(self, s, i, j):
         assert untriple(triple(s, i, j)) == (s, i, j)
 
+    def test_unpair_at_triangular_boundaries(self):
+        # T(w) = w(w+1)/2 starts diagonal w; T(w) - 1 ends diagonal w - 1
+        for w in range(1, 10**5 + 1):
+            t = w * (w + 1) // 2
+            assert unpair(t - 1) == (0, w - 1)
+            assert unpair(t) == (w, 0)
+            assert unpair(t + 1) == (w - 1, 1)
+
 
 class TestGodelOrder:
     def test_round_trip(self):
@@ -90,6 +98,13 @@ class TestFragmentLaws:
         sub = f.induced([0, 2, 3])
         assert sub.size == 3
         assert sub.tuple_set() == {(0, (0, 1)), (0, (1, 2))}
+
+    def test_extended_rejects_tuple_inside_old_domain(self):
+        f = FiniteFragment.from_tuples(BINARY, 2, [])
+        with pytest.raises(ValueError):
+            f.extended(3, [(0, (0, 1))])
+        with pytest.raises(ValueError):
+            f.extended(2, [(0, (1, 0))])
 
     def test_restricted_drops_outside_tuples(self):
         f = FiniteFragment.from_tuples(
@@ -151,3 +166,102 @@ class TestEmbedding:
                     for mapping in itertools.permutations(range(4), 2)
                 )
                 assert (embed_map(f, g, required=e) is not None) == brute
+
+
+def brute_strict_order(facts):
+    pairs = {args for _, args in facts}
+    return all(a != b and (b, a) not in pairs for a, b in pairs) and all(
+        (a, d) in pairs for a, b in pairs for c, d in pairs if b == c
+    )
+
+
+@st.composite
+def extension_chains(draw):
+    """A relation on {0..n-1} revealed as an extension chain in random
+    steps, some adding no element.  Order chains draw a random sub-order
+    of a random linear order and close it transitively, so the whole
+    chain is a strict order; perturbed ones then flip up to two pairs, so
+    the chain stays an order for a while and then may stop being one; the
+    others draw a relation of random density, self-loops included."""
+    n = draw(st.integers(0, 9))
+    density = draw(st.floats(0, 1))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    kind = draw(st.sampled_from(["order", "perturbed", "random"]))
+    if kind != "random":
+        rank = list(range(n))
+        rng.shuffle(rank)
+        rel = {
+            (a, b)
+            for a in range(n)
+            for b in range(n)
+            if rank[a] < rank[b] and rng.random() < density
+        }
+        for c in range(n):
+            rel |= {(a, b) for a, x in rel for y, b in rel if x == c == y}
+        if kind == "perturbed" and n:
+            for _ in range(draw(st.integers(1, 2))):
+                rel ^= {(rng.randrange(n), rng.randrange(n))}
+    else:
+        rel = {
+            (a, b)
+            for a in range(n)
+            for b in range(n)
+            if rng.random() < density
+        }
+    sizes = [0]
+    while sizes[-1] < n:
+        sizes.append(min(n, sizes[-1] + draw(st.integers(0, 3))))
+    asked = draw(st.lists(st.booleans(), min_size=len(sizes),
+                          max_size=len(sizes)))
+    return rel, sizes, asked, rng
+
+
+class TestMaskCore:
+    @settings(max_examples=300, deadline=None)
+    @given(extension_chains())
+    def test_extension_chain_views(self, chain):
+        rel, sizes, asked, rng = chain
+        frags = [FiniteFragment(BINARY, 0)]
+        for old, new, ask in zip(sizes, sizes[1:], asked):
+            # ask some fragments for the order flag while the chain grows,
+            # so both the derived and the computed flag are exercised
+            if ask:
+                frags[-1].is_strict_order()
+            facts = [
+                (0, (a, b)) for a, b in rel if old <= max(a, b) < new
+            ]
+            rng.shuffle(facts)
+            frags.append(frags[-1].extended(new, facts))
+
+        for frag in frags:
+            n = frag.size
+            facts = frag.tuple_set()
+            assert facts == {
+                (0, (a, b)) for a, b in rel if a < n and b < n
+            }
+            for a in range(n + 1):
+                for b in range(n + 1):
+                    assert frag.has(0, (a, b)) == ((0, (a, b)) in facts)
+            assert frag.is_strict_order() == brute_strict_order(facts)
+
+            subset = [e for e in range(n) if rng.random() < 0.6]
+            rng.shuffle(subset)
+            relabel = {e: i for i, e in enumerate(subset)}
+            expected = FiniteFragment.from_tuples(
+                BINARY,
+                len(subset),
+                [
+                    (0, (relabel[a], relabel[b]))
+                    for _, (a, b) in facts
+                    if a in relabel and b in relabel
+                ],
+            )
+            sub = frag.induced(subset)
+            assert sub == expected
+            assert sub.tuples() == expected.tuples()
+            for a in range(sub.size):
+                for b in range(sub.size):
+                    assert sub.has(0, (a, b)) == expected.has(0, (a, b))
+            assert sub.is_strict_order() == brute_strict_order(
+                sub.tuple_set()
+            )
