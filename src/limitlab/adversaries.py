@@ -11,10 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .structures import BINARY, FiniteFragment, embed_map
+from .structures import embed_map
 from .catalog import (
     Family,
     ReplayPresentation,
+    TokenChain,
     audit_shape,
     canonical_fragment,
     fragment_embeds,
@@ -22,6 +23,7 @@ from .catalog import (
 )
 from .sigma1 import sigma1_leq
 from .learners import QUESTION, ConfigurationError
+from .reductions import outputs
 
 START_HORIZON = 512
 HORIZON_CAP = 2 ** 14
@@ -51,53 +53,38 @@ class FailureCertificate:
         }
 
 
-class StreamBuilder:
+class StreamBuilder(TokenChain):
     """Builds a monotone fragment stream as a growing induced piece of a
     target structure, with the ability to re-root the piece inside a new
     target whenever it embeds there."""
 
     def __init__(self, target):
-        self.target = target
+        super().__init__(target)
         self.indices = []  # canonical index of each revealed element
-        self.fragments = []
-
-    def _fragment(self):
-        return (
-            self.fragments[-1]
-            if self.fragments
-            else FiniteFragment(BINARY, 0)
-        )
 
     def add_index(self, idx):
         if idx in self.indices:
             raise ValueError("canonical element %d already revealed" % idx)
-        tok = self.target.element(idx)
-        e = len(self.indices)
-        new = []
-        for j, other_idx in enumerate(self.indices):
-            other = self.target.element(other_idx)
-            if self.target.related(other, tok):
-                new.append((0, (j, e)))
-            if self.target.related(tok, other):
-                new.append((0, (e, j)))
-        self.fragments.append(self._fragment().extended(e + 1, new))
+        frag = self.push(self.target.element(idx))
         self.indices.append(idx)
+        return frag
 
     def add_least_unused(self, predicate=None):
+        """Reveal the least unrevealed canonical element whose token meets
+        the predicate, and return the new fragment."""
         used = set(self.indices)
         idx = 0
         while True:
             if idx not in used:
                 tok = self.target.element(idx)
                 if predicate is None or predicate(tok):
-                    self.add_index(idx)
-                    return tok
+                    return self.add_index(idx)
             idx += 1
 
     def retarget(self, new_target):
         """Re-root the current fragment inside a new target; True on
         success, False when no embedding is found at a saturated bound."""
-        frag = self._fragment()
+        frag = self.fragments[-1]
         top = 2 * frag.size + new_target.param() + 8
         size = new_target.size()
         if size is not None:
@@ -108,10 +95,11 @@ class StreamBuilder:
             return False
         self.target = new_target
         self.indices = [mapping[e] for e in range(frag.size)]
+        self.tokens = [new_target.element(i) for i in self.indices]
         return True
 
     def presentation(self, label):
-        return ReplayPresentation(list(self.fragments), label)
+        return ReplayPresentation(self.fragments[1:], label)
 
 
 def _inconclusive(adversary, opponent, seed, horizon, details=None):
@@ -166,11 +154,10 @@ def adv_vs_ex_rays(learner, seed=0, start=START_HORIZON, cap=HORIZON_CAP):
                 if grow:
                     expansionary.append(s)
             if grow:
-                builder.add_least_unused(lambda t: t[0] == "l")
+                frag = builder.add_least_unused(lambda t: t[0] == "l")
                 ray_len += 1
             else:
-                builder.add_least_unused(lambda t: t[0] == "r")
-            frag = builder.fragments[-1]
+                frag = builder.add_least_unused(lambda t: t[0] == "r")
             if s < 40 and not audit_shape(frag, list(family)):
                 audit_ok = False
             state, hyp = learner.step(state, frag)
@@ -234,8 +221,7 @@ def adv_vs_nus_poset(learner, seed=0, start=START_HORIZON, cap=HORIZON_CAP):
         stages = {}
         audit_ok = True
         for s in range(horizon):
-            builder.add_least_unused()
-            frag = builder.fragments[-1]
+            frag = builder.add_least_unused()
             if s < 40 and not fragment_embeds(frag, p0):
                 audit_ok = False
             state, hyp = learner.step(state, frag)
@@ -321,8 +307,7 @@ def adv_vs_co_comparable(
         transcript = []
         switched_at = None
         for s in range(horizon):
-            builder.add_least_unused()
-            state, hyp = learner.step(state, builder.fragments[-1])
+            state, hyp = learner.step(state, builder.add_least_unused())
             transcript.append(hyp)
             if switched_at is None and hyp == code_b:
                 if not builder.retarget(b):
@@ -366,17 +351,15 @@ def adv_vs_fin(
         transcript = []
         commit = None
         for s in range(horizon):
-            builder.add_least_unused()
-            state, hyp = learner.step(state, builder.fragments[-1])
+            state, hyp = learner.step(state, builder.add_least_unused())
             transcript.append(hyp)
             if commit is None and hyp != QUESTION:
                 commit = (s, hyp)
                 if hyp != code_a:
                     # wrong commitment on a faithful copy of A
                     for t in range(s + 1, horizon):
-                        builder.add_least_unused()
                         state, h2 = learner.step(
-                            state, builder.fragments[-1]
+                            state, builder.add_least_unused()
                         )
                         transcript.append(h2)
                     return builder.presentation(name), FailureCertificate(
@@ -429,19 +412,17 @@ def adv_vs_total_id_operator(
     iso = parse_structure("iso_inf")
     horizon = start
     while True:
-        refs = []
-        for m in members:
-            state, out = operator.initial(), []
-            for s in range(horizon):
-                state, new = operator.step(state, canonical_fragment(m, s + 1))
-                out.extend(new)
-            refs.append(out)
+        refs = [
+            outputs(operator, (
+                canonical_fragment(m, s + 1) for s in range(horizon)
+            ))
+            for m in members
+        ]
         builder = StreamBuilder(iso)
         state, out = operator.initial(), []
         disagreement = None
         for s in range(horizon):
-            builder.add_least_unused()
-            state, new = operator.step(state, builder.fragments[-1])
+            state, new = operator.step(state, builder.add_least_unused())
             out.extend(new)
             for i, ref in enumerate(refs):
                 k = min(len(out), len(ref))
@@ -461,8 +442,7 @@ def adv_vs_total_id_operator(
                     {"reason": "completion embedding not found"},
                 )
             for t in range(s + 1, horizon):
-                builder.add_least_unused()
-                state, new = operator.step(state, builder.fragments[-1])
+                state, new = operator.step(state, builder.add_least_unused())
                 out.extend(new)
             return builder.presentation(name), FailureCertificate(
                 "PrefixDisagreement", name, opponent, seed, horizon,
@@ -494,12 +474,9 @@ def adv_vs_e3_operator_fstar(
         target = parse_structure(branch_key)
         horizon = start
         while horizon <= cap:
-            ref_state, ref_out = operator.initial(), []
-            for s in range(horizon):
-                ref_state, new = operator.step(
-                    ref_state, canonical_fragment(target, s + 1)
-                )
-                ref_out.extend(new)
+            ref_out = outputs(operator, (
+                canonical_fragment(target, s + 1) for s in range(horizon)
+            ))
             builder = StreamBuilder(target)
             state, out = operator.initial(), []
             disagreements = []
@@ -510,12 +487,11 @@ def adv_vs_e3_operator_fstar(
                 # inner-chain tokens are tagged "x", padding "p"; the chain
                 # grows once per fresh disagreement, padding fills the rest
                 want_chain = chain_count < len(disagreements) + 1
-                builder.add_least_unused(
+                frag = builder.add_least_unused(
                     lambda t: (t[0] == "x") == want_chain
                 )
                 if want_chain:
                     chain_count += 1
-                frag = builder.fragments[-1]
                 if s < 40 and not fragment_embeds(frag, target):
                     audit_ok = False
                 state, new = operator.step(state, frag)

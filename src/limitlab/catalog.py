@@ -8,6 +8,7 @@ elements; presentations reveal those elements in a seeded fair order.
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass, field
 
@@ -25,8 +26,9 @@ class UnsupportedOracleError(ValueError):
 
 
 class CatalogStructure:
-    """Base class; subclasses define a canonical element enumeration and the
-    relation on abstract tokens."""
+    """Base class; subclasses define the relation on abstract tokens and,
+    unless the tokens are the naturals below size(), their canonical
+    element enumeration."""
 
     style = "order"  # "order" | "graph" | "any"
 
@@ -37,7 +39,8 @@ class CatalogStructure:
         self._exhausted = False
 
     def _enumerate(self):
-        raise NotImplementedError
+        size = self.size()
+        return itertools.count() if size is None else iter(range(size))
 
     def key(self):
         raise NotImplementedError
@@ -77,12 +80,6 @@ class CatalogStructure:
 
 
 class OmegaOrder(CatalogStructure):
-    def _enumerate(self):
-        i = 0
-        while True:
-            yield i
-            i += 1
-
     def key(self):
         return "omega"
 
@@ -92,12 +89,6 @@ class OmegaOrder(CatalogStructure):
 
 class OmegaStarOrder(CatalogStructure):
     """The reverse of omega; token i is the i-th element from the top."""
-
-    def _enumerate(self):
-        i = 0
-        while True:
-            yield i
-            i += 1
 
     def key(self):
         return "omega_star"
@@ -131,9 +122,6 @@ class FiniteChain(CatalogStructure):
             raise ValueError("chains need at least 2 elements")
         self.n = n
 
-    def _enumerate(self):
-        return iter(range(self.n))
-
     def key(self):
         return "chain(%d)" % self.n
 
@@ -152,12 +140,6 @@ class Ray(CatalogStructure):
 
     style = "graph"
 
-    def _enumerate(self):
-        i = 0
-        while True:
-            yield i
-            i += 1
-
     def key(self):
         return "ray"
 
@@ -171,9 +153,6 @@ class FiniteRay(Ray):
         if n < 2:
             raise ValueError("finite rays need at least 2 elements")
         self.n = n
-
-    def _enumerate(self):
-        return iter(range(self.n))
 
     def key(self):
         return "ray(%d)" % self.n
@@ -194,9 +173,6 @@ class Cycle(CatalogStructure):
             raise ValueError("cycles need at least 3 elements")
         self.n = n
 
-    def _enumerate(self):
-        return iter(range(self.n))
-
     def key(self):
         return "cycle(%d)" % self.n
 
@@ -214,12 +190,6 @@ class Cycle(CatalogStructure):
 class IsolatedInfinite(CatalogStructure):
     style = "any"
 
-    def _enumerate(self):
-        i = 0
-        while True:
-            yield i
-            i += 1
-
     def key(self):
         return "iso_inf"
 
@@ -235,9 +205,6 @@ class IsolatedFinite(CatalogStructure):
         if n < 0:
             raise ValueError("negative size")
         self.n = n
-
-    def _enumerate(self):
-        return iter(range(self.n))
 
     def key(self):
         return "iso(%d)" % self.n
@@ -267,15 +234,6 @@ class PosetP(CatalogStructure):
         if k < 0:
             raise ValueError("negative parameter")
         self.k = k
-
-    def _enumerate(self):
-        if self.k == 0:
-            i = 0
-            while True:
-                yield i
-                i += 1
-        else:
-            yield from range(2 * self.k + 2)
 
     def key(self):
         return "poset_p(%d)" % self.k
@@ -546,32 +504,50 @@ def _nonisolated_part(fragment):
     return fragment.induced(sorted(used))
 
 
+class TokenChain:
+    """The one way a target's tokens become a fragment chain: element k of
+    every fragment is tokens[k], and fragments[k] is the fragment on the
+    first k tokens, starting from the empty one."""
+
+    def __init__(self, target):
+        self.target = target
+        self.tokens = []
+        self.fragments = [FiniteFragment(BINARY, 0)]
+
+    def push(self, tok):
+        """Reveal tok as the next element and return the extended fragment.
+        Each earlier token j, ascending, contributes (j, e) before (e, j)."""
+        related = self.target.related
+        e = len(self.tokens)
+        new = []
+        for j, other in enumerate(self.tokens):
+            if related(other, tok):
+                new.append((0, (j, e)))
+            if related(tok, other):
+                new.append((0, (e, j)))
+        frag = self.fragments[-1].extended(e + 1, new)
+        self.tokens.append(tok)
+        self.fragments.append(frag)
+        return frag
+
+
 def canonical_fragment(structure, n):
     """The induced fragment on the first n canonical elements."""
-    chain = _canonical_chains.setdefault(structure.key(), [structure, []])
-    structure = chain[0]
-    frags = chain[1]
-    if not frags:
-        frags.append(FiniteFragment(BINARY, 0))
-    while len(frags) <= n:
-        s = len(frags) - 1  # new element index
+    chain = _canonical_chains.get(structure.key())
+    if chain is None:
+        chain = _canonical_chains[structure.key()] = TokenChain(structure)
+    while len(chain.fragments) <= n:
         try:
-            tok = structure.element(s)
+            tok = chain.target.element(len(chain.tokens))
         except IndexError:
             raise ValueError(
                 "structure %s has fewer than %d elements" % (structure.key(), n)
             )
-        new = []
-        for j in range(s):
-            if structure.related(structure.element(j), tok):
-                new.append((0, (j, s)))
-            if structure.related(tok, structure.element(j)):
-                new.append((0, (s, j)))
-        frags.append(frags[-1].extended(s + 1, new))
-    return frags[n]
+        chain.push(tok)
+    return chain.fragments[n]
 
 
-_canonical_chains = {}
+_canonical_chains = {}  # structure key -> TokenChain of its canonical order
 
 
 def fragment_embeds(fragment, structure):
@@ -660,9 +636,9 @@ def fragment_embeds(fragment, structure):
 # presentations
 
 
-class Presentation:
+class Presentation(TokenChain):
     """A deterministic, seeded, fair stage-wise stream of fragments
-    isomorphic (in the limit) to the target.
+    isomorphic (in the limit) to the target; stage s is fragments[s + 1].
 
     The schedule alternates "reveal the least unrevealed canonical element"
     (which guarantees fairness outright) with a seeded pick from the lowest
@@ -670,11 +646,9 @@ class Presentation:
     """
 
     def __init__(self, target, seed):
-        self.target = target
+        super().__init__(target)
         self.seed = seed
         self._rng = random.Random("%s|%d" % (target.key(), seed))
-        self._fragments = [None]
-        self._tokens = []
         self._buffer = []
         self._next_canonical = 0
         self._exhausted = False
@@ -693,28 +667,16 @@ class Presentation:
             raise ConstructionError(
                 "%s has only %d elements" % (self.target.key(), size)
             )
-        while len(self._tokens) <= s:
-            i = len(self._tokens)
+        while len(self.tokens) <= s:
             self._refill()
             if not self._buffer:
                 raise ConstructionError("ran out of elements")
-            if i % 2 == 0:
+            if len(self.tokens) % 2 == 0:
                 tok = self._buffer.pop(0)
             else:
                 tok = self._buffer.pop(self._rng.randrange(len(self._buffer)))
-            new = []
-            for j, other in enumerate(self._tokens):
-                if self.target.related(other, tok):
-                    new.append((0, (j, i)))
-                if self.target.related(tok, other):
-                    new.append((0, (i, j)))
-            self._tokens.append(tok)
-            prev = self._fragments[-1]
-            if prev is None:
-                prev = FiniteFragment(BINARY, 0)
-                self._fragments = []
-            self._fragments.append(prev.extended(i + 1, new))
-        return self._fragments[s]
+            self.push(tok)
+        return self.fragments[s + 1]
 
 
 def realize(target, seed, s):

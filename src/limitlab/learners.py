@@ -37,12 +37,9 @@ class Learner:
 
 def run(learner, presentation, horizon):
     """The transcript of the learner on stages 0..horizon-1."""
-    state = learner.initial_state()
-    transcript = []
-    for s in range(horizon):
-        state, hyp = learner.step(state, presentation.restrict(s))
-        transcript.append(hyp)
-    return transcript
+    return run_on_stream(
+        learner, (presentation.restrict(s) for s in range(horizon))
+    )
 
 
 def run_on_stream(learner, fragments):

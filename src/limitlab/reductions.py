@@ -42,6 +42,16 @@ class PrefixVerdict:
     payload: dict = field(default_factory=dict)
 
 
+def outputs(operator, fragments):
+    """The values an operator (anything with `initial` and `step`) emits
+    along a fragment stream, in order."""
+    state, out = operator.initial(), []
+    for frag in fragments:
+        state, new = operator.step(state, frag)
+        out.extend(new)
+    return out
+
+
 class ReductionOperator:
     """Base operator: `initial()` and `step(state, fragment)` returning
     (state, newly emitted values)."""
@@ -56,11 +66,7 @@ class ReductionOperator:
         raise NotImplementedError
 
     def prefix(self, fragments):
-        state, out = self.initial(), []
-        for frag in fragments:
-            state, new = self.step(state, frag)
-            out.extend(new)
-        return OutputPrefix(tuple(out), self.columnar)
+        return OutputPrefix(tuple(outputs(self, fragments)), self.columnar)
 
     def declared_range(self, code):
         """Limiting range on streams of the given member, when the target
@@ -86,13 +92,15 @@ class GammaFinToEqnat(ReductionOperator):
         fin_state, hyp = self.fin.step(fin_state, fragment)
         if committed is None and hyp != QUESTION:
             committed = hyp
-        new = []
-        if committed is not None:
-            stage = fragment.size - 1
-            while emitted <= stage:
-                new.append(committed)
-                emitted += 1
-        return (fin_state, committed, emitted), tuple(new)
+        return self._catch_up(fin_state, committed, emitted, fragment)
+
+    @staticmethod
+    def _catch_up(fin_state, committed, emitted, fragment):
+        """Once committed, emit the code at every stage not yet covered."""
+        if committed is None:
+            return (fin_state, None, emitted), ()
+        new = (committed,) * (fragment.size - emitted)
+        return (fin_state, committed, fragment.size), new
 
     def declared_range(self, code):
         return {code}
@@ -108,21 +116,12 @@ class GammaFinToEqnatTotal(GammaFinToEqnat):
 
     def step(self, state, fragment):
         fin_state, committed, emitted = state
-        stage = fragment.size - 1
-        if committed is None and emitted == 0 and stage >= self.patience:
+        if committed is None and fragment.size > self.patience:
             committed = 0
-            new = []
-            while emitted <= stage:
-                new.append(0)
-                emitted += 1
-            # the inner learner is abandoned once the default fires
-            return (fin_state, committed, emitted), tuple(new)
-        if committed is not None and emitted > 0:
-            new = []
-            while emitted <= stage:
-                new.append(committed)
-                emitted += 1
-            return (fin_state, committed, emitted), tuple(new)
+        if committed is not None:
+            # the inner learner is never stepped again once it has
+            # committed or the default has fired
+            return self._catch_up(fin_state, committed, emitted, fragment)
         return super().step(state, fragment)
 
 
@@ -351,13 +350,11 @@ def _column_sets(prefix):
 
 
 def run_operator(operator, presentation, horizon):
-    """The operator's output prefix over the first `horizon` stages, with
-    the append-only contract asserted at every step."""
-    state, out = operator.initial(), []
-    for s in range(horizon):
-        state, new = operator.step(state, presentation.restrict(s))
-        out.extend(new)
-    return OutputPrefix(tuple(out), operator.columnar)
+    """The operator's output prefix over the first `horizon` stages."""
+    values = outputs(
+        operator, (presentation.restrict(s) for s in range(horizon))
+    )
+    return OutputPrefix(tuple(values), operator.columnar)
 
 
 def _separation_evidence(rel, verdict, pa, pb):

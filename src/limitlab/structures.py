@@ -418,8 +418,3 @@ def _embed_map_fixed(f, g, fixed):
 def embed_finite(f, g):
     """True iff f embeds into g as an induced substructure."""
     return embed_map(f, g) is not None
-
-
-def restrict(presentation, s):
-    """The stage-s fragment of a presentation (domain {0..s})."""
-    return presentation.restrict(s)

@@ -1,6 +1,9 @@
+import random
+
 import pytest
 
 from limitlab.adversaries import (
+    StreamBuilder,
     adv_vs_co_comparable,
     adv_vs_e3_operator_fstar,
     adv_vs_ex_rays,
@@ -10,7 +13,7 @@ from limitlab.adversaries import (
     poset_family,
     rays_family,
 )
-from limitlab.catalog import Family, parse_structure
+from limitlab.catalog import Family, canonical_fragment, parse_structure
 from limitlab.learners import QUESTION, ConfigurationError, Learner, run_on_stream
 from limitlab import harness as H
 
@@ -201,3 +204,25 @@ class TestE3OperatorAdversary:
         op = H.GAMMAS["gamma_erange_to_e3"](fam)
         pres, cert = adv_vs_e3_operator_fstar(op, start=128, cap=256, needed=3)
         assert cert.kind == "Inconclusive"
+
+
+class TestStreamBuilder:
+    @pytest.mark.parametrize("seed", range(30))
+    def test_stream_is_induced_piece_of_current_target(self, seed):
+        rng = random.Random(seed)
+        targets = [S("tilde(poset_p(0))"), S("tilde(poset_p(2))")]
+        builder = StreamBuilder(targets[0])
+        for _ in range(24):
+            if rng.random() < 0.3:
+                builder.retarget(rng.choice(targets))
+            else:
+                builder.add_least_unused()
+            if not builder.indices:
+                continue
+            frag = builder.fragments[-1]
+            canon = canonical_fragment(
+                builder.target, max(builder.indices) + 1
+            )
+            expected = canon.induced(builder.indices)
+            assert frag.size == expected.size
+            assert frag.tuple_set() == expected.tuple_set()

@@ -112,6 +112,33 @@ class TestPresentations:
             assert replay.restrict(s).tuple_set() == frags[s].tuple_set()
 
 
+def _log_from_related(structure, tokens):
+    """The relation log in the documented order: element e after every
+    earlier element j, ascending, with (j, e) before (e, j)."""
+    log = []
+    for e, tok in enumerate(tokens):
+        for j, other in enumerate(tokens[:e]):
+            if structure.related(other, tok):
+                log.append((0, (j, e)))
+            if structure.related(tok, other):
+                log.append((0, (e, j)))
+    return log
+
+
+class TestTokenChain:
+    @pytest.mark.parametrize("key", PARSE_KEYS)
+    def test_logs_follow_related_in_token_order(self, key):
+        s = parse_structure(key)
+        n = 14 if s.size() is None else s.size()
+        canonical = [s.element(i) for i in range(n)]
+        assert canonical_fragment(s, n).tuples() == _log_from_related(
+            s, canonical
+        )
+        p = Presentation(s, 5)
+        frag = p.restrict(n - 1)
+        assert frag.tuples() == _log_from_related(s, p.tokens)
+
+
 class TestAgeDeciders:
     STRUCTS = [
         "omega",
