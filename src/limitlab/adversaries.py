@@ -61,25 +61,28 @@ class StreamBuilder(TokenChain):
     def __init__(self, target):
         super().__init__(target)
         self.indices = []  # canonical index of each revealed element
+        self._used = set()  # the same indices, for lookups
+        self._low = 0  # every canonical index below it is revealed
 
     def add_index(self, idx):
-        if idx in self.indices:
+        if idx in self._used:
             raise ValueError("canonical element %d already revealed" % idx)
         frag = self.push(self.target.element(idx))
         self.indices.append(idx)
+        self._used.add(idx)
         return frag
 
     def add_least_unused(self, predicate=None):
         """Reveal the least unrevealed canonical element whose token meets
         the predicate, and return the new fragment."""
-        used = set(self.indices)
-        idx = 0
-        while True:
-            if idx not in used:
-                tok = self.target.element(idx)
-                if predicate is None or predicate(tok):
-                    return self.add_index(idx)
+        while self._low in self._used:
+            self._low += 1
+        idx = self._low
+        while idx in self._used or not (
+            predicate is None or predicate(self.target.element(idx))
+        ):
             idx += 1
+        return self.add_index(idx)
 
     def retarget(self, new_target):
         """Re-root the current fragment inside a new target; True on
@@ -93,9 +96,12 @@ class StreamBuilder(TokenChain):
         mapping = embed_map(frag, canonical_fragment(new_target, top))
         if mapping is None:
             return False
-        self.target = new_target
         self.indices = [mapping[e] for e in range(frag.size)]
-        self.tokens = [new_target.element(i) for i in self.indices]
+        self._used, self._low = set(self.indices), 0
+        # the same elements, named by the new target's tokens
+        self.target, self.tokens, self.groups = new_target, [], {}
+        for i in self.indices:
+            self._file(new_target.element(i))
         return True
 
     def presentation(self, label):

@@ -12,9 +12,10 @@ import itertools
 import random
 from dataclasses import dataclass, field
 
-from .structures import BINARY, FiniteFragment
+from .structures import BINARY, FiniteFragment, iter_bits
 
 _SCHEDULE_WINDOW = 4
+_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 
 
 class ConstructionError(ValueError):
@@ -47,6 +48,29 @@ class CatalogStructure:
 
     def related(self, x, y):
         raise NotImplementedError
+
+    def group(self, tok):
+        """The key a token chain files tok's position under, or None when
+        tok is related to no token; by default tokens are related only
+        within their group, and all share one."""
+        return None if self.style == "any" else 0
+
+    def relation_masks(self, tokens, groups, tok):
+        """tok's successor and predecessor masks against the earlier
+        tokens: bit j is related(tok, tokens[j]), resp. related(tokens[j],
+        tok).  groups maps each group key to its tokens' positions, and
+        the default asks related about those of tok's group only."""
+        key = self.group(tok)
+        if key is None:
+            return 0, 0
+        succ, pred = bytearray(len(tokens)), bytearray(len(tokens))
+        for j in groups.get(key, ()):
+            succ[j] = self.related(tok, tokens[j])
+            pred[j] = self.related(tokens[j], tok)
+        # bit j of each mask is byte j of its flags
+        return tuple(
+            int(f[::-1].translate(_DIGITS) or b"0", 2) for f in (succ, pred)
+        )
 
     def size(self):
         """Number of elements, or None when infinite."""
@@ -185,6 +209,15 @@ class Cycle(CatalogStructure):
     def related(self, x, y):
         d = abs(x - y)
         return d == 1 or d == self.n - 1
+
+    def group(self, tok):
+        return tok  # each position on the cycle is its own group
+
+    def relation_masks(self, tokens, groups, tok):
+        # look up tok's two neighbours on the cycle among the revealed ones
+        sides = ((tok + 1) % self.n, (tok - 1) % self.n)
+        near = sum(1 << j for t in sides for j in groups.get(t, ()))
+        return near, near
 
 
 class IsolatedInfinite(CatalogStructure):
@@ -335,6 +368,9 @@ class Tilde(CatalogStructure):
             return self.inner.related(x[1], y[1])
         return False
 
+    def group(self, tok):
+        return "x" if tok[0] == "x" else None
+
 
 class DisjointUnion(CatalogStructure):
     def __init__(self, left, right):
@@ -379,6 +415,10 @@ class DisjointUnion(CatalogStructure):
             return False
         side = self.left if x[0] == "l" else self.right
         return side.related(x[1], y[1])
+
+    def group(self, tok):
+        side = self.left if tok[0] == "l" else self.right
+        return None if side.style == "any" else tok[0]
 
 
 # ---------------------------------------------------------------------------
@@ -448,37 +488,34 @@ def strict_order_relation(fragment):
 
 
 def is_symmetric_graph(fragment):
-    return all(
-        a != b and fragment.has(0, (b, a)) for _, (a, b) in fragment.tuples()
-    )
+    """Loop-free, and every fact comes with its reverse."""
+    out, inn = fragment.masks()
+    return out == inn and not any(m >> e & 1 for e, m in enumerate(out))
 
 
 def graph_components(fragment):
-    """Connected components of the undirected view, as lists of elements."""
-    parent = list(range(fragment.size))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for _, args in fragment.tuples():
-        a = find(args[0])
-        for b in args[1:]:
-            parent[find(b)] = a
-    comps = {}
-    for e in range(fragment.size):
-        comps.setdefault(find(e), []).append(e)
-    return list(comps.values())
+    """Connected components of the undirected view, as ascending lists of
+    elements, ordered by their least element."""
+    out, inn = fragment.masks()
+    unseen = (1 << fragment.size) - 1
+    comps = []
+    while unseen:
+        comp = frontier = unseen & -unseen
+        while frontier:
+            reach = 0
+            for e in iter_bits(frontier):
+                reach |= out[e] | inn[e]
+            frontier = reach & ~comp
+            comp |= frontier
+        unseen &= ~comp
+        comps.append(list(iter_bits(comp)))
+    return comps
 
 
 def _component_path_or_cycle(fragment, comp):
     """Classify a component of a symmetric loop-free graph fragment:
     'path', 'cycle' or None."""
-    # each edge puts two tuples on each of its ends
-    profile = fragment.degree_profile()
-    degree = [profile[e] // 2 for e in comp]
+    degree = [fragment.row(e)[0].bit_count() for e in comp]
     if max(degree) > 2:
         return None
     edges = sum(degree) // 2
@@ -498,10 +535,7 @@ def _is_total_chain(fragment):
 
 
 def _nonisolated_part(fragment):
-    used = set()
-    for _, args in fragment.tuples():
-        used.update(args)
-    return fragment.induced(sorted(used))
+    return fragment.induced(fragment.linked())
 
 
 class TokenChain:
@@ -512,23 +546,23 @@ class TokenChain:
     def __init__(self, target):
         self.target = target
         self.tokens = []
+        self.groups = {}  # target.group(tok) -> positions, for its hook
         self.fragments = [FiniteFragment(BINARY, 0)]
 
     def push(self, tok):
-        """Reveal tok as the next element and return the extended fragment.
-        Each earlier token j, ascending, contributes (j, e) before (e, j)."""
-        related = self.target.related
-        e = len(self.tokens)
-        new = []
-        for j, other in enumerate(self.tokens):
-            if related(other, tok):
-                new.append((0, (j, e)))
-            if related(tok, other):
-                new.append((0, (e, j)))
-        frag = self.fragments[-1].extended(e + 1, new)
-        self.tokens.append(tok)
+        """Reveal tok as the next element and return the extended fragment;
+        the target's relation_masks relate it to every earlier token."""
+        succ, pred = self.target.relation_masks(self.tokens, self.groups, tok)
+        frag = self.fragments[-1].extended(succ, pred)
+        self._file(tok)
         self.fragments.append(frag)
         return frag
+
+    def _file(self, tok):
+        key = self.target.group(tok)
+        if key is not None:
+            self.groups.setdefault(key, []).append(len(self.tokens))
+        self.tokens.append(tok)
 
 
 def canonical_fragment(structure, n):
@@ -574,37 +608,24 @@ def fragment_embeds(fragment, structure):
         return _is_total_chain(fragment)
     if isinstance(structure, FiniteChain):
         return fragment.size <= structure.n and _is_total_chain(fragment)
-    if isinstance(structure, Cycle):
+    if isinstance(structure, (Cycle, Ray, CycleComplement)):
         comps = graph_components(fragment)
         kinds = [_component_path_or_cycle(fragment, c) for c in comps]
-        if any(k is None for k in kinds):
+        cycles = [len(c) for c, k in zip(comps, kinds) if k == "cycle"]
+        if None in kinds:
             return False
-        if "cycle" in kinds:
-            return len(comps) == 1 and fragment.size == structure.n
-        return fragment.size + len(comps) <= structure.n
-    if isinstance(structure, FiniteRay):
-        comps = graph_components(fragment)
-        if any(_component_path_or_cycle(fragment, c) != "path" for c in comps):
-            return False
-        return fragment.size + len(comps) - 1 <= structure.n
-    if isinstance(structure, Ray):
-        comps = graph_components(fragment)
-        return all(
-            _component_path_or_cycle(fragment, c) == "path" for c in comps
-        )
-    if isinstance(structure, CycleComplement):
-        comps = graph_components(fragment)
-        cycle_sizes = []
-        for c in comps:
-            kind = _component_path_or_cycle(fragment, c)
-            if kind is None:
-                return False
-            if kind == "cycle":
-                cycle_sizes.append(len(c))
-        # one copy of each cycle size is available, except the missing one;
-        # path components always fit somewhere as sizes are unbounded
-        return len(set(cycle_sizes)) == len(cycle_sizes) and (
-            structure.n not in cycle_sizes
+        if isinstance(structure, CycleComplement):
+            # one copy of each cycle size but n is available; path
+            # components always fit somewhere, as sizes are unbounded
+            distinct = len(set(cycles)) == len(cycles)
+            return distinct and structure.n not in cycles
+        if isinstance(structure, Cycle):
+            if cycles:
+                return len(comps) == 1 and fragment.size == structure.n
+            return fragment.size + len(comps) <= structure.n
+        return not cycles and (
+            not isinstance(structure, FiniteRay)
+            or fragment.size + len(comps) - 1 <= structure.n
         )
     if isinstance(structure, PosetP) and structure.k == 0:
         # g embeds iff the non-maximal elements are totally ordered: evens

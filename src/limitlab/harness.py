@@ -119,94 +119,92 @@ def _check_ex(spec, transcript, truth):
 
 def check(spec, transcript, truth, family):
     """Score a transcript against a criterion; total on any transcript of
-    at least horizon length."""
-    try:
-        if len(transcript) < spec.horizon:
-            return Verdict(
-                "INCONCLUSIVE",
-                reason="transcript shorter than horizon",
+    at least horizon length.  A checker error propagates: it is a bug, not
+    an INCONCLUSIVE result."""
+    if len(transcript) < spec.horizon:
+        return Verdict(
+            "INCONCLUSIVE",
+            reason="transcript shorter than horizon",
+        )
+    transcript = list(transcript[: spec.horizon])
+    if spec.kind == "Ex":
+        return _check_ex(spec, transcript, truth)
+    if spec.kind == "Fin":
+        values = [h for h in transcript if h != QUESTION]
+        distinct = sorted(set(values))
+        if not values:
+            return _fail("NeverCommits", spec, {"truth_code": truth})
+        if len(distinct) > 1:
+            return _fail(
+                "CommitRevised", spec,
+                {"values": distinct, "truth_code": truth},
             )
-        transcript = list(transcript[: spec.horizon])
-        if spec.kind == "Ex":
-            return _check_ex(spec, transcript, truth)
-        if spec.kind == "Fin":
-            values = [h for h in transcript if h != QUESTION]
-            distinct = sorted(set(values))
-            if not values:
-                return _fail("NeverCommits", spec, {"truth_code": truth})
-            if len(distinct) > 1:
+        if values[0] != truth:
+            return _fail(
+                "StuckWrong", spec,
+                {"final_hypothesis": values[0], "truth_code": truth},
+            )
+        return Verdict("PASS")
+    if spec.kind == "AlphaFin":
+        changes = _mind_changes(transcript)
+        if changes > spec.budget:
+            return _fail(
+                "MindChangeBudgetExceeded", spec,
+                {"changes": changes, "budget": spec.budget},
+            )
+        return _check_ex(spec, transcript, truth)
+    if spec.kind == "Co":
+        present = set(h for h in transcript if h != QUESTION)
+        if truth in present:
+            return _fail(
+                "CorrectCodeEmitted", spec,
+                {"code": truth, "stage": transcript.index(truth)},
+            )
+        missing = [
+            c for c in range(len(family))
+            if c != truth and c not in present
+        ]
+        if missing:
+            return _fail("MissingCode", spec, {"codes": missing})
+        return Verdict("PASS")
+    if spec.kind == "PL":
+        half = spec.horizon // 2
+        for start in range(half, spec.horizon - spec.window + 1):
+            if truth not in transcript[start:start + spec.window]:
                 return _fail(
-                    "CommitRevised", spec,
-                    {"values": distinct, "truth_code": truth},
+                    "RecurrenceGap", spec,
+                    {"window_start": start, "truth_code": truth},
                 )
-            if values[0] != truth:
-                return _fail(
-                    "StuckWrong", spec,
-                    {"final_hypothesis": values[0], "truth_code": truth},
-                )
-            return Verdict("PASS")
-        if spec.kind == "AlphaFin":
-            changes = _mind_changes(transcript)
-            if changes > spec.budget:
-                return _fail(
-                    "MindChangeBudgetExceeded", spec,
-                    {"changes": changes, "budget": spec.budget},
-                )
-            return _check_ex(spec, transcript, truth)
-        if spec.kind == "Co":
-            present = set(h for h in transcript if h != QUESTION)
-            if truth in present:
-                return _fail(
-                    "CorrectCodeEmitted", spec,
-                    {"code": truth, "stage": transcript.index(truth)},
-                )
-            missing = [
-                c for c in range(len(family))
-                if c != truth and c not in present
-            ]
-            if missing:
-                return _fail("MissingCode", spec, {"codes": missing})
-            return Verdict("PASS")
-        if spec.kind == "PL":
-            half = spec.horizon // 2
-            for start in range(half, spec.horizon - spec.window + 1):
-                if truth not in transcript[start:start + spec.window]:
+        late = [
+            h for h in transcript[half:]
+            if h != QUESTION and h != truth
+        ]
+        if late:
+            return _fail(
+                "WrongCodeRecurs", spec,
+                {"codes": sorted(set(late))},
+            )
+        return Verdict("PASS")
+    if spec.kind == "NUs":
+        if truth in transcript:
+            first = transcript.index(truth)
+            for s in range(first, spec.horizon):
+                if transcript[s] != truth:
                     return _fail(
-                        "RecurrenceGap", spec,
-                        {"window_start": start, "truth_code": truth},
+                        "AbandonedTruth", spec,
+                        {"first": first, "abandoned_at": s},
                     )
-            late = [
-                h for h in transcript[half:]
-                if h != QUESTION and h != truth
-            ]
-            if late:
-                return _fail(
-                    "WrongCodeRecurs", spec,
-                    {"codes": sorted(set(late))},
-                )
-            return Verdict("PASS")
-        if spec.kind == "NUs":
-            if truth in transcript:
-                first = transcript.index(truth)
-                for s in range(first, spec.horizon):
-                    if transcript[s] != truth:
-                        return _fail(
-                            "AbandonedTruth", spec,
-                            {"first": first, "abandoned_at": s},
-                        )
-            return _check_ex(spec, transcript, truth)
-        if spec.kind == "Dec":
-            pattern = _abandon_return(transcript)
-            if pattern is not None:
-                code, left, right = pattern
-                return _fail(
-                    "AbandonReturn", spec,
-                    {"code": code, "stages": [left, right]},
-                )
-            return _check_ex(spec, transcript, truth)
-        return Verdict("INCONCLUSIVE", reason="unknown criterion")
-    except Exception as exc:  # checker totality
-        return Verdict("INCONCLUSIVE", reason="checker error: %s" % exc)
+        return _check_ex(spec, transcript, truth)
+    if spec.kind == "Dec":
+        pattern = _abandon_return(transcript)
+        if pattern is not None:
+            code, left, right = pattern
+            return _fail(
+                "AbandonReturn", spec,
+                {"code": code, "stages": [left, right]},
+            )
+        return _check_ex(spec, transcript, truth)
+    return Verdict("INCONCLUSIVE", reason="unknown criterion")
 
 
 # ---------------------------------------------------------------------------
@@ -449,33 +447,40 @@ ADVERSARY_DEFAULT_FAMILY = {
 }
 
 
+def _builds(factory, family):
+    try:
+        factory(family)
+    except ConfigurationError:
+        return False
+    return True
+
+
 def run_duel(adversary, opponent, family_name=None, seed=0):
     """Pit a registered adversary against a registered learner or
     operator; returns (replayable presentation, certificate)."""
     if adversary not in ADVERSARIES:
         raise KeyError("unknown adversary: %r" % adversary)
-    family = get_family(family_name or ADVERSARY_DEFAULT_FAMILY[adversary])
-    if opponent in LEARNERS:
-        obj = LEARNERS[opponent](family)
-    elif opponent in GAMMAS:
-        obj = GAMMAS[opponent](family)
-    else:
+    family_name = family_name or ADVERSARY_DEFAULT_FAMILY[adversary]
+    family = get_family(family_name)
+    kind, registry = "learners", LEARNERS
+    if opponent not in LEARNERS:
+        kind, registry = "operators", GAMMAS
+    if opponent not in registry:
         raise KeyError("unknown learner or operator: %r" % opponent)
-    if adversary == "adv_vs_ex_rays":
-        return A.adv_vs_ex_rays(obj, seed)
-    if adversary == "adv_vs_nus_poset":
-        return A.adv_vs_nus_poset(obj, seed)
-    if adversary == "adv_vs_co_comparable":
-        return A.adv_vs_co_comparable(
-            obj, (family.members[0], family.members[1]), seed
-        )
-    if adversary == "adv_vs_fin":
-        return A.adv_vs_fin(
-            obj, (family.members[0], family.members[1]), seed
-        )
+    try:
+        obj = registry[opponent](family)
+    except ConfigurationError as exc:
+        valid = [n for n in sorted(registry) if _builds(registry[n], family)]
+        raise ConfigurationError(
+            "%s; %s that build on %s: %s"
+            % (exc, kind, family_name, ", ".join(valid) or "none")
+        ) from exc
+    duel = getattr(A, adversary)
+    if adversary in ("adv_vs_co_comparable", "adv_vs_fin"):
+        return duel(obj, tuple(family.members[:2]), seed)
     if adversary == "adv_vs_total_id_operator":
-        return A.adv_vs_total_id_operator(obj, family, seed)
-    return A.adv_vs_e3_operator_fstar(obj, seed)
+        return duel(obj, family, seed)
+    return duel(obj, seed)
 
 
 def row_to_json(row):

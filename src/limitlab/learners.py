@@ -67,25 +67,23 @@ class ExMinMaxLearner(Learner):
         self.code_down = keys.index("omega_star")
 
     def initial_state(self):
-        # per-element counts of being min / being max, plus an incremental
-        # endpoint tracker (tuple log position, in-set, out-set)
-        return ({}, {}, 0, set(), set())
+        # per-element counts of being min / being max, the elements read
+        # so far, and the masks of those with a predecessor / a successor
+        return ({}, {}, 0, 0, 0)
 
     def step(self, state, fragment):
         count_min, count_max, done, has_in, has_out = state
-        if done > fragment.fact_count():
-            done, has_in, has_out = 0, (), ()
-        has_in, has_out = set(has_in), set(has_out)
-        for _, (a, b) in fragment.new_facts(done):
-            has_out.add(a)
-            has_in.add(b)
-        done = fragment.fact_count()
-        lo = min(
-            (e for e in range(fragment.size) if e not in has_in), default=0
-        )
-        hi = min(
-            (e for e in range(fragment.size) if e not in has_out), default=0
-        )
+        if done > fragment.size:
+            done = has_in = has_out = 0
+        for e in range(done, fragment.size):
+            succ, pred = fragment.row(e)
+            has_in |= succ | bool(pred) << e
+            has_out |= pred | bool(succ) << e
+        done = fragment.size
+        # the least element without a predecessor, resp. successor; 0 when
+        # there is none
+        lo, hi = (((m + 1) & ~m).bit_length() - 1 for m in (has_in, has_out))
+        lo, hi = (e if e < done else 0 for e in (lo, hi))
         count_min = dict(count_min)
         count_max = dict(count_max)
         count_min[lo] = count_min.get(lo, 0) + 1
@@ -401,7 +399,7 @@ def _longest_chain(fragment):
     if masks is None:
         return 0, None, None
     succ, pred = masks
-    comp = [e for e in range(fragment.size) if succ[e] or pred[e]]
+    comp = fragment.linked()
     if not comp:
         return 0, None, None
     # since the relation is transitively closed, the longest chain ending
@@ -488,10 +486,7 @@ class ExPosetLearner(Learner):
         if masks is None:
             return False
         succ, pred = masks
-        comp = 0
-        for e in range(fragment.size):
-            if succ[e] or pred[e]:
-                comp |= 1 << e
+        comp = sum(1 << e for e in fragment.linked())
         # a root b: every other comparable element is above b except one,
         # which is below b
         for b in iter_bits(comp):

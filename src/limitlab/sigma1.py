@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from .structures import BINARY, FiniteFragment, embed_map
+from .structures import embed_map
 from .catalog import (
     CatalogStructure,
     UnsupportedOracleError,
@@ -144,22 +144,16 @@ def age_fragments(a, max_size):
     if size is not None:
         n = min(n, size)
     prefix = canonical_fragment(a, n)
+    succ, _ = prefix.masks()
     age = []
     seen = set()
     for k in range(1, min(max_size, n) + 1):
         for subset in itertools.combinations(range(n), k):
-            tuples = frozenset(
-                (0, (i, j))
-                for i, u in enumerate(subset)
-                for j, v in enumerate(subset)
-                if prefix.has(0, (u, v))
-            )
-            key = (k, tuples)
+            # the subset's facts, as one bit per ordered pair
+            key = tuple(succ[u] >> v & 1 for u in subset for v in subset)
             if key not in seen:
                 seen.add(key)
-                age.append(
-                    FiniteFragment.from_tuples(BINARY, k, tuples)
-                )
+                age.append(prefix.induced(subset))
     a._age[max_size] = age
     return age
 
@@ -175,11 +169,9 @@ def _witness_candidates(a, bound):
     seen = set()
 
     def add(frag):
-        if 1 <= frag.size <= bound:
-            key = (frag.size, frag.tuple_set())
-            if key not in seen:
-                seen.add(key)
-                out.append(frag)
+        if 1 <= frag.size <= bound and frag not in seen:
+            seen.add(frag)
+            out.append(frag)
 
     for m in range(1, top + 1):
         prefix = canonical_fragment(a, m)
@@ -188,7 +180,7 @@ def _witness_candidates(a, bound):
         add(core)
         for comp in graph_components(prefix):
             add(prefix.induced(comp))
-    out.sort(key=lambda f: (f.size, len(f.tuples())))
+    out.sort(key=lambda f: (f.size, f.fact_count()))
     return out
 
 

@@ -66,86 +66,58 @@ def iter_bits(mask):
 class FiniteFragment:
     """An initial segment of an atomic diagram of the binary signature.
 
-    Stores only the positive tuples; everything else over the domain is
-    false.  The tuples live in an append-only log, and element e's
-    successors and predecessors are the bits of two ints, `_out[e]` and
-    `_in[e]`.  Extended fragments share the log and both mask lists, so a
-    presentation driven for h stages costs O(h^2) overall rather than
-    copying the relation at every stage.  An extension only adds tuples
-    that mention a new element, so a fragment's facts and the mask bits
-    below its size never change after it is built.
+    Element e's successors and predecessors are the bits of two ints,
+    `_out[e]` and `_in[e]`; every other fact over the domain is false.
+    Extended fragments share both mask lists, so a stream of h stages
+    stores each fact once.  An extension only adds facts that mention its
+    new element, so the mask bits below a fragment's size, its facts,
+    never change after it is built.
     """
 
-    __slots__ = ("size", "_log", "_out", "_in", "_count", "_order", "_profile")
+    __slots__ = ("size", "_out", "_in", "_order")
 
-    def __init__(
-        self, signature, size, _log=None, _out=None, _in=None, _count=0
-    ):
+    def __init__(self, signature, size, _out=None, _in=None):
         if signature != BINARY:
             raise ValueError("fragments support only the binary signature")
         self.size = size
-        self._log = [] if _log is None else _log
         self._out = [0] * size if _out is None else _out
         self._in = [0] * size if _in is None else _in
-        self._count = _count
         self._order = None  # is_strict_order(), once known
-        self._profile = None
-
-    def degree_profile(self):
-        if self._profile is None:
-            profile = {e: 0 for e in range(self.size)}
-            for _, args in self.tuples():
-                for a in set(args):
-                    profile[a] += 1
-            self._profile = profile
-        return self._profile
 
     @classmethod
     def from_tuples(cls, signature, size, tuples):
         frag = cls(signature, size)
-        for rel, args in sorted(set((r, tuple(a)) for r, a in tuples)):
-            frag._append(rel, args)
-        frag._count = len(frag._log)
+        out, inn = frag._out, frag._in
+        for rel, args in tuples:
+            a, b = args
+            if rel != 0 or not (0 <= a < size and 0 <= b < size):
+                raise MalformedFormulaError(
+                    "no such fact over %d elements: %r" % (size, (rel, args))
+                )
+            out[a] |= 1 << b
+            inn[b] |= 1 << a
         return frag
 
-    def _append(self, rel, args):
-        if rel != 0 or len(args) != 2:
-            raise MalformedFormulaError("arity mismatch: %r" % ((rel, args),))
-        a, b = args
-        if not (0 <= a < self.size and 0 <= b < self.size):
-            raise ValueError("argument out of domain: %r" % ((rel, args),))
-        if self._out[a] >> b & 1:
-            raise ValueError("duplicate tuple: %r" % ((rel, args),))
-        self._out[a] |= 1 << b
-        self._in[b] |= 1 << a
-        self._log.append((rel, args))
-
-    def extended(self, new_size, new_tuples):
-        """A fragment extending this one, sharing the tuple log and masks.
-
-        Only valid on the newest fragment of a chain; every new tuple must
-        mention an element of the enlarged part of the domain.
-        """
-        old = self.size
-        if self._count != len(self._log) or old != len(self._out):
+    def extended(self, succ, pred):
+        """The fragment with one more element e = size, sharing this one's
+        masks: bit j of succ (of pred) says R(e, j) (R(j, e)), for j <= e.
+        Only valid on the newest fragment of a chain."""
+        e = self.size
+        out, inn = self._out, self._in
+        if e != len(out):
             raise ValueError("can only extend the newest fragment of a chain")
-        if new_size < old:
-            raise ValueError("extension cannot shrink the domain")
-        new = [(rel, tuple(args)) for rel, args in new_tuples]
-        for t in new:
-            if all(a < old for a in t[1]):
-                raise ValueError("tuple %r mentions no new element" % (t,))
-        grow = [0] * (new_size - old)
-        self._out.extend(grow)
-        self._in.extend(grow)
-        child = FiniteFragment(
-            BINARY, new_size, self._log, self._out, self._in, self._count
-        )
-        for rel, args in new:
-            child._append(rel, args)
-        child._count = len(self._log)
+        if not 0 <= succ | pred < 2 << e or (succ ^ pred) >> e:
+            raise ValueError("masks need bits 0..%d, a self-loop in both" % e)
+        bit = 1 << e
+        out.append(succ)
+        inn.append(pred)
+        for j in iter_bits(pred):
+            out[j] |= bit
+        for j in iter_bits(succ):
+            inn[j] |= bit
+        child = FiniteFragment(BINARY, e + 1, out, inn)
         if self._order is not None:
-            child._order = self._order and child._order_grows_from(old)
+            child._order = self._order and child._order_grows_from(e)
         return child
 
     def has(self, rel, args):
@@ -158,41 +130,57 @@ class FiniteFragment:
         )
 
     def tuples(self):
-        return self._log[: self._count]
-
-    def new_facts(self, since):
-        """The log entries after the first `since` ones."""
-        return self._log[since: self._count]
+        """The facts in chain order: element e ascending, and with each
+        j <= e ascending, (j, e) before (e, j)."""
+        out, inn, facts = self._out, self._in, []
+        for e in range(self.size):
+            upto = (2 << e) - 1
+            succ, pred = out[e] & upto, inn[e] & upto
+            for j in iter_bits(succ | pred):
+                if pred >> j & 1:
+                    facts.append((0, (j, e)))
+                if succ >> j & 1 and j < e:
+                    facts.append((0, (e, j)))
+        return facts
 
     def fact_count(self):
-        return self._count
+        full = (1 << self.size) - 1
+        return sum((m & full).bit_count() for m in self._out[: self.size])
 
     def tuple_set(self):
         return frozenset(self.tuples())
 
     def tuples_of(self, element):
-        """Tuples mentioning a given element, in log order.  Nothing in the
-        package calls it; bench/tracer.py times it as a lookup."""
+        """Tuples mentioning a given element, in chain order.  Nothing in
+        the package calls it; bench/tracer.py times it as a lookup."""
         return [t for t in self.tuples() if element in t[1]]
+
+    def row(self, e):
+        """Element e's successor and predecessor masks within the domain."""
+        full = (1 << self.size) - 1
+        return self._out[e] & full, self._in[e] & full
+
+    def linked(self):
+        """The elements in at least one fact, ascending."""
+        out, inn, full = self._out, self._in, (1 << self.size) - 1
+        return [e for e in range(self.size) if (out[e] | inn[e]) & full]
 
     def masks(self):
         """Per-element successor and predecessor bitmasks over this
         fragment's domain, as two lists indexed by element."""
         n, full = self.size, (1 << self.size) - 1
-        return (
-            [m & full for m in self._out[:n]],
-            [m & full for m in self._in[:n]],
-        )
+        out, inn = self._out[:n], self._in[:n]
+        return [m & full for m in out], [m & full for m in inn]
 
     def is_strict_order(self):
         """Irreflexive and transitive (hence antisymmetric); computed once
         per fragment, and carried along extensions from the new elements'
         masks only."""
         if self._order is None:
-            out, full = self._out, (1 << self.size) - 1
-            self._order = all(
-                a != b and not out[b] & full & ~out[a]
-                for _, (a, b) in self.tuples()
+            succ, _ = self.masks()
+            self._order = not any(
+                row >> a & 1 or any(succ[b] & ~row for b in iter_bits(row))
+                for a, row in enumerate(succ)
             )
         return self._order
 
@@ -217,13 +205,14 @@ class FiniteFragment:
 
     def extends(self, other):
         """The extension partial order: other's facts over other's domain are
-        exactly this fragment's facts restricted to that domain."""
-        if self.size < other.size:
-            return False
-        mine = {
-            t for t in self.tuples() if all(a < other.size for a in t[1])
-        }
-        return mine == other.tuple_set()
+        exactly this fragment's facts restricted to that domain.  Fragments
+        of one chain share their masks, and so extend each other by size."""
+        n, mine, theirs = other.size, self._out, other._out
+        full = (1 << n) - 1
+        return self.size >= n and (
+            mine is theirs
+            or all(not (mine[e] ^ theirs[e]) & full for e in range(n))
+        )
 
     def restricted(self, k):
         """The induced fragment on domain {0..k-1}."""
@@ -231,8 +220,7 @@ class FiniteFragment:
 
     def induced(self, elements):
         """Induced substructure on a subset of the domain, relabelled
-        0..k-1 in the given iteration order; built from the masks, with its
-        log already sorted."""
+        0..k-1 in the given iteration order; built from the masks."""
         elems = list(elements)
         relabel = {e: i for i, e in enumerate(elems)}
         if len(relabel) != len(elems):
@@ -243,15 +231,14 @@ class FiniteFragment:
                 raise ValueError("element %r out of domain" % (e,))
             chosen |= 1 << e
         frag = FiniteFragment(BINARY, len(elems))
-        log, out, inn = frag._log, frag._out, frag._in
+        out, inn = frag._out, frag._in
         for i, e in enumerate(elems):
             row = self._out[e] & chosen
             if row:
-                for j in sorted(relabel[b] for b in iter_bits(row)):
-                    log.append((0, (i, j)))
+                for b in iter_bits(row):
+                    j = relabel[b]
                     out[i] |= 1 << j
                     inn[j] |= 1 << i
-        frag._count = len(log)
         if self._order:
             frag._order = True  # a restriction of a strict order is one
         return frag
@@ -260,11 +247,12 @@ class FiniteFragment:
         return (
             isinstance(other, FiniteFragment)
             and self.size == other.size
-            and self.tuple_set() == other.tuple_set()
+            and self.extends(other)
         )
 
     def __hash__(self):
-        return hash((self.size, self.tuple_set()))
+        full = (1 << self.size) - 1  # the size is the tuple's length
+        return hash(tuple(m & full for m in self._out[: self.size]))
 
     def __repr__(self):
         return "FiniteFragment(size=%d, tuples=%s)" % (
@@ -326,35 +314,29 @@ def embed_map(f, g, required=None):
 
 
 def _embed_map_fixed(f, g, fixed):
-    fprof = f.degree_profile()
-    gprof = g.degree_profile()
-
-    # order f's elements by constraint, then by connectivity to already
-    # placed elements so partial checks fire early
-    order = sorted(
-        (e for e in range(f.size) if e not in fixed), key=lambda e: -fprof[e]
-    )
-    neighbours = {e: set() for e in range(f.size)}
-    for _, args in f.tuples():
-        for a in args:
-            neighbours[a].update(args)
-    placed = set(fixed)
-    placed_order = []
-    remaining = list(order)
-    while remaining:
-        nxt = None
-        for e in remaining:
-            if any(n in placed for n in neighbours[e]):
-                nxt = e
-                break
-        if nxt is None:
-            nxt = remaining[0]
-        remaining.remove(nxt)
-        placed_order.append(nxt)
-        placed.add(nxt)
-
     f_out, f_in, g_out, g_in = f._out, f._in, g._out, g._in
-    g_full = (1 << g.size) - 1
+    f_full, g_full = (1 << f.size) - 1, (1 << g.size) - 1
+    # u's neighbours in f, and the number of facts mentioning u, which an
+    # image's out- plus in-degree must reach
+    near = [(f_out[u] | f_in[u]) & f_full for u in range(f.size)]
+    degree = [
+        (f_out[u] & f_full).bit_count() + (f_in[u] & f_full).bit_count()
+        - (f_out[u] >> u & 1) for u in range(f.size)
+    ]
+
+    # the fixed elements first, then by constraint, then by connectivity
+    # to already placed elements so partial checks fire early
+    order = list(fixed)
+    remaining = sorted(
+        (e for e in range(f.size) if e not in fixed), key=lambda e: -degree[e]
+    )
+    placed = sum(1 << u for u in fixed)
+    while remaining:
+        nxt = next((e for e in remaining if near[e] & placed), remaining[0])
+        remaining.remove(nxt)
+        order.append(nxt)
+        placed |= 1 << nxt
+
     assignment = {}
     # bitmasks of the assigned elements of f and of their images in g
     done = used = 0
@@ -366,39 +348,39 @@ def _embed_map_fixed(f, g, fixed):
         fo, fi, go, gi = f_out[u], f_in[u], g_out[v], g_in[v]
         if fo >> u & 1 != go >> v & 1:
             return False
-        near = (fo | fi) & done
-        for a in iter_bits(near):
+        nb = near[u] & done
+        for a in iter_bits(nb):
             w = assignment[a]
             if fo >> a & 1 != go >> w & 1 or fi >> a & 1 != gi >> w & 1:
                 return False
-        return near.bit_count() == ((go | gi) & used).bit_count()
-
-    for u, v in fixed.items():
-        if v >= g.size or used >> v & 1 or gprof.get(v, 0) < fprof[u]:
-            return None
-        if not consistent(u, v):
-            return None
-        assignment[u] = v
-        done |= 1 << u
-        used |= 1 << v
-
-    def candidates(u):
-        # a placed neighbour pins the image to the neighbourhood of its
-        # own image, which keeps the search local on large targets
-        for n in neighbours[u]:
-            if n != u and n in assignment:
-                w = assignment[n]
-                return iter_bits((g_out[w] | g_in[w]) & g_full)
-        return range(g.size)
+        return nb.bit_count() == ((go | gi) & used).bit_count()
 
     def search(pos):
         nonlocal done, used
-        if pos == len(placed_order):
+        if pos == len(order):
             return True
-        u = placed_order[pos]
-        for v in candidates(u):
-            if used >> v & 1 or gprof[v] < fprof[u]:
+        u = order[pos]
+        need, pinned = degree[u], near[u] & done
+        if u in fixed:
+            cands = [fixed[u]] if fixed[u] < g.size else []
+        elif pinned:
+            # the image lies next to the image of every placed neighbour,
+            # which keeps the search local on large targets
+            cands = g_full & ~used
+            for a in iter_bits(pinned):
+                cands &= g_out[assignment[a]] | g_in[assignment[a]]
+            cands = iter_bits(cands)
+        else:
+            cands = range(g.size)
+        for v in cands:
+            if used >> v & 1:
                 continue
+            if need:
+                go, gi = g_out[v], g_in[v]
+                if not (go or gi) or (go & g_full).bit_count() + (
+                    gi & g_full
+                ).bit_count() < need:
+                    continue
             if consistent(u, v):
                 assignment[u] = v
                 done |= 1 << u
@@ -410,9 +392,7 @@ def _embed_map_fixed(f, g, fixed):
                 used ^= 1 << v
         return False
 
-    if search(0):
-        return dict(assignment)
-    return None
+    return dict(assignment) if search(0) else None
 
 
 def embed_finite(f, g):

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -211,12 +212,26 @@ class TestStreamBuilder:
     def test_stream_is_induced_piece_of_current_target(self, seed):
         rng = random.Random(seed)
         targets = [S("tilde(poset_p(0))"), S("tilde(poset_p(2))")]
+        # pads never run out, so each predicate always has a least index
+        predicates = [
+            None,
+            lambda t: t[0] == "p",
+            lambda t: t[0] == "p" or t[1] % 2 == 0,
+        ]
         builder = StreamBuilder(targets[0])
         for _ in range(24):
             if rng.random() < 0.3:
                 builder.retarget(rng.choice(targets))
             else:
-                builder.add_least_unused()
+                predicate = rng.choice(predicates)
+                least = next(
+                    i for i in itertools.count()
+                    if i not in builder.indices
+                    and (predicate is None
+                         or predicate(builder.target.element(i)))
+                )
+                builder.add_least_unused(predicate)
+                assert builder.indices[-1] == least
             if not builder.indices:
                 continue
             frag = builder.fragments[-1]

@@ -1,5 +1,8 @@
+import random
+
 import pytest
 
+from limitlab.adversaries import StreamBuilder
 from limitlab.catalog import (
     ConstructionError,
     Family,
@@ -137,6 +140,74 @@ class TestTokenChain:
         p = Presentation(s, 5)
         frag = p.restrict(n - 1)
         assert frag.tuples() == _log_from_related(s, p.tokens)
+
+
+def _related_masks(structure, tokens, tok):
+    """The masks the default hook builds: related asked about every
+    earlier token."""
+    succ = pred = 0
+    for j, other in enumerate(tokens):
+        succ |= structure.related(tok, other) << j
+        pred |= structure.related(other, tok) << j
+    return succ, pred
+
+
+def _tuples_from_has(frag):
+    """The facts in the documented order, read back through has."""
+    facts = []
+    for e in range(frag.size):
+        for j in range(e + 1):
+            if frag.has(0, (j, e)):
+                facts.append((0, (j, e)))
+            if j < e and frag.has(0, (e, j)):
+                facts.append((0, (e, j)))
+    return facts
+
+
+class _CheckedPush:
+    """Checks every push: the target's hook gives the masks of the
+    default related loop, and the new fragment reads them back."""
+
+    def push(self, tok):
+        e = len(self.tokens)
+        masks = _related_masks(self.target, self.tokens, tok)
+        assert self.target.relation_masks(self.tokens, self.groups, tok) == (
+            masks
+        ), (self.target.key(), e, tok)
+        frag = super().push(tok)
+        assert frag.row(e) == masks
+        assert frag.tuples() == _tuples_from_has(frag)
+        return frag
+
+
+class _CheckedPresentation(_CheckedPush, Presentation):
+    pass
+
+
+class _CheckedStreamBuilder(_CheckedPush, StreamBuilder):
+    pass
+
+
+class TestRelationMasks:
+    @pytest.mark.parametrize("key", PARSE_KEYS)
+    def test_presentation_hook_matches_related(self, key):
+        s = parse_structure(key)
+        n = 24 if s.size() is None else s.size()
+        for seed in range(3):
+            _CheckedPresentation(s, seed).restrict(n - 1)
+
+    @pytest.mark.parametrize("key", PARSE_KEYS)
+    def test_stream_builder_hook_matches_related(self, key):
+        targets = [parse_structure(k) for k in PARSE_KEYS]
+        for seed in range(3):
+            rng = random.Random(seed)
+            builder = _CheckedStreamBuilder(parse_structure(key))
+            for _ in range(20):
+                size = builder.target.size()
+                if rng.random() < 0.3:
+                    builder.retarget(rng.choice(targets))
+                elif size is None or len(builder.indices) < size:
+                    builder.add_least_unused()
 
 
 class TestAgeDeciders:

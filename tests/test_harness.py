@@ -115,6 +115,16 @@ class TestCheck:
         with pytest.raises(ValueError):
             H.CriterionSpec("AlphaFin")
 
+    def test_checker_error_propagates(self, monkeypatch):
+        # a checker bug is not a result: check must not turn it into an
+        # INCONCLUSIVE verdict
+        def broken(spec, transcript, truth):
+            raise RuntimeError("checker bug")
+
+        monkeypatch.setattr(H, "_check_ex", broken)
+        with pytest.raises(RuntimeError, match="checker bug"):
+            H.check(spec("Ex"), [0] * 6, 0, FAM)
+
     def test_fail_verdict_needs_certificate(self):
         # checked with raise, not assert, so it also holds under -O
         with pytest.raises(ValueError):
@@ -205,6 +215,26 @@ class TestCli:
         assert captured.out == ""
         assert captured.err.startswith("error: ")
         assert captured.err.count("\n") == 1
+
+    def test_duel_names_opponents_that_build(self, capsys):
+        # a co-learner cannot be built on a comparable pair; the error
+        # names the learners that can
+        assert cli.main(["duel", "adv_vs_co_comparable", "co"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+        listed = captured.err.split("learners that build on tilde_chains: ")
+        names = listed[1].strip().split(", ")
+        fam = H.get_family("tilde_chains")
+        for name in H.LEARNERS:
+            try:
+                H.LEARNERS[name](fam)
+                builds = True
+            except H.ConfigurationError:
+                builds = False
+            assert (name in names) == builds, name
+        assert "co" not in names and "nus" in names
 
     def test_classify_command(self, capsys):
         assert cli.main(["classify", "cycles"]) == 0
