@@ -700,11 +700,6 @@ class Presentation(TokenChain):
         return self.fragments[s + 1]
 
 
-def realize(target, seed, s):
-    """The stage-s fragment of the seeded presentation of target."""
-    return Presentation(target, seed).restrict(s)
-
-
 class AdversarialPresentation:
     """A presentation driven by a stage rule instead of a catalog target.
 

@@ -9,8 +9,8 @@ code into the active family or the question mark.  Steps are pure in
 from __future__ import annotations
 
 from .pairing import unpair
-from .catalog import canonical_fragment, fragment_embeds, strict_order_relation
-from .sigma1 import leq_matrix, sat_catalog, sat_fragment
+from .catalog import canonical_fragment, strict_order_relation
+from .sigma1 import StreamWatch, leq_matrix, sat_catalog
 from .structures import iter_bits
 
 QUESTION = "?"
@@ -116,25 +116,24 @@ class FinLearner(Learner):
                     raise ConfigurationError(
                         "witness %d is not separating (holds on %d)" % (i, j)
                     )
-        self.witnesses = dict(strong_witnesses)
+        self.watch = StreamWatch(strong_witnesses)
 
     def initial_state(self):
-        return None  # committed code, if any
+        return None, self.watch.initial()  # committed code, if any; watch
 
     def step(self, state, fragment):
-        if state is not None:
-            return state, state
-        hits = [
-            i for i in range(len(self.family))
-            if sat_fragment(self.witnesses[i], fragment)
-        ]
+        committed, watched = state
+        if committed is not None:
+            return state, committed
+        watched = self.watch.advance(watched, fragment)
+        hits = sorted(watched[1])
         if len(hits) > 1:
             raise WitnessInconsistencyError(
                 "several separating formulas hold at once: %s" % hits
             )
         if hits:
-            return hits[0], hits[0]
-        return None, QUESTION
+            return (hits[0], watched), hits[0]
+        return (None, watched), QUESTION
 
 
 class CoLearner(Learner):
@@ -147,6 +146,8 @@ class CoLearner(Learner):
         super().__init__(family)
         members = list(family)
         n = len(members)
+        # code j is refuted once some member i's (i, j) witness holds
+        refuters = {}
         for i in range(n):
             for j in range(n):
                 if i == j:
@@ -161,30 +162,20 @@ class CoLearner(Learner):
                     raise ConfigurationError(
                         "pair witness (%d,%d) fails verification" % (i, j)
                     )
-        self.pairwise = dict(pairwise)
+                refuters[j] = refuters[j] | w if j in refuters else w
+        self.watch = StreamWatch(sorted(refuters.items()))
 
     def initial_state(self):
-        return tuple([None] * len(self.family))  # first trigger stage per code
+        return self.watch.initial()
 
     def step(self, state, fragment):
-        n = len(self.family)
-        s = fragment.size - 1
-        # copies absent at the previous stage must pass through the newest
-        # element, so later stages only search rooted there
-        required = None if s == 0 else s
-        triggers = list(state)
-        for i in range(n):
-            if triggers[i] is None and any(
-                sat_fragment(self.pairwise[(j, i)], fragment, required)
-                for j in range(n)
-                if j != i
-            ):
-                triggers[i] = s
-        i, t = unpair(s)
+        state = self.watch.advance(state, fragment)
+        triggers = state[1]  # the stage each code was first refuted
+        i, t = unpair(fragment.size - 1)
         hyp = QUESTION
-        if i < n and triggers[i] is not None and t >= triggers[i]:
+        if i in triggers and t >= triggers[i]:
             hyp = i
-        return tuple(triggers), hyp
+        return state, hyp
 
 
 class IdToCoLearner(Learner):
@@ -262,28 +253,26 @@ class NusLearner(Learner):
                         raise ConfigurationError(
                             "witness %d holds strictly below (%d)" % (i, j)
                         )
-        self.witnesses = dict(witnesses)
+        self.watch = StreamWatch(witnesses, members)
 
     def initial_state(self):
-        return (QUESTION, True)  # (current hypothesis, first stage flag)
+        return QUESTION, self.watch.initial()  # current hypothesis, watch
 
     def step(self, state, fragment):
-        current, first = state
+        current, watched = state
+        first = watched[0] is None
+        watched = self.watch.advance(watched, fragment)
         if first:
-            return (QUESTION, False), QUESTION
-        members = list(self.family)
-        inside = [fragment_embeds(fragment, m) for m in members]
-        candidates = [
-            i
-            for i in range(len(members))
-            if inside[i] and sat_fragment(self.witnesses[i], fragment)
-        ]
-        if not candidates:
-            return (current, False), current
-        if current != QUESTION and inside[current]:
-            return (current, False), current
-        new = min(candidates)
-        return (new, False), new
+            return (QUESTION, watched), QUESTION
+        if current != QUESTION:
+            hit, watched = self.watch.first_inside(watched, [current])
+            if hit is not None:
+                return (current, watched), current
+        # the least code whose formula has held and whose age holds
+        new, watched = self.watch.first_inside(watched, sorted(watched[1]))
+        if new is None:
+            new = current
+        return (new, watched), new
 
 
 def _decisive_step(h, prev_in, seen, prev_out, first):
@@ -477,9 +466,11 @@ class ExPosetLearner(Learner):
             self.codes[int(key[len("tilde(poset_p("):-2])] = idx
         if 0 not in self.codes:
             raise ConfigurationError("the infinite member is required")
+        self.finite = [self.codes[k] for k in sorted(self.codes) if k > 0]
+        self.watch = StreamWatch({}, family)
 
     def initial_state(self):
-        return None
+        return self.watch.initial()
 
     def _guard(self, fragment):
         masks = strict_order_relation(fragment)
@@ -496,14 +487,11 @@ class ExPosetLearner(Learner):
         return False
 
     def step(self, state, fragment):
+        state = self.watch.advance(state, fragment)
         if self._guard(fragment):
             return state, self.codes[0]
-        for k in sorted(self.codes):
-            if k > 0 and fragment_embeds(fragment, self.family.members[
-                self.codes[k]
-            ]):
-                return state, self.codes[k]
-        return state, QUESTION
+        code, state = self.watch.first_inside(state, self.finite)
+        return state, QUESTION if code is None else code
 
 
 class ExMinEmbedLearner(Learner):
@@ -526,12 +514,12 @@ class ExMinEmbedLearner(Learner):
                         "member order violates theory inclusion "
                         "(%d below %d)" % (i, j)
                     )
+        self.watch = StreamWatch({}, family)
 
     def initial_state(self):
-        return None
+        return self.watch.initial()
 
     def step(self, state, fragment):
-        for i, m in enumerate(self.family):
-            if fragment_embeds(fragment, m):
-                return state, i
-        return state, QUESTION
+        state = self.watch.advance(state, fragment)
+        code, state = self.watch.first_inside(state, range(len(self.family)))
+        return state, QUESTION if code is None else code

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .pairing import pair, unpair, triple
-from .sigma1 import sat_catalog, sat_fragment
+from .pairing import pair, unpair, triple, untriple
+from .sigma1 import StreamWatch, sat_catalog
 from .learners import QUESTION, ConfigurationError
 
 
@@ -24,10 +24,12 @@ class OutputPrefix:
         return len(self.values)
 
     def column(self, m):
+        # pair(m, r + 1) - pair(m, r) = m + r + 2
         out = []
-        r = 0
-        while pair(m, r) < len(self.values):
-            out.append(self.values[pair(m, r)])
+        q, r = pair(m, 0), 0
+        while q < len(self.values):
+            out.append(self.values[q])
+            q += m + r + 2
             r += 1
         return tuple(out)
 
@@ -125,44 +127,30 @@ class GammaFinToEqnatTotal(GammaFinToEqnat):
         return super().step(state, fragment)
 
 
-class _TriggerTracker:
-    """Shared machinery: the separating formula of every ordered pair
-    (i, j) whose theories are not included, and the first stage at which
-    each holds on the stream, updated with the rooted incremental search.
-    Members with equal existential theories are rejected."""
-
-    def __init__(self, classification):
-        leq = classification.leq
-        n = len(leq)
-        for i in range(n):
-            for j in range(i + 1, n):
-                if leq[i][j] and leq[j][i]:
+def _pair_witnesses(classification):
+    """The separating formula of every ordered pair (i, j) whose theories
+    are not included.  Members with equal existential theories are
+    rejected."""
+    leq = classification.leq
+    n = len(leq)
+    for i in range(n):
+        for j in range(i + 1, n):
+            if leq[i][j] and leq[j][i]:
+                raise ConfigurationError(
+                    "members %d and %d have equal existential theories"
+                    % (i, j)
+                )
+    witnesses = {}
+    for i in range(n):
+        for j in range(n):
+            if i != j and not leq[i][j]:
+                w = classification.witnesses.get((i, j))
+                if w is None:
                     raise ConfigurationError(
-                        "members %d and %d have equal existential theories"
-                        % (i, j)
+                        "missing witness for pair (%d,%d)" % (i, j)
                     )
-        self.witnesses = {}
-        for i in range(n):
-            for j in range(n):
-                if i != j and not leq[i][j]:
-                    w = classification.witnesses.get((i, j))
-                    if w is None:
-                        raise ConfigurationError(
-                            "missing witness for pair (%d,%d)" % (i, j)
-                        )
-                    self.witnesses[(i, j)] = w
-
-    def initial(self):
-        return {}
-
-    def update(self, first_sat, fragment):
-        s = fragment.size - 1
-        required = None if s == 0 else s
-        out = dict(first_sat)
-        for key, w in self.witnesses.items():
-            if key not in out and sat_fragment(w, fragment, required):
-                out[key] = s
-        return out
+                witnesses[(i, j)] = w
+    return witnesses
 
 
 class GammaErange(ReductionOperator):
@@ -173,34 +161,30 @@ class GammaErange(ReductionOperator):
 
     def __init__(self, family, classification):
         self.family = family
-        self.tracker = _TriggerTracker(classification)
+        self.watch = StreamWatch(_pair_witnesses(classification))
 
     def initial(self):
-        return (self.tracker.initial(), 0)
+        return (self.watch.initial(), 0)
 
     def step(self, state, fragment):
-        first_sat, emitted = state
-        first_sat = self.tracker.update(first_sat, fragment)
+        watched, emitted = state
+        watched = self.watch.advance(watched, fragment)
+        first_sat = watched[1]
         s = fragment.size - 1
         # every flat position below (s+1, 0, 0) has stage coordinate <= s,
         # so its value is already settled
         top = triple(s + 1, 0, 0)
         new = []
         for q in range(emitted, top):
-            s2, rest = unpair(q)
-            i, j = unpair(rest)
-            value = 0
-            if (i, j) in self.tracker.witnesses:
-                t = first_sat.get((i, j))
-                if t is not None and s2 >= t:
-                    value = pair(i, j)
-            new.append(value)
-        return (first_sat, top), tuple(new)
+            s2, i, j = untriple(q)
+            t = first_sat.get((i, j))
+            new.append(pair(i, j) if t is not None and s2 >= t else 0)
+        return (watched, top), tuple(new)
 
     def declared_range(self, code):
         member = self.family.members[code]
         out = {0}
-        for (i, j), w in self.tracker.witnesses.items():
+        for (i, j), w in self.watch.formulas.items():
             if sat_catalog(w, member):
                 out.add(pair(i, j))
         return out
@@ -215,14 +199,15 @@ class GammaErangeToE3(ReductionOperator):
 
     def __init__(self, family, classification):
         self.family = family
-        self.tracker = _TriggerTracker(classification)
+        self.watch = StreamWatch(_pair_witnesses(classification))
 
     def initial(self):
-        return (self.tracker.initial(), 0)
+        return (self.watch.initial(), 0)
 
     def step(self, state, fragment):
-        first_sat, emitted = state
-        first_sat = self.tracker.update(first_sat, fragment)
+        watched, emitted = state
+        watched = self.watch.advance(watched, fragment)
+        first_sat = watched[1]
         s = fragment.size - 1
         # every flat position below pair(0, s+1) has row <= s, so its
         # value is already settled
@@ -230,38 +215,9 @@ class GammaErangeToE3(ReductionOperator):
         new = []
         for q in range(emitted, top):
             col, row = unpair(q)
-            i, j = unpair(col)
-            value = 0
-            if (i, j) in self.tracker.witnesses:
-                t = first_sat.get((i, j))
-                if t is not None and row >= t:
-                    value = 1
-            new.append(value)
-        return (first_sat, top), tuple(new)
-
-
-def unary_encode(prefix):
-    """0^{p(0)} 1 0^{p(1)} 1 ...; injective and prefix-monotone."""
-    values = prefix.values if isinstance(prefix, OutputPrefix) else prefix
-    bits = []
-    for v in values:
-        bits.extend([0] * v)
-        bits.append(1)
-    return OutputPrefix(tuple(bits))
-
-
-def unary_decode(prefix):
-    values = []
-    zeros = 0
-    for b in prefix.values:
-        if b == 1:
-            values.append(zeros)
-            zeros = 0
-        elif b == 0:
-            zeros += 1
-        else:
-            raise ValueError("unary encoding is over bits, got %r" % (b,))
-    return OutputPrefix(tuple(values))
+            t = first_sat.get(unpair(col))
+            new.append(1 if t is not None and row >= t else 0)
+        return (watched, top), tuple(new)
 
 
 def check_prefix(rel, a, b, closed_range_a=None, closed_range_b=None):

@@ -1,5 +1,5 @@
-"""Existential formulas over fragments, theory comparison and the family
-classifier.
+"""Existential formulas over fragments, theory comparison, the family
+classifier and the stream watch.
 
 A formula here is a finite disjunction of "an induced copy of this finite
 fragment occurs" statements.  Satisfaction is monotone under fragment
@@ -69,24 +69,12 @@ def embeds(expr):
     )
 
 
-def parse_formula(text):
-    """Parse `embeds(chain(4)) | embeds(cycle(3))`."""
-    parts = [p.strip() for p in text.split("|")]
-    formula = None
-    for part in parts:
-        if not (part.startswith("embeds(") and part.endswith(")")):
-            raise ValueError("expected embeds(...), got %r" % part)
-        atom = embeds(part[len("embeds("):-1])
-        formula = atom if formula is None else formula | atom
-    return formula
-
-
 def sat_fragment(formula, fragment, required=None):
     """True iff some disjunct occurs in the fragment; monotone in the
     fragment.
 
     `required` restricts the search to copies through one element of the
-    fragment; callers tracking a growing stream use it to re-check only
+    fragment; `StreamWatch` uses it to re-check a growing stream only
     against the newest element.
     """
     for d in formula.disjuncts:
@@ -100,6 +88,61 @@ def sat_catalog(formula, structure):
     if not isinstance(structure, CatalogStructure):
         raise UnsupportedOracleError("not a catalog structure: %r" % structure)
     return any(fragment_embeds(d, structure) for d in formula.disjuncts)
+
+
+class StreamWatch:
+    """The first stage at which each formula held on a fragment stream, and
+    the members whose age the stream has left.
+
+    Both are monotone along an extension: a formula that held stays true,
+    so a one-element extension only searches copies through its new
+    element, and ages are closed under substructures, so a member once
+    left stays left.  A fragment that is neither the last one nor its
+    one-element extension starts the record afresh.
+
+    A state is (last fragment, {key: first stage it held}, bitmask of the
+    members left); `advance` and `first_inside` return new states and
+    never mutate the old one.
+    """
+
+    def __init__(self, formulas, members=()):
+        self.formulas = dict(formulas)
+        self.members = tuple(members)
+
+    def initial(self):
+        return (None, {}, 0)
+
+    def advance(self, state, fragment):
+        last, held, left = state
+        if (
+            last is not None
+            and 0 <= fragment.size - last.size <= 1
+            and fragment.extends(last)
+        ):
+            if fragment.size == last.size:
+                return state
+            required = last.size
+        else:
+            held, left, required = {}, 0, None
+        s = fragment.size - 1
+        new = {
+            key: s
+            for key, w in self.formulas.items()
+            if key not in held and sat_fragment(w, fragment, required)
+        }
+        return (fragment, {**held, **new} if new else held, left)
+
+    def first_inside(self, state, order):
+        """The first member index in `order` whose age holds the last
+        fragment, or None, with the state marking each member found left
+        on the way; members after the hit are not asked."""
+        last, held, left = state
+        for i in order:
+            if not left >> i & 1:
+                if fragment_embeds(last, self.members[i]):
+                    return i, (last, held, left)
+                left |= 1 << i
+        return None, (last, held, left)
 
 
 def _saturation_bound(a, b):
@@ -335,27 +378,3 @@ def classify_family(family, bound=WITNESS_SIZE_BOUND):
         inconclusive_pairs=tuple(inconclusive_pairs),
         solid_witnesses=solid_witnesses,
     )
-
-
-def _is_fstar_key(key):
-    if key in ("tilde(omega)", "tilde(omega_star)"):
-        return True
-    return key.startswith("tilde(chain(") and key.endswith("))")
-
-
-class Sigma2Metadata:
-    """Declared second-level comparability facts for specific catalog
-    families.  These are consumed as given and never inferred.
-    """
-
-    def antichain_status(self, members):
-        """True / False / None (unknown) for "this family is a second-level
-        antichain"."""
-        keys = {m.key() for m in members}
-        if all(_is_fstar_key(k) for k in keys):
-            return True
-        if {"omega", "zeta"} <= keys:
-            return False
-        if keys <= {"omega", "omega_star"}:
-            return True
-        return None

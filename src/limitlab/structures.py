@@ -1,5 +1,5 @@
-"""Finite fragments of the one binary relation, the diagram bit codec and
-the finite embedding engine.
+"""Finite fragments of the one binary relation and the finite embedding
+engine.
 
 A fragment is an initial segment of an atomic diagram: a domain {0..n-1}
 plus the set of relation tuples that hold on it.  Absent tuples are false
@@ -9,15 +9,8 @@ arguments lie inside its domain.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
 
 class MalformedFormulaError(ValueError):
-    pass
-
-
-class PartialDiagramError(ValueError):
     pass
 
 
@@ -25,34 +18,6 @@ class PartialDiagramError(ValueError):
 #: relation index 0.  Orders store strict (irreflexive, transitive) pairs,
 #: graphs store both directions of every edge.
 BINARY = (("R", 2),)
-
-
-def godel_index(rel, args):
-    """Position of the atomic sentence R(a, b) in the canonical order.
-
-    The order is: primary key m = max(a, b), then (a, b) lexicographically.
-    This makes the sentences decided by a domain of size n exactly the
-    first n * n ones.
-    """
-    args = tuple(args)
-    if rel != 0:
-        raise MalformedFormulaError("no such relation: %r" % (rel,))
-    if len(args) != 2 or min(args) < 0:
-        raise MalformedFormulaError(
-            "arity mismatch for relation %d: %r" % (rel, args)
-        )
-    a, b = args
-    m = max(a, b)
-    return m * m + (a if a < m else m + b)
-
-
-def godel_decode(index):
-    """Inverse of godel_index."""
-    if index < 0:
-        raise MalformedFormulaError("negative index")
-    m = math.isqrt(index)
-    r = index - m * m
-    return 0, ((r, m) if r < m else (m, r - m))
 
 
 def iter_bits(mask):
@@ -259,36 +224,6 @@ class FiniteFragment:
             self.size,
             sorted(self.tuples()),
         )
-
-
-@dataclass(frozen=True)
-class DiagramPrefix:
-    """A finite binary sequence under the canonical sentence numbering."""
-
-    bits: tuple
-
-    def __str__(self):
-        return "".join(str(b) for b in self.bits)
-
-    def __len__(self):
-        return len(self.bits)
-
-
-def encode_fragment(fragment):
-    bits = [0] * (fragment.size * fragment.size)
-    for rel, args in fragment.tuples():
-        bits[godel_index(rel, args)] = 1
-    return DiagramPrefix(tuple(bits))
-
-
-def decode_fragment(prefix):
-    n = math.isqrt(len(prefix.bits))
-    if n * n != len(prefix.bits):
-        raise PartialDiagramError(
-            "length %d is not a fully decided prefix length" % len(prefix.bits)
-        )
-    tuples = [godel_decode(i) for i, b in enumerate(prefix.bits) if b]
-    return FiniteFragment.from_tuples(BINARY, n, tuples)
 
 
 def embed_map(f, g, required=None):

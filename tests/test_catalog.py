@@ -11,7 +11,6 @@ from limitlab.catalog import (
     canonical_fragment,
     fragment_embeds,
     parse_structure,
-    realize,
 )
 
 from _oracles import brute_embeds_structure, distinct_substructures
@@ -71,8 +70,8 @@ class TestCanonicalFragments:
 class TestPresentations:
     def test_realize_deterministic(self):
         s = parse_structure("cyc_comp(4)")
-        a = realize(s, 7, 30)
-        b = realize(s, 7, 30)
+        a = Presentation(s, 7).restrict(30)
+        b = Presentation(s, 7).restrict(30)
         assert a.size == b.size and a.tuple_set() == b.tuple_set()
 
     def test_stage_sizes_and_monotone(self):
@@ -87,8 +86,8 @@ class TestPresentations:
 
     def test_seed_changes_schedule(self):
         s = parse_structure("du(ray,iso_inf)")
-        a = realize(s, 1, 40)
-        b = realize(s, 2, 40)
+        a = Presentation(s, 1).restrict(40)
+        b = Presentation(s, 2).restrict(40)
         assert a.tuple_set() != b.tuple_set()
 
     def test_fairness_covers_prefix(self):
@@ -97,7 +96,7 @@ class TestPresentations:
         # canonical fragment
         s = parse_structure("omega")
         for seed in (0, 1, 2):
-            frag = realize(s, seed, 40)
+            frag = Presentation(s, seed).restrict(40)
             assert fragment_embeds(canonical_fragment(s, 15), s)
             assert len(frag.tuples()) >= 15 * 14 // 2
 

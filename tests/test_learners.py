@@ -211,11 +211,16 @@ def test_step_is_pure(name):
     fam = H.get_family(PURITY_FAMILIES[name])
     learner = H.LEARNERS[name](fam)
     presentation = Presentation(fam.members[0], 3)
-    state = learner.initial_state()
-    for s in range(30):
-        fragment = presentation.restrict(s)
-        snapshot = copy.deepcopy(state)
-        first = learner.step(state, fragment)
-        assert learner.step(state, fragment) == first
-        assert state == snapshot, "step mutated its input at stage %d" % s
-        state = first[0]
+    other = Presentation(fam.members[-1], 5)
+    one_copy = [presentation.restrict(s) for s in range(30)]
+    # switching copies partway: stage 15 does not extend stage 14, which
+    # sends every learner down its reset path
+    switched = one_copy[:15] + [other.restrict(s) for s in range(15, 30)]
+    for stream in (one_copy, switched):
+        state = learner.initial_state()
+        for s, fragment in enumerate(stream):
+            snapshot = copy.deepcopy(state)
+            first = learner.step(state, fragment)
+            assert learner.step(state, fragment) == first
+            assert state == snapshot, "step mutated its input at stage %d" % s
+            state = first[0]

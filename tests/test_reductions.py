@@ -11,8 +11,6 @@ from limitlab.reductions import (
     OutputPrefix,
     check_prefix,
     run_operator,
-    unary_decode,
-    unary_encode,
     verify_reduction,
 )
 from limitlab import harness as H
@@ -20,20 +18,6 @@ from limitlab import harness as H
 
 def S(key):
     return parse_structure(key)
-
-
-class TestUnaryCodec:
-    def test_frozen_trace(self):
-        assert unary_encode([2, 1]).values == (0, 0, 1, 0, 1)
-
-    def test_round_trip(self):
-        for values in ([], [0], [3, 0, 2], list(range(6))):
-            encoded = unary_encode(values)
-            assert unary_decode(encoded).values == tuple(values)
-
-    def test_rejects_non_bits(self):
-        with pytest.raises(ValueError):
-            unary_decode(OutputPrefix((0, 2, 1)))
 
 
 class TestCheckPrefix:

@@ -1,20 +1,23 @@
+import copy
+import functools
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from limitlab.catalog import (
     Family,
+    Presentation,
     canonical_fragment,
+    fragment_embeds,
     parse_structure,
-    realize,
 )
 from limitlab.sigma1 import (
     Sigma1Classification,
-    Sigma2Metadata,
+    StreamWatch,
     age_fragments,
     classify_family,
     embeds,
-    parse_formula,
     sat_catalog,
     sat_fragment,
     sigma1_leq,
@@ -99,7 +102,7 @@ def test_age_fragments_are_the_induced_subsets_of_the_prefix(key):
 
 class TestFormulas:
     def test_parse_round_trip(self):
-        phi = parse_formula("embeds(chain(4)) | embeds(cycle(3))")
+        phi = embeds("chain(4)") | embeds("cycle(3)")
         assert str(phi) == "embeds(chain(4)) | embeds(cycle(3))"
 
     def test_embeds_requires_finite(self):
@@ -116,8 +119,9 @@ class TestFormulas:
     def test_fragment_truth_monotone(self):
         phi = embeds("chain(3)")
         seen_true = False
+        presentation = Presentation(S("omega"), 4)
         for s in range(40):
-            frag = realize(S("omega"), 4, s)
+            frag = presentation.restrict(s)
             now = sat_fragment(phi, frag)
             if seen_true:
                 assert now
@@ -127,8 +131,9 @@ class TestFormulas:
     def test_chain_witness_false_in_shorter_padded_chain(self):
         phi = embeds("chain(4)")
         target = S("tilde(chain(3))")
+        presentation = Presentation(target, 2)
         for s in range(0, 101, 10):
-            assert not sat_fragment(phi, realize(target, 2, s))
+            assert not sat_fragment(phi, presentation.restrict(s))
         assert not sat_catalog(phi, target)
         assert sat_catalog(phi, S("tilde(chain(4))"))
 
@@ -224,11 +229,94 @@ class TestClassifier:
             Sigma1Classification("StrongAntichain", True, False, "yes", "yes")
 
 
-class TestSigma2Metadata:
-    def test_declared_statuses(self):
-        meta = Sigma2Metadata()
-        fstar = [S("tilde(omega)"), S("tilde(omega_star)"), S("tilde(chain(3))")]
-        assert meta.antichain_status(fstar) is True
-        assert meta.antichain_status([S("omega"), S("zeta")]) is False
-        assert meta.antichain_status([S("omega"), S("omega_star")]) is True
-        assert meta.antichain_status([S("ray"), S("zeta")]) is None
+WATCH_SOURCES = tuple(
+    parse_structure(k)
+    for k in ("omega", "tilde(chain(3))", "cycle(5)", "du(cycle(3),iso_inf)",
+              "chain(4)")
+)
+WATCH_MEMBERS = tuple(
+    parse_structure(k)
+    for k in ("chain(4)", "omega", "tilde(chain(3))", "tilde(omega)",
+              "cycle(5)", "du(cycle(3),iso_inf)", "cyc_comp(4)", "iso(3)")
+)
+WATCH_FORMULAS = {
+    "chain(3)": embeds("chain(3)"),
+    "iso(2)": embeds("iso(2)"),
+    "iso(3)": embeds("iso(3)"),
+    "ray(3)": embeds("ray(3)"),
+    "cycle(3)|chain(4)": embeds("cycle(3)") | embeds("chain(4)"),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _watch_presentation(source, seed):
+    return Presentation(WATCH_SOURCES[source], seed)
+
+
+def _continues(frag, prev):
+    """frag equals prev or adds one element to it, compared fact by fact."""
+    return frag.size - prev.size in (0, 1) and (
+        frag.restricted(prev.size).tuple_set() == prev.tuple_set()
+    )
+
+
+WATCH_STEP = st.tuples(
+    st.sampled_from(("next", "next", "next", "skip", "jump", "repeat")),
+    st.integers(0, len(WATCH_SOURCES) - 1),
+    st.integers(0, 2),
+    # the members asked about after the step, in order
+    st.lists(st.integers(0, len(WATCH_MEMBERS) - 1), max_size=4),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(0, len(WATCH_SOURCES) - 1),
+    st.integers(0, 2),
+    st.lists(WATCH_STEP, min_size=1, max_size=16),
+)
+def test_stream_watch_matches_replay(source, seed, steps):
+    """Presentation chains that sometimes skip ahead, jump to another
+    presentation's fragment or repeat a finite member's full fragment; a
+    replay from scratch over the current run of one-element extensions
+    gives the watch's first-hold stages and left members."""
+    watch = StreamWatch(WATCH_FORMULAS, WATCH_MEMBERS)
+    state = watch.initial()
+    pres, stage = _watch_presentation(source, seed), 0
+    run, asked = [], set()
+    for n, (kind, other, other_seed, order) in enumerate(steps):
+        if n:
+            if kind == "jump":
+                pres = _watch_presentation(other, other_seed)
+            stage += {"next": 1, "skip": 3, "jump": 1, "repeat": 0}[kind]
+        size = pres.target.size()
+        if size is not None:
+            stage = min(stage, size - 1)  # a finite member stays complete
+        frag = pres.restrict(stage)
+        if not (run and _continues(frag, run[-1])):
+            run, asked = [], set()
+        run.append(frag)
+
+        snapshot = copy.deepcopy(state)
+        new = watch.advance(state, frag)
+        assert state == snapshot, "advance mutated its input"
+        state = new
+        expected = {}
+        for key, w in WATCH_FORMULAS.items():
+            stages = [f.size - 1 for f in run if sat_fragment(w, f)]
+            if stages:
+                expected[key] = min(stages)
+        assert state[1] == expected
+
+        snapshot = copy.deepcopy(state)
+        hit, new = watch.first_inside(state, order)
+        assert state == snapshot, "first_inside mutated its input"
+        state = new
+        inside = [
+            i for i in order
+            if all(fragment_embeds(f, WATCH_MEMBERS[i]) for f in run)
+        ]
+        want = inside[0] if inside else None
+        assert hit == want
+        asked.update(order if want is None else order[: order.index(want)])
+        assert state[2] == sum(1 << i for i in asked)

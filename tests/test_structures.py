@@ -7,12 +7,8 @@ from limitlab.pairing import pair, unpair, triple, untriple
 from limitlab.structures import (
     BINARY,
     FiniteFragment,
-    decode_fragment,
     embed_finite,
     embed_map,
-    encode_fragment,
-    godel_decode,
-    godel_index,
 )
 
 from _oracles import brute_embed, brute_embed_all_injections
@@ -56,31 +52,6 @@ class TestPairing:
             assert unpair(t - 1) == (0, w - 1)
             assert unpair(t) == (w, 0)
             assert unpair(t + 1) == (w - 1, 1)
-
-
-class TestGodelOrder:
-    def test_round_trip(self):
-        for idx in range(300):
-            rel, args = godel_decode(idx)
-            assert godel_index(rel, args) == idx
-
-    def test_injective(self):
-        seen = set()
-        for idx in range(300):
-            item = godel_decode(idx)
-            assert item not in seen
-            seen.add(item)
-
-
-class TestFragmentCodec:
-    def test_round_trip_random(self):
-        rng = random.Random(7)
-        for _ in range(30):
-            f = random_fragment(rng, rng.randint(0, 6))
-            prefix = encode_fragment(f)
-            g = decode_fragment(prefix)
-            assert g.size == f.size
-            assert g.tuple_set() == f.tuple_set()
 
 
 class TestFragmentLaws:
