@@ -426,18 +426,22 @@ def adv_vs_total_id_operator(
         ]
         builder = StreamBuilder(iso)
         state, out = operator.initial(), []
+        # outputs are append-only: positions below checked[i] agree with
+        # reference i for good
+        checked = [0] * len(refs)
         disagreement = None
         for s in range(horizon):
             state, new = operator.step(state, builder.add_least_unused())
             out.extend(new)
             for i, ref in enumerate(refs):
                 k = min(len(out), len(ref))
-                for p in range(k):
+                for p in range(checked[i], k):
                     if out[p] != ref[p]:
                         disagreement = (i, p, s)
                         break
                 if disagreement:
                     break
+                checked[i] = k
             if disagreement:
                 break
         if disagreement is not None:

@@ -67,13 +67,16 @@ class ExMinMaxLearner(Learner):
         self.code_down = keys.index("omega_star")
 
     def initial_state(self):
-        # per-element counts of being min / being max, the elements read
-        # so far, and the masks of those with a predecessor / a successor
-        return ({}, {}, 0, 0, 0)
+        # per-element counts of being min / being max, the last fragment
+        # read, and the masks of its elements with a predecessor / a
+        # successor
+        return ({}, {}, None, 0, 0)
 
     def step(self, state, fragment):
-        count_min, count_max, done, has_in, has_out = state
-        if done > fragment.size:
+        count_min, count_max, last, has_in, has_out = state
+        if last is not None and fragment.extends(last):
+            done = last.size
+        else:
             done = has_in = has_out = 0
         for e in range(done, fragment.size):
             succ, pred = fragment.row(e)
@@ -95,7 +98,7 @@ class ExMinMaxLearner(Learner):
             hyp = self.code_down
         else:
             hyp = QUESTION
-        return (count_min, count_max, done, has_in, has_out), hyp
+        return (count_min, count_max, fragment, has_in, has_out), hyp
 
 
 class FinLearner(Learner):

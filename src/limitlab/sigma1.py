@@ -100,6 +100,11 @@ class StreamWatch:
     left stays left.  A fragment that is neither the last one nor its
     one-element extension starts the record afresh.
 
+    Formulas often share disjuncts (a family's pair witnesses repeat one
+    witness per member), so each distinct disjunct is searched at most once
+    per stage, as a one-disjunct formula.  A disjunct that held belongs
+    only to formulas that hold, so only the pending ones are searched.
+
     A state is (last fragment, {key: first stage it held}, bitmask of the
     members left); `advance` and `first_inside` return new states and
     never mutate the old one.
@@ -108,6 +113,16 @@ class StreamWatch:
     def __init__(self, formulas, members=()):
         self.formulas = dict(formulas)
         self.members = tuple(members)
+        # each formula as indices into the distinct disjuncts, in its order
+        index, self._atoms, self._parts = {}, [], {}
+        for key, w in self.formulas.items():
+            parts = []
+            for d, label in zip(w.disjuncts, w.labels):
+                if d not in index:
+                    index[d] = len(self._atoms)
+                    self._atoms.append(FormulaWitness((d,), (label,)))
+                parts.append(index[d])
+            self._parts[key] = parts
 
     def initial(self):
         return (None, {}, 0)
@@ -125,11 +140,19 @@ class StreamWatch:
         else:
             held, left, required = {}, 0, None
         s = fragment.size - 1
-        new = {
-            key: s
-            for key, w in self.formulas.items()
-            if key not in held and sat_fragment(w, fragment, required)
-        }
+        new, known = {}, {}  # known: atom index -> held on this fragment
+        for key, parts in self._parts.items():
+            if key in held:
+                continue
+            for a in parts:
+                hit = known.get(a)
+                if hit is None:
+                    hit = known[a] = sat_fragment(
+                        self._atoms[a], fragment, required
+                    )
+                if hit:
+                    new[key] = s
+                    break
         return (fragment, {**held, **new} if new else held, left)
 
     def first_inside(self, state, order):

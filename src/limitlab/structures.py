@@ -239,18 +239,7 @@ def embed_map(f, g, required=None):
     """
     if f.size > g.size:
         return None
-    if required is not None:
-        for u in range(f.size):
-            m = _embed_map_fixed(f, g, {u: required})
-            if m is not None:
-                return m
-        return None
-    return _embed_map_fixed(f, g, {})
-
-
-def _embed_map_fixed(f, g, fixed):
-    f_out, f_in, g_out, g_in = f._out, f._in, g._out, g._in
-    f_full, g_full = (1 << f.size) - 1, (1 << g.size) - 1
+    f_out, f_in, f_full = f._out, f._in, (1 << f.size) - 1
     # u's neighbours in f, and the number of facts mentioning u, which an
     # image's out- plus in-degree must reach
     near = [(f_out[u] | f_in[u]) & f_full for u in range(f.size)]
@@ -258,13 +247,33 @@ def _embed_map_fixed(f, g, fixed):
         (f_out[u] & f_full).bit_count() + (f_in[u] & f_full).bit_count()
         - (f_out[u] >> u & 1) for u in range(f.size)
     ]
+    ranked = sorted(range(f.size), key=lambda e: -degree[e])
+    if required is None:
+        return _embed_map_fixed(f, g, {}, near, degree, ranked)
+    if required >= g.size:
+        return None
+    # the checks the search makes first on u -> required, before a plan
+    g_full = (1 << g.size) - 1
+    go, gi = g._out[required], g._in[required]
+    loop = go >> required & 1
+    room = (go & g_full).bit_count() + (gi & g_full).bit_count()
+    for u in range(f.size):
+        if f_out[u] >> u & 1 != loop or degree[u] > room:
+            continue
+        m = _embed_map_fixed(f, g, {u: required}, near, degree, ranked)
+        if m is not None:
+            return m
+    return None
+
+
+def _embed_map_fixed(f, g, fixed, near, degree, ranked):
+    f_out, f_in, g_out, g_in = f._out, f._in, g._out, g._in
+    g_full = (1 << g.size) - 1
 
     # the fixed elements first, then by constraint, then by connectivity
     # to already placed elements so partial checks fire early
     order = list(fixed)
-    remaining = sorted(
-        (e for e in range(f.size) if e not in fixed), key=lambda e: -degree[e]
-    )
+    remaining = [e for e in ranked if e not in fixed]
     placed = sum(1 << u for u in fixed)
     while remaining:
         nxt = next((e for e in remaining if near[e] & placed), remaining[0])

@@ -61,6 +61,22 @@ class TestExMinMax:
         b = run(learner, Presentation(S("omega"), 3), 100)
         assert a == b
 
+    def test_summaries_reset_on_a_switched_copy(self):
+        # stage 15 of the second copy is larger than stage 14 of the first
+        # but does not extend it; the carried masks must be the current
+        # fragment's, as a fresh learner reads them
+        fam = Family((S("omega"), S("omega_star")))
+        learner = ExMinMaxLearner(fam)
+        up = Presentation(S("omega"), 3)
+        down = Presentation(S("omega_star"), 5)
+        stream = [up.restrict(s) for s in range(15)]
+        stream += [down.restrict(s) for s in range(15, 30)]
+        state = learner.initial_state()
+        for fragment in stream:
+            state, _ = learner.step(state, fragment)
+            fresh, _ = learner.step(learner.initial_state(), fragment)
+            assert state[3:] == fresh[3:]
+
 
 class TestFin:
     def test_commits_once_correctly(self):

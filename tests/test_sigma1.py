@@ -23,6 +23,7 @@ from limitlab.sigma1 import (
     sigma1_leq,
 )
 from limitlab import harness as H
+from limitlab import sigma1
 
 from _oracles import brute_age_inclusion, brute_embeds_structure
 from test_acceptance import GRID_KEYS
@@ -320,3 +321,69 @@ def test_stream_watch_matches_replay(source, seed, steps):
         assert hit == want
         asked.update(order if want is None else order[: order.index(want)])
         assert state[2] == sum(1 << i for i in asked)
+
+
+SHARED_FORMULAS = {
+    "chain(3)": embeds("chain(3)"),
+    "iso(2)": embeds("iso(2)"),
+    "chain(3)|iso(2)": embeds("chain(3)") | embeds("iso(2)"),
+    "iso(2)|cycle(3)": embeds("iso(2)") | embeds("cycle(3)"),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, len(WATCH_SOURCES) - 1),
+    st.integers(0, 2),
+    st.lists(WATCH_STEP, min_size=1, max_size=16),
+)
+def test_stream_watch_searches_shared_disjuncts_once(source, seed, steps):
+    """Formulas that share disjuncts, on the streams of the replay test:
+    the watch records the replay's first-hold stages in the order they
+    happened (formula order within a stage), and searches each distinct
+    disjunct of the pending formulas at most once per stage."""
+    keys = list(SHARED_FORMULAS)
+    watch = StreamWatch(SHARED_FORMULAS)
+    state = watch.initial()
+    pres, stage = _watch_presentation(source, seed), 0
+    run, searched = [], []
+
+    def counted(formula, fragment, required=None):
+        searched.extend(formula.disjuncts)
+        return sat_fragment(formula, fragment, required)
+
+    for n, (kind, other, other_seed, _) in enumerate(steps):
+        if n:
+            if kind == "jump":
+                pres = _watch_presentation(other, other_seed)
+            stage += {"next": 1, "skip": 3, "jump": 1, "repeat": 0}[kind]
+        size = pres.target.size()
+        if size is not None:
+            stage = min(stage, size - 1)
+        frag = pres.restrict(stage)
+        held = state[1]
+        if not (run and _continues(frag, run[-1])):
+            run, held = [], {}
+        run.append(frag)
+        pending = [
+            d for key in keys if key not in held
+            for d in SHARED_FORMULAS[key].disjuncts
+        ]
+
+        searched.clear()
+        snapshot = copy.deepcopy(state)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sigma1, "sat_fragment", counted)
+            new = watch.advance(state, frag)
+        assert state == snapshot, "advance mutated its input"
+        assert all(searched.count(d) == 1 for d in searched)
+        assert all(d in pending for d in searched)
+        state = new
+
+        expected = {}
+        for key, w in SHARED_FORMULAS.items():
+            stages = [f.size - 1 for f in run if sat_fragment(w, f)]
+            if stages:
+                expected[key] = min(stages)
+        order = sorted(expected, key=lambda k: (expected[k], keys.index(k)))
+        assert list(state[1].items()) == [(k, expected[k]) for k in order]

@@ -1,8 +1,10 @@
+import itertools
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from limitlab import structures
 from limitlab.pairing import pair, unpair, triple, untriple
 from limitlab.structures import (
     BINARY,
@@ -11,7 +13,7 @@ from limitlab.structures import (
     embed_map,
 )
 
-from _oracles import brute_embed, brute_embed_all_injections
+from _oracles import brute_embed, brute_embed_all_injections, induced_copy
 
 
 def random_fragment(rng, size, density=0.4):
@@ -21,6 +23,20 @@ def random_fragment(rng, size, density=0.4):
             if a != b and rng.random() < density:
                 tuples.append((0, (a, b)))
     return FiniteFragment.from_tuples(BINARY, size, tuples)
+
+
+@st.composite
+def grown_views(draw, max_size):
+    """Every view of one extension chain of 1..max_size elements, each
+    element added with random successor and predecessor masks, self-loops
+    allowed."""
+    frag, views = FiniteFragment(BINARY, 0), []
+    for e in range(draw(st.integers(1, max_size))):
+        below = st.integers(0, (1 << e) - 1)
+        loop = draw(st.booleans()) << e
+        frag = frag.extended(draw(below) | loop, draw(below) | loop)
+        views.append(frag)
+    return views
 
 
 class TestPairing:
@@ -139,6 +155,43 @@ class TestEmbedding:
                     for mapping in itertools.permutations(range(4), 2)
                 )
                 assert (embed_map(f, g, required=e) is not None) == brute
+
+    @settings(max_examples=300, deadline=None)
+    @given(grown_views(3), grown_views(8), st.data())
+    def test_required_matches_brute_force(self, f_views, g_views, data):
+        """Rooted search against every injection, on targets that are
+        older views of a grown chain, so the shared masks of `required`
+        carry bits above the view's size; every plan built is for a root
+        whose self-loop and degree `required` can match."""
+        f = f_views[-1]
+        g = data.draw(st.sampled_from(g_views[:6]))
+        required = data.draw(st.integers(0, g.size - 1))
+        g_facts = g.tuples()
+        loop = (0, (required, required)) in g_facts
+        # required's out-degree plus in-degree, a self-loop in both
+        room = sum(args.count(required) for _, args in g_facts)
+        roots = []
+        real = structures._embed_map_fixed
+
+        def plan(f_, g_, fixed, *rest):
+            roots.extend(fixed)
+            return real(f_, g_, fixed, *rest)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(structures, "_embed_map_fixed", plan)
+            m = embed_map(f, g, required=required)
+        brute = any(
+            required in mapping and induced_copy(f, g, mapping)
+            for mapping in itertools.permutations(range(g.size), f.size)
+        )
+        assert (m is not None) == brute
+        if m is not None:
+            mapping = tuple(m[u] for u in range(f.size))
+            assert required in mapping and induced_copy(f, g, mapping)
+        for u in roots:
+            facts = [args for _, args in f.tuples() if u in args]
+            assert f.has(0, (u, u)) == loop
+            assert len(facts) <= room
 
 
 def brute_strict_order(facts):
