@@ -480,7 +480,7 @@ class ExPosetLearner(Learner):
         if masks is None:
             return False
         succ, pred = masks
-        comp = sum(1 << e for e in fragment.linked())
+        comp = fragment.linked_mask()
         # a root b: every other comparable element is above b except one,
         # which is below b
         for b in iter_bits(comp):

@@ -9,8 +9,10 @@ the Cantor pairing, column m row r at position pair(m, r).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import compress, count
+from operator import ne
 
-from .pairing import pair, unpair, triple, untriple
+from .pairing import pair, unpair, triple
 from .sigma1 import StreamWatch, sat_catalog
 from .learners import QUESTION, ConfigurationError
 
@@ -169,16 +171,19 @@ class GammaErange(ReductionOperator):
     def step(self, state, fragment):
         watched, emitted = state
         watched = self.watch.advance(watched, fragment)
-        first_sat = watched[1]
-        s = fragment.size - 1
-        # every flat position below (s+1, 0, 0) has stage coordinate <= s,
-        # so its value is already settled
-        top = triple(s + 1, 0, 0)
+        held = [(pair(i, j), t) for (i, j), t in watched[1].items()]
+        # every flat position below (size, 0, 0) has stage coordinate below
+        # the size, so its value is already settled; they fill diagonals
+        # d = s + pair(i, j) of the pairing, where index b is stage d - b
+        # and code b, and only a code whose formula held by then is not 0
+        top = triple(fragment.size, 0, 0)
         new = []
-        for q in range(emitted, top):
-            s2, i, j = untriple(q)
-            t = first_sat.get((i, j))
-            new.append(pair(i, j) if t is not None and s2 >= t else 0)
+        for d in range(unpair(emitted)[0], fragment.size):
+            row = [0] * (d + 1)
+            for b, t in held:
+                if b <= d and d - b >= t:
+                    row[b] = b
+            new.extend(row)
         return (watched, top), tuple(new)
 
     def declared_range(self, code):
@@ -207,16 +212,19 @@ class GammaErangeToE3(ReductionOperator):
     def step(self, state, fragment):
         watched, emitted = state
         watched = self.watch.advance(watched, fragment)
-        first_sat = watched[1]
-        s = fragment.size - 1
-        # every flat position below pair(0, s+1) has row <= s, so its
-        # value is already settled
-        top = pair(0, s + 1)
+        held = [(pair(i, j), t) for (i, j), t in watched[1].items()]
+        # every flat position below pair(0, size) has a row below the size,
+        # so its value is already settled; [pair(0, d), pair(0, d + 1)) is
+        # column 0 at row d, then column m at row d + 1 - m for
+        # m = d + 1 .. 1.  Column 0 is the diagonal pair (0, 0), all 0.
+        top = pair(0, fragment.size)
         new = []
-        for q in range(emitted, top):
-            col, row = unpair(q)
-            t = first_sat.get(unpair(col))
-            new.append(1 if t is not None and row >= t else 0)
+        for d in range(unpair(emitted)[1], fragment.size):
+            chunk = [0] * (d + 2)
+            for m, t in held:
+                if m <= d + 1 and d + 1 - m >= t:
+                    chunk[d + 2 - m] = 1
+            new.extend(chunk)
         return (watched, top), tuple(new)
 
 
@@ -253,18 +261,16 @@ def check_prefix(rel, a, b, closed_range_a=None, closed_range_b=None):
             },
         )
     if rel == "E3":
+        # both sides reach row r of column m iff pair(m, r) < k, so only
+        # the differing positions of the common prefix are decoded
         cols = {}
-        m = 0
-        while pair(m, 0) < k:
-            ca, cb = a.column(m), b.column(m)
-            r = min(len(ca), len(cb))
-            diffs = [p for p in range(r) if ca[p] != cb[p]]
-            if diffs:
-                cols[m] = {
-                    "mismatches": len(diffs),
-                    "last_mismatch": diffs[-1],
-                }
-            m += 1
+        if a.values[:k] != b.values[:k]:
+            for q in compress(count(), map(ne, a.values, b.values)):
+                m, r = unpair(q)
+                col = cols.setdefault(m, {"mismatches": 0})
+                col["mismatches"] += 1
+                col["last_mismatch"] = r
+            cols = {m: cols[m] for m in sorted(cols)}
         return PrefixVerdict("ConsistentSoFar", payload={"columns": cols})
     if rel == "Erange":
         ra, rb = a.range_set(), b.range_set()
@@ -344,6 +350,8 @@ def verify_reduction(operator, family, horizon=100, seeds=(1, 2, 3)):
 
     rel = operator.tag
     members = list(family)
+    if rel == "Erange":
+        ranges = [operator.declared_range(i) for i in range(len(members))]
     prefixes = {}
     for i, m in enumerate(members):
         for seed in seeds:
@@ -367,8 +375,8 @@ def verify_reduction(operator, family, horizon=100, seeds=(1, 2, 3)):
                     kwargs = {}
                     if rel == "Erange":
                         kwargs = {
-                            "closed_range_a": operator.declared_range(i),
-                            "closed_range_b": operator.declared_range(j),
+                            "closed_range_a": ranges[i],
+                            "closed_range_b": ranges[j],
                         }
                     verdict = check_prefix(rel, pa, pb, **kwargs)
                     if i == j:

@@ -36,10 +36,11 @@ class FiniteFragment:
     Extended fragments share both mask lists, so a stream of h stages
     stores each fact once.  An extension only adds facts that mention its
     new element, so the mask bits below a fragment's size, its facts,
-    never change after it is built.
+    never change after it is built.  The order flag and the mask of
+    elements in some fact are carried along extensions the same way.
     """
 
-    __slots__ = ("size", "_out", "_in", "_order")
+    __slots__ = ("size", "_out", "_in", "_order", "_linked")
 
     def __init__(self, signature, size, _out=None, _in=None):
         if signature != BINARY:
@@ -48,6 +49,7 @@ class FiniteFragment:
         self._out = [0] * size if _out is None else _out
         self._in = [0] * size if _in is None else _in
         self._order = None  # is_strict_order(), once known
+        self._linked = None  # linked_mask(), once known
 
     @classmethod
     def from_tuples(cls, signature, size, tuples):
@@ -71,9 +73,13 @@ class FiniteFragment:
         out, inn = self._out, self._in
         if e != len(out):
             raise ValueError("can only extend the newest fragment of a chain")
-        if not 0 <= succ | pred < 2 << e or (succ ^ pred) >> e:
+        both = succ | pred
+        if not 0 <= both < 2 << e or (succ ^ pred) >> e:
             raise ValueError("masks need bits 0..%d, a self-loop in both" % e)
         bit = 1 << e
+        linked = self._linked
+        if linked is None:
+            linked = self.linked_mask()
         out.append(succ)
         inn.append(pred)
         for j in iter_bits(pred):
@@ -81,6 +87,7 @@ class FiniteFragment:
         for j in iter_bits(succ):
             inn[j] |= bit
         child = FiniteFragment(BINARY, e + 1, out, inn)
+        child._linked = linked | both | bit if both else linked
         if self._order is not None:
             child._order = self._order and child._order_grows_from(e)
         return child
@@ -125,10 +132,22 @@ class FiniteFragment:
         full = (1 << self.size) - 1
         return self._out[e] & full, self._in[e] & full
 
+    def linked_mask(self):
+        """The bitmask of the elements in at least one fact; computed once
+        per fragment, and carried along extensions."""
+        if self._linked is None:
+            # a fact R(a, b) is bit b of a's row and bit a of b's; only a
+            # fragment not built by extension gets here, and it owns its
+            # masks, so they have no bits above its size
+            linked = 0
+            for row in self._out + self._in:
+                linked |= row
+            self._linked = linked
+        return self._linked
+
     def linked(self):
         """The elements in at least one fact, ascending."""
-        out, inn, full = self._out, self._in, (1 << self.size) - 1
-        return [e for e in range(self.size) if (out[e] | inn[e]) & full]
+        return list(iter_bits(self.linked_mask()))
 
     def masks(self):
         """Per-element successor and predecessor bitmasks over this
@@ -336,7 +355,9 @@ def _embed_map_fixed(f, g, fixed, near, degree, ranked):
                 used ^= 1 << v
         return False
 
-    return dict(assignment) if search(0) else None
+    found = search(0)
+    search = None  # it closes over its own name: break that cycle
+    return dict(assignment) if found else None
 
 
 def embed_finite(f, g):

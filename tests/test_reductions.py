@@ -1,8 +1,9 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from limitlab.catalog import Family, Presentation, parse_structure
 from limitlab.learners import ConfigurationError
-from limitlab.pairing import pair
+from limitlab.pairing import pair, triple, unpair, untriple
 from limitlab.reductions import (
     GammaErange,
     GammaErangeToE3,
@@ -13,6 +14,7 @@ from limitlab.reductions import (
     run_operator,
     verify_reduction,
 )
+from limitlab.sigma1 import classify_family
 from limitlab import harness as H
 
 
@@ -57,6 +59,31 @@ class TestCheckPrefix:
         v = check_prefix("Erange", a, b, closed_range_a={0, 1},
                          closed_range_b={0, 1})
         assert v.kind == "EquivalentByRule"
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.integers(0, 1), max_size=60),
+        st.lists(st.integers(0, 1), max_size=60),
+    )
+    def test_e3_columns_match_column_reference(self, xs, ys):
+        a, b = OutputPrefix(tuple(xs), True), OutputPrefix(tuple(ys), True)
+        k = min(len(a), len(b))
+        expected, m = {}, 0
+        while pair(m, 0) < k:
+            ca, cb = a.column(m), b.column(m)
+            diffs = [r for r in range(min(len(ca), len(cb))) if ca[r] != cb[r]]
+            if diffs:
+                expected[m] = {
+                    "mismatches": len(diffs),
+                    "last_mismatch": diffs[-1],
+                }
+            m += 1
+        v = check_prefix("E3", a, b)
+        assert v.kind == "ConsistentSoFar"
+        assert v.payload == {"columns": expected}
+        cols = v.payload["columns"]
+        assert list(cols) == list(expected)
+        assert all(list(cols[m]) == list(expected[m]) for m in expected)
 
     def test_unknown_relation(self):
         with pytest.raises(ValueError):
@@ -121,6 +148,69 @@ class TestGammaErange:
         op = H.GAMMAS["gamma_erange"](fam)
         report = verify_reduction(op, fam, horizon=100)
         assert report["passed"]
+
+    def test_verify_asks_each_declared_range_once(self, monkeypatch):
+        fam = H.get_family("cyc_comp")
+        op = H.GAMMAS["gamma_erange"](fam)
+        asked = []
+        real = op.declared_range
+        monkeypatch.setattr(
+            op, "declared_range", lambda code: asked.append(code) or real(code)
+        )
+        verify_reduction(op, fam, horizon=30)
+        assert sorted(asked) == list(range(len(fam.members)))
+
+
+def reference_step(op, state, fragment):
+    """An E-range operator's step decoded one flat position at a time:
+    untriple for GammaErange, unpair of the position and of its column
+    for GammaErangeToE3."""
+    watched, emitted = state
+    watched = op.watch.advance(watched, fragment)
+    first_sat, new = watched[1], []
+    if op.columnar:
+        top = pair(0, fragment.size)
+        for q in range(emitted, top):
+            col, row = unpair(q)
+            t = first_sat.get(unpair(col))
+            new.append(1 if t is not None and row >= t else 0)
+    else:
+        top = triple(fragment.size, 0, 0)
+        for q in range(emitted, top):
+            s, i, j = untriple(q)
+            t = first_sat.get((i, j))
+            new.append(pair(i, j) if t is not None and s >= t else 0)
+    return (watched, top), tuple(new)
+
+
+#: stages whose fragments are fed in turn: single steps, jumps of two and
+#: three elements, repeated fragments, and a restart from a shorter one
+SCHEDULE = (
+    [0, 1, 2, 4, 7, 7, 9, 12, 14, 14, 17, 20, 22, 25, 28, 30, 33, 35, 35]
+    + [38, 40, 43, 45, 48, 50, 10, 11, 13, 13, 16, 18, 21, 24, 26, 29, 31]
+)
+
+
+@pytest.mark.parametrize("gamma", [GammaErange, GammaErangeToE3])
+@pytest.mark.parametrize("name", ["tilde_chains", "cyc_comp", "padded_chains"])
+def test_erange_operators_match_per_position_reference(name, gamma):
+    fam = H.get_family(name)
+    # separating tilde(omega) from tilde(chain(8)) takes a 9-element chain
+    op = gamma(fam, classify_family(fam, bound=9))
+    nonzero = 0
+    for member in fam.members:
+        last = SCHEDULE[-1] if member.size() is None else member.size() - 1
+        for seed in (1, 2):
+            pres = Presentation(member, seed)
+            state = ref = op.initial()
+            for s in SCHEDULE:
+                frag = pres.restrict(min(s, last))
+                state, new = op.step(state, frag)
+                ref, expected = reference_step(op, ref, frag)
+                assert new == expected
+                assert state == ref
+                nonzero += sum(map(bool, new))
+    assert nonzero  # some formula held, so the values were not all 0
 
 
 class TestGammaErangeToE3:

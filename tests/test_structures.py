@@ -1,3 +1,4 @@
+import gc
 import itertools
 import random
 
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from limitlab import structures
+from limitlab.catalog import canonical_fragment, parse_structure
 from limitlab.pairing import pair, unpair, triple, untriple
 from limitlab.structures import (
     BINARY,
@@ -193,6 +195,20 @@ class TestEmbedding:
             assert f.has(0, (u, u)) == loop
             assert len(facts) <= room
 
+    def test_search_leaves_no_reference_cycle(self):
+        """Each call's recursive search is freed by reference counting,
+        not left for the cyclic collector."""
+        f = canonical_fragment(parse_structure("cycle(5)"), 5)
+        g = canonical_fragment(parse_structure("cyc_comp(4)"), 30)
+        gc.disable()
+        try:
+            gc.collect()
+            for _ in range(10):
+                embed_map(f, g)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
 
 def brute_strict_order(facts):
     pairs = {args for _, args in facts}
@@ -293,3 +309,45 @@ class TestMaskCore:
             assert sub.is_strict_order() == brute_strict_order(
                 sub.tuple_set()
             )
+
+
+def mentioned(frag):
+    """The elements named by some fact, ascending, read off the facts."""
+    return sorted({x for _, args in frag.tuples() for x in args})
+
+
+class TestLinkedMask:
+    @staticmethod
+    def grow(data, frag):
+        """frag extended by one element with random masks, each often
+        empty, and sometimes a self-loop."""
+        e = frag.size
+        masks = st.one_of(st.just(0), st.integers(0, (1 << e) - 1))
+        loop = data.draw(st.booleans()) << e
+        return frag.extended(data.draw(masks) | loop, data.draw(masks) | loop)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_linked_is_every_element_in_a_fact(self, data):
+        """The carried mask along a random extension chain, on its older
+        views once the chain has grown, and the lazily computed one of
+        `from_tuples` and `induced` fragments and of their extensions."""
+        frag, views = FiniteFragment(BINARY, 0), []
+        for _ in range(data.draw(st.integers(1, 10))):
+            frag = self.grow(data, frag)
+            assert frag.linked() == mentioned(frag)
+            views.append(frag)
+        for view in views:
+            assert view.linked() == mentioned(view)
+            assert view.linked_mask() == sum(1 << e for e in mentioned(view))
+
+        view = data.draw(st.sampled_from(views))
+        subset = data.draw(
+            st.lists(st.integers(0, view.size - 1), unique=True)
+        )
+        rebuilt = FiniteFragment.from_tuples(BINARY, view.size, view.tuples())
+        for frag in (rebuilt, view.induced(subset)):
+            # extending it computes its mask before the masks grow
+            grown = self.grow(data, frag)
+            assert frag.linked() == mentioned(frag)
+            assert grown.linked() == mentioned(grown)
