@@ -3,8 +3,10 @@
 Each adversary drives a learner (or operator) with a stream it constructs
 on the fly, branching on the opponent's outputs, and returns the stream
 plus a failure certificate.  Waits that the underlying argument makes
-infinite are realized by horizon doubling up to a cap; hitting the cap
-yields Inconclusive, never a fabricated certificate.
+infinite are realized by horizon doubling: `_drive` plays every
+adversary's rounds at horizons start, 2*start, ..., cap, where cap must
+be start times a power of two; the round at the cap yields Inconclusive,
+never a fabricated certificate.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from .catalog import (
 )
 from .sigma1 import sigma1_leq
 from .learners import QUESTION, ConfigurationError
+from .pairing import pair
 from .reductions import outputs
 
 START_HORIZON = 512
@@ -108,10 +111,33 @@ class StreamBuilder(TokenChain):
         return ReplayPresentation(self.fragments[1:], label)
 
 
-def _inconclusive(adversary, opponent, seed, horizon, details=None):
-    return FailureCertificate(
-        "Inconclusive", adversary, opponent, seed, horizon, details or {}
-    )
+def _drive(name, opponent, seed, start, cap, play):
+    """Play the rounds of horizon start, 2*start, ..., cap until one
+    reaches a verdict, and return its replayable stream and certificate;
+    None when the round at the cap, which is told it is the last, has none.
+
+    play(horizon, last) replays its stream from scratch and returns None
+    or (builder, kind, details[, transcript excerpt[, shape audit]]).
+    """
+    if not (1 <= start <= cap and cap % start == 0
+            and (cap // start) & (cap // start - 1) == 0):
+        raise ValueError(
+            "need start >= 1 and cap = start * 2**k, got start %r, cap %r"
+            % (start, cap)
+        )
+    horizon = start
+    while True:
+        last = horizon == cap
+        verdict = play(horizon, last)
+        if verdict is not None:
+            builder, kind, details, *rest = verdict
+            return builder.presentation(name), FailureCertificate(
+                kind, name, type(opponent).__name__, seed, horizon,
+                details, *rest,
+            )
+        if last:
+            return None
+        horizon *= 2
 
 
 def _excerpt(transcript, stages=None, width=12):
@@ -134,15 +160,12 @@ def adv_vs_ex_rays(learner, seed=0, start=START_HORIZON, cap=HORIZON_CAP):
     finite ray; otherwise pads with isolated vertices."""
     family = learner.family
     ray_code = {}
-    infinite_code = None
     for i, m in enumerate(family):
         key = m.key()
-        if key.startswith("du(ray(") :
+        if key.startswith("du(ray("):
             ray_code[int(key[len("du(ray("):key.index(")")])] = i
-        elif key == "du(ray,iso_inf)":
-            infinite_code = i
-    horizon = start
-    while True:
+
+    def play(horizon, last):
         builder = StreamBuilder(parse_structure("du(ray,iso_inf)"))
         state = learner.initial_state()
         transcript = []
@@ -150,15 +173,13 @@ def adv_vs_ex_rays(learner, seed=0, start=START_HORIZON, cap=HORIZON_CAP):
         ray_len = 0
         audit_ok = True
         for s in range(horizon):
-            if s == 0 or s == 1:
-                grow = True
-            elif s % 2 == 1:
-                grow = False
-            else:
-                prev_even = transcript[s - 2]
-                grow = prev_even == ray_code.get(ray_len)
-                if grow:
-                    expansionary.append(s)
+            # the ray grows at stages 0 and 1, and at an even stage when
+            # the hypothesis two stages back was the current finite ray
+            grow = s < 2 or (
+                s % 2 == 0 and transcript[s - 2] == ray_code.get(ray_len)
+            )
+            if grow and s >= 2:
+                expansionary.append(s)
             if grow:
                 frag = builder.add_least_unused(lambda t: t[0] == "l")
                 ray_len += 1
@@ -168,35 +189,21 @@ def adv_vs_ex_rays(learner, seed=0, start=START_HORIZON, cap=HORIZON_CAP):
                 audit_ok = False
             state, hyp = learner.step(state, frag)
             transcript.append(hyp)
-        name = "adv_vs_ex_rays"
-        opponent = type(learner).__name__
         if len(expansionary) >= 10:
-            return builder.presentation(name), FailureCertificate(
-                "InfinitelyManyMindChanges", name, opponent, seed, horizon,
-                {
-                    "expansionary_stages": expansionary[-10:],
-                    "ray_length": ray_len,
-                },
-                _excerpt(transcript, expansionary[-3:]),
-                audit_ok,
-            )
+            return builder, "InfinitelyManyMindChanges", {
+                "expansionary_stages": expansionary[-10:],
+                "ray_length": ray_len,
+            }, _excerpt(transcript, expansionary[-3:]), audit_ok
         if not expansionary or expansionary[-1] < horizon // 2:
-            truth = ray_code.get(ray_len)
-            return builder.presentation(name), FailureCertificate(
-                "StuckWrong", name, opponent, seed, horizon,
-                {
-                    "final_hypothesis": transcript[-1],
-                    "truth_code": truth,
-                    "truth": "du(ray(%d),iso_inf)" % ray_len,
-                },
-                _excerpt(transcript),
-                audit_ok,
-            )
-        if horizon >= cap:
-            return builder.presentation(name), _inconclusive(
-                name, opponent, seed, horizon
-            )
-        horizon *= 2
+            return builder, "StuckWrong", {
+                "final_hypothesis": transcript[-1],
+                "truth_code": ray_code.get(ray_len),
+                "truth": "du(ray(%d),iso_inf)" % ray_len,
+            }, _excerpt(transcript), audit_ok
+        if last:
+            return builder, "Inconclusive", {}
+
+    return _drive("adv_vs_ex_rays", learner, seed, start, cap, play)
 
 
 def poset_family(max_k=4):
@@ -215,10 +222,8 @@ def adv_vs_nus_poset(learner, seed=0, start=START_HORIZON, cap=HORIZON_CAP):
         key = m.key()
         codes[int(key[len("tilde(poset_p("):-2])] = i
     p0 = family.members[codes[0]]
-    name = "adv_vs_nus_poset"
-    opponent = type(learner).__name__
-    horizon = start
-    while True:
+
+    def play(horizon, last):
         builder = StreamBuilder(p0)
         state = learner.initial_state()
         transcript = []
@@ -233,41 +238,31 @@ def adv_vs_nus_poset(learner, seed=0, start=START_HORIZON, cap=HORIZON_CAP):
             state, hyp = learner.step(state, frag)
             transcript.append(hyp)
             if phase == 0 and hyp == codes[0]:
-                ks = [k for k in sorted(codes) if k > 0]
-                target = None
-                for k in ks:
-                    cand = family.members[codes[k]]
-                    if fragment_embeds(frag, cand):
-                        target = (k, cand)
-                        break
-                if target is None:
-                    return builder.presentation(name), _inconclusive(
-                        name, opponent, seed, horizon,
-                        {"reason": "fragment outgrew every finite member"},
-                    )
-                builder.retarget(target[1])
-                detour_code = codes[target[0]]
+                detour_code = next((
+                    codes[k] for k in sorted(codes) if k > 0
+                    and fragment_embeds(frag, family.members[codes[k]])
+                ), None)
+                if detour_code is None:
+                    return builder, "Inconclusive", {
+                        "reason": "fragment outgrew every finite member"
+                    }
+                builder.retarget(family.members[detour_code])
                 stages["first"] = s
                 phase = 1
             elif phase == 1 and hyp == detour_code:
                 if not builder.retarget(p0):
-                    return builder.presentation(name), _inconclusive(
-                        name, opponent, seed, horizon,
-                        {"reason": "return embedding not found"},
-                    )
+                    return builder, "Inconclusive", {
+                        "reason": "return embedding not found"
+                    }
                 stages["detour"] = s
                 phase = 2
             elif phase == 2 and hyp == codes[0]:
                 stages["return"] = s
-                return builder.presentation(name), FailureCertificate(
-                    "AbandonReturn", name, opponent, seed, horizon,
-                    {"code": codes[0], "stages": stages},
-                    _excerpt(
-                        transcript,
-                        [stages["first"], stages["detour"], s],
-                    ),
-                    audit_ok,
-                )
+                return builder, "AbandonReturn", {
+                    "code": codes[0], "stages": stages
+                }, _excerpt(
+                    transcript, [stages["first"], stages["detour"], s]
+                ), audit_ok
         # an unfinished wait: if the hypothesis has settled on something
         # other than the code the wait is for, the learner is stranded on
         # the stream's limit
@@ -275,21 +270,15 @@ def adv_vs_nus_poset(learner, seed=0, start=START_HORIZON, cap=HORIZON_CAP):
         truth = detour_code if phase == 1 else codes[0]
         tail = transcript[horizon // 2:]
         if all(h == tail[0] for h in tail) and tail[0] != expected:
-            return builder.presentation(name), FailureCertificate(
-                "StuckWrong", name, opponent, seed, horizon,
-                {
-                    "final_hypothesis": transcript[-1],
-                    "truth_code": truth,
-                    "stages": stages,
-                },
-                _excerpt(transcript, list(stages.values())),
-                audit_ok,
-            )
-        if horizon >= cap:
-            return builder.presentation(name), _inconclusive(
-                name, opponent, seed, horizon, {"phase": phase}
-            )
-        horizon *= 2
+            return builder, "StuckWrong", {
+                "final_hypothesis": transcript[-1],
+                "truth_code": truth,
+                "stages": stages,
+            }, _excerpt(transcript, list(stages.values())), audit_ok
+        if last:
+            return builder, "Inconclusive", {"phase": phase}
+
+    return _drive("adv_vs_nus_poset", learner, seed, start, cap, play)
 
 
 def adv_vs_co_comparable(
@@ -302,12 +291,9 @@ def adv_vs_co_comparable(
         raise ConfigurationError(
             "the pair must be strictly comparable (A strictly below B)"
         )
-    family = learner.family
-    code_b = family.code_of(b)
-    name = "adv_vs_co_comparable"
-    opponent = type(learner).__name__
-    horizon = start
-    while True:
+    code_b = learner.family.code_of(b)
+
+    def play(horizon, last):
         builder = StreamBuilder(a)
         state = learner.initial_state()
         transcript = []
@@ -317,26 +303,22 @@ def adv_vs_co_comparable(
             transcript.append(hyp)
             if switched_at is None and hyp == code_b:
                 if not builder.retarget(b):
-                    return builder.presentation(name), _inconclusive(
-                        name, opponent, seed, horizon,
-                        {"reason": "switch embedding not found"},
-                    )
+                    return builder, "Inconclusive", {
+                        "reason": "switch embedding not found"
+                    }
                 switched_at = s
         if switched_at is not None:
-            return builder.presentation(name), FailureCertificate(
-                "CorrectCodeEmitted", name, opponent, seed, horizon,
-                {"code": code_b, "stage": switched_at, "limit": b.key()},
-                _excerpt(transcript, [switched_at]),
-            )
-        if horizon >= cap:
+            return builder, "CorrectCodeEmitted", {
+                "code": code_b, "stage": switched_at, "limit": b.key()
+            }, _excerpt(transcript, [switched_at])
+        if last:
             # the stream stayed a copy of A, and a code different from the
             # truth never appeared: the other face of the co-criterion
-            return builder.presentation(name), FailureCertificate(
-                "MissingCode", name, opponent, seed, horizon,
-                {"code": code_b, "limit": a.key()},
-                _excerpt(transcript),
-            )
-        horizon *= 2
+            return builder, "MissingCode", {
+                "code": code_b, "limit": a.key()
+            }, _excerpt(transcript)
+
+    return _drive("adv_vs_co_comparable", learner, seed, start, cap, play)
 
 
 def adv_vs_fin(
@@ -347,64 +329,40 @@ def adv_vs_fin(
     a, b = pair_members
     family = learner.family
     code_a = family.code_of(a)
-    code_b = family.code_of(b)
-    name = "adv_vs_fin"
-    opponent = type(learner).__name__
-    horizon = start
-    while True:
+
+    def play(horizon, last):
         builder = StreamBuilder(a)
         state = learner.initial_state()
         transcript = []
         commit = None
+        limit = b
         for s in range(horizon):
             state, hyp = learner.step(state, builder.add_least_unused())
             transcript.append(hyp)
             if commit is None and hyp != QUESTION:
-                commit = (s, hyp)
+                commit = s
                 if hyp != code_a:
-                    # wrong commitment on a faithful copy of A
-                    for t in range(s + 1, horizon):
-                        state, h2 = learner.step(
-                            state, builder.add_least_unused()
-                        )
-                        transcript.append(h2)
-                    return builder.presentation(name), FailureCertificate(
-                        "StuckWrong", name, opponent, seed, horizon,
-                        {
-                            "commit_stage": s,
-                            "final_hypothesis": transcript[-1],
-                            "truth_code": code_a,
-                            "limit": a.key(),
-                        },
-                        _excerpt(transcript, [s]),
-                    )
-                if not builder.retarget(b):
-                    return builder.presentation(name), _inconclusive(
-                        name, opponent, seed, horizon,
-                        {
-                            "reason": "committed fragment does not embed "
-                            "into the second member",
-                            "commit_stage": s,
-                        },
-                    )
+                    # a wrong commitment on a faithful copy of A
+                    limit = a
+                elif not builder.retarget(b):
+                    return builder, "Inconclusive", {
+                        "reason": "committed fragment does not embed "
+                        "into the second member",
+                        "commit_stage": s,
+                    }
         if commit is not None:
-            return builder.presentation(name), FailureCertificate(
-                "StuckWrong", name, opponent, seed, horizon,
-                {
-                    "commit_stage": commit[0],
-                    "final_hypothesis": transcript[-1],
-                    "truth_code": code_b,
-                    "limit": b.key(),
-                },
-                _excerpt(transcript, [commit[0]]),
-            )
-        if horizon >= cap:
-            return builder.presentation(name), FailureCertificate(
-                "NeverCommits", name, opponent, seed, horizon,
-                {"limit": a.key(), "truth_code": code_a},
-                _excerpt(transcript),
-            )
-        horizon *= 2
+            return builder, "StuckWrong", {
+                "commit_stage": commit,
+                "final_hypothesis": transcript[-1],
+                "truth_code": family.code_of(limit),
+                "limit": limit.key(),
+            }, _excerpt(transcript, [commit])
+        if last:
+            return builder, "NeverCommits", {
+                "limit": a.key(), "truth_code": code_a
+            }, _excerpt(transcript)
+
+    return _drive("adv_vs_fin", learner, seed, start, cap, play)
 
 
 def adv_vs_total_id_operator(
@@ -413,11 +371,9 @@ def adv_vs_total_id_operator(
     """Feeds only isolated vertices until the operator's output takes a
     side, then completes the stream into the member it disagreed with."""
     members = list(family)
-    name = "adv_vs_total_id_operator"
-    opponent = type(operator).__name__
     iso = parse_structure("iso_inf")
-    horizon = start
-    while True:
+
+    def play(horizon, last):
         refs = [
             outputs(operator, (
                 canonical_fragment(m, s + 1) for s in range(horizon)
@@ -447,27 +403,24 @@ def adv_vs_total_id_operator(
         if disagreement is not None:
             i, p, s = disagreement
             if not builder.retarget(members[i]):
-                return builder.presentation(name), _inconclusive(
-                    name, opponent, seed, horizon,
-                    {"reason": "completion embedding not found"},
-                )
+                return builder, "Inconclusive", {
+                    "reason": "completion embedding not found"
+                }
             for t in range(s + 1, horizon):
-                state, new = operator.step(state, builder.add_least_unused())
-                out.extend(new)
-            return builder.presentation(name), FailureCertificate(
-                "PrefixDisagreement", name, opponent, seed, horizon,
-                {
-                    "position": p,
-                    "member": members[i].key(),
-                    "probe_stage": s,
-                },
-            )
-        if horizon >= cap:
-            return builder.presentation(name), _inconclusive(
-                name, opponent, seed, horizon,
-                {"reason": "no output deviation on the isolated probe"},
-            )
-        horizon *= 2
+                state, _ = operator.step(state, builder.add_least_unused())
+            return builder, "PrefixDisagreement", {
+                "position": p,
+                "member": members[i].key(),
+                "probe_stage": s,
+            }
+        if last:
+            return builder, "Inconclusive", {
+                "reason": "no output deviation on the isolated probe"
+            }
+
+    return _drive(
+        "adv_vs_total_id_operator", operator, seed, start, cap, play
+    )
 
 
 def adv_vs_e3_operator_fstar(
@@ -476,14 +429,11 @@ def adv_vs_e3_operator_fstar(
     """Grows a chain inside a padded infinite chain, extending it once per
     fresh column-0 disagreement with the operator's canonical run; probes
     the increasing branch first, then the decreasing one."""
-    from .pairing import pair
-
-    name = "adv_vs_e3_operator_fstar"
-    opponent = type(operator).__name__
     for branch_key in ("tilde(omega)", "tilde(omega_star)"):
         target = parse_structure(branch_key)
-        horizon = start
-        while horizon <= cap:
+
+        # each branch's rounds run before the loop moves on
+        def play(horizon, last):
             ref_out = outputs(operator, (
                 canonical_fragment(target, s + 1) for s in range(horizon)
             ))
@@ -516,17 +466,21 @@ def adv_vs_e3_operator_fstar(
                     r += 1
                 checked = r
                 if len(disagreements) >= needed:
-                    return builder.presentation(name), FailureCertificate(
-                        "PrefixDisagreement", name, opponent, seed, horizon,
-                        {
-                            "branch": branch_key,
-                            "column": 0,
-                            "disagreement_rows": disagreements[:needed],
-                        },
-                        shape_audit_ok=audit_ok,
-                    )
-            horizon *= 2
-    return ReplayPresentation([], name), _inconclusive(
-        name, opponent, seed, cap,
-        {"reason": "no accumulating column-0 disagreement on either branch"},
-    )
+                    return builder, "PrefixDisagreement", {
+                        "branch": branch_key,
+                        "column": 0,
+                        "disagreement_rows": disagreements[:needed],
+                    }, (), audit_ok
+            if last and branch_key == "tilde(omega_star)":
+                # no disagreement accumulated on either branch, and no
+                # stream witnesses that: the certificate comes with none
+                return StreamBuilder(target), "Inconclusive", {
+                    "reason": "no accumulating column-0 disagreement on "
+                    "either branch"
+                }
+
+        duel = _drive(
+            "adv_vs_e3_operator_fstar", operator, seed, start, cap, play
+        )
+        if duel is not None:
+            return duel

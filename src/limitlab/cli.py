@@ -41,7 +41,9 @@ def _build_parser():
     p.add_argument("--window", type=int, default=H.DEFAULT_WINDOW)
     p.add_argument("--budget", type=int, default=None)
 
-    p = sub.add_parser("duel", help="pit an adversary against a learner")
+    p = sub.add_parser(
+        "duel", help="pit an adversary against a learner or operator"
+    )
     p.add_argument("adversary", choices=H.ADVERSARIES)
     p.add_argument("learner")
     p.add_argument("--family", default=None)

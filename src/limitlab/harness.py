@@ -9,7 +9,7 @@ that a timeout alone cannot justify come back INCONCLUSIVE, never FAIL.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 from .catalog import Family, Presentation, parse_structure
 from .sigma1 import classify_family
@@ -381,12 +381,33 @@ def member_of(family, member_code):
 def run_cell(family, learner, spec, member_code, seed):
     presentation = Presentation(member_of(family, member_code), seed)
     transcript = L.run(learner, presentation, spec.horizon)
-    return check(spec, transcript, member_code, family)
+    verdict = check(spec, transcript, member_code, family)
+    if verdict.certificate is not None:
+        # the certificate replays from this seed against this learner
+        verdict = replace(verdict, certificate=replace(
+            verdict.certificate, seed=seed, opponent=type(learner).__name__
+        ))
+    return verdict
+
+
+CELL_KEYS = (
+    "family", "learner", "criterion", "member", "seeds", "horizon", "tail",
+    "window", "budget",
+)
 
 
 def run_matrix(cells):
     """cells: iterable of dicts with keys family, learner, criterion and
-    optional member, seeds, horizon, tail, window, budget."""
+    optional member, seeds, horizon, tail, window, budget; any other key
+    is a usage error, raised before a cell runs."""
+    cells = list(cells)
+    for cell in cells:
+        unknown = sorted(set(cell) - set(CELL_KEYS))
+        if unknown:
+            raise ValueError(
+                "unknown matrix cell key %r; the keys are %s"
+                % (unknown[0], ", ".join(CELL_KEYS))
+            )
     rows = []
     for cell in cells:
         family = get_family(cell["family"])
@@ -428,23 +449,19 @@ def run_matrix(cells):
     return rows
 
 
-ADVERSARIES = (
-    "adv_vs_ex_rays",
-    "adv_vs_nus_poset",
-    "adv_vs_co_comparable",
-    "adv_vs_fin",
-    "adv_vs_total_id_operator",
-    "adv_vs_e3_operator_fstar",
-)
-
-ADVERSARY_DEFAULT_FAMILY = {
-    "adv_vs_ex_rays": "rays",
-    "adv_vs_nus_poset": "posets",
-    "adv_vs_co_comparable": "tilde_chains",
-    "adv_vs_fin": "cycles",
-    "adv_vs_total_id_operator": "cycles",
-    "adv_vs_e3_operator_fstar": "tilde_chains",
+# adversary: (default family, the registry its opponent comes from, what
+# it takes between the opponent and the seed: the family's first two
+# members as a pair, the family, or nothing)
+DUELS = {
+    "adv_vs_ex_rays": ("rays", "learners", ()),
+    "adv_vs_nus_poset": ("posets", "learners", ()),
+    "adv_vs_co_comparable": ("tilde_chains", "learners", ("pair",)),
+    "adv_vs_fin": ("cycles", "learners", ("pair",)),
+    "adv_vs_total_id_operator": ("cycles", "operators", ("family",)),
+    "adv_vs_e3_operator_fstar": ("tilde_chains", "operators", ()),
 }
+ADVERSARIES = tuple(DUELS)
+OPPONENTS = {"learners": LEARNERS, "operators": GAMMAS}
 
 
 def _builds(factory, family):
@@ -458,16 +475,18 @@ def _builds(factory, family):
 def run_duel(adversary, opponent, family_name=None, seed=0):
     """Pit a registered adversary against a registered learner or
     operator; returns (replayable presentation, certificate)."""
-    if adversary not in ADVERSARIES:
+    if adversary not in DUELS:
         raise KeyError("unknown adversary: %r" % adversary)
-    family_name = family_name or ADVERSARY_DEFAULT_FAMILY[adversary]
+    default_family, kind, extra = DUELS[adversary]
+    family_name = family_name or default_family
     family = get_family(family_name)
-    kind, registry = "learners", LEARNERS
-    if opponent not in LEARNERS:
-        kind, registry = "operators", GAMMAS
-    if opponent not in registry:
-        raise KeyError("unknown learner or operator: %r" % opponent)
+    registry = OPPONENTS[kind]
     try:
+        if opponent not in registry:
+            raise ConfigurationError(
+                "%s plays against one of the %s, and %r is not one"
+                % (adversary, kind, opponent)
+            )
         obj = registry[opponent](family)
     except ConfigurationError as exc:
         valid = [n for n in sorted(registry) if _builds(registry[n], family)]
@@ -475,12 +494,9 @@ def run_duel(adversary, opponent, family_name=None, seed=0):
             "%s; %s that build on %s: %s"
             % (exc, kind, family_name, ", ".join(valid) or "none")
         ) from exc
-    duel = getattr(A, adversary)
-    if adversary in ("adv_vs_co_comparable", "adv_vs_fin"):
-        return duel(obj, tuple(family.members[:2]), seed)
-    if adversary == "adv_vs_total_id_operator":
-        return duel(obj, family, seed)
-    return duel(obj, seed)
+    given = {"pair": family.members[:2], "family": family}
+    args = [given[arg] for arg in extra]
+    return getattr(A, adversary)(obj, *args, seed=seed)
 
 
 def row_to_json(row):

@@ -1,4 +1,6 @@
 import itertools
+import json
+import pathlib
 import random
 
 import pytest
@@ -16,6 +18,7 @@ from limitlab.adversaries import (
 )
 from limitlab.catalog import Family, canonical_fragment, parse_structure
 from limitlab.learners import QUESTION, ConfigurationError, Learner, run_on_stream
+from limitlab import adversaries as A
 from limitlab import harness as H
 
 
@@ -241,3 +244,75 @@ class TestStreamBuilder:
             expected = canon.induced(builder.indices)
             assert frag.size == expected.size
             assert frag.tuple_set() == expected.tuple_set()
+
+
+# every registered duel whose opponent builds on the adversary's default
+# family: its certificate and stream length at seed 3, start 16, cap 64,
+# recorded before every adversary's doubling rounds moved into `_drive`
+PINS = json.loads(
+    (pathlib.Path(__file__).parent / "duel_pins.json").read_text()
+)
+DEFAULT_FAMILY = {
+    "adv_vs_ex_rays": "rays",
+    "adv_vs_nus_poset": "posets",
+    "adv_vs_co_comparable": "tilde_chains",
+    "adv_vs_fin": "cycles",
+    "adv_vs_total_id_operator": "cycles",
+    "adv_vs_e3_operator_fstar": "tilde_chains",
+}
+
+
+def _stages(presentation):
+    try:
+        return presentation.builder(-1).size
+    except IndexError:
+        return 0
+
+
+def _pinned_view(presentation, cert):
+    return {
+        "certificate": json.loads(json.dumps(cert.to_json())),
+        "stages": _stages(presentation),
+    }
+
+
+def _duel(duel, **rounds):
+    adversary, opponent = duel.split("/")
+    family = H.get_family(DEFAULT_FAMILY[adversary])
+    registry = H.LEARNERS if opponent in H.LEARNERS else H.GAMMAS
+    args = {
+        "adv_vs_co_comparable": (tuple(family.members[:2]),),
+        "adv_vs_fin": (tuple(family.members[:2]),),
+        "adv_vs_total_id_operator": (family,),
+    }.get(adversary, ())
+    return getattr(A, adversary)(
+        registry[opponent](family), *args, seed=3, **rounds
+    )
+
+
+@pytest.mark.parametrize("duel", sorted(PINS))
+def test_registered_duel_pinned(duel):
+    presentation, cert = _duel(duel, start=16, cap=64)
+    assert _pinned_view(presentation, cert) == PINS[duel]
+
+
+@pytest.mark.parametrize("duel", sorted(PINS))
+def test_run_duel_reads_the_duel_table(duel, monkeypatch):
+    adversary, opponent = duel.split("/")
+    play = getattr(A, adversary)
+    monkeypatch.setattr(
+        A, adversary,
+        lambda *args, seed: play(*args, seed=seed, start=16, cap=64),
+    )
+    presentation, cert = H.run_duel(adversary, opponent, seed=3)
+    assert _pinned_view(presentation, cert) == PINS[duel]
+
+
+@pytest.mark.parametrize("adversary", H.ADVERSARIES)
+@pytest.mark.parametrize(
+    "start,cap", [(0, 64), (128, 64), (24, 64), (16, 48)]
+)
+def test_rounds_need_cap_at_start_times_power_of_two(adversary, start, cap):
+    duel = next(d for d in sorted(PINS) if d.startswith(adversary + "/"))
+    with pytest.raises(ValueError, match="cap = start"):
+        _duel(duel, start=start, cap=cap)

@@ -171,6 +171,29 @@ class TestMonotoneEvidence:
         )
 
 
+def _duel_error_lists_builders(capsys, argv, kind, family_name):
+    """Run a duel that must exit 2 with one error line, and return the
+    names that line lists; they are exactly the registered learners (or
+    operators) that build on the family."""
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+    listed = captured.err.split("%s that build on %s: " % (kind, family_name))
+    names = listed[1].strip().split(", ")
+    registry = H.LEARNERS if kind == "learners" else H.GAMMAS
+    fam = H.get_family(family_name)
+    for name in registry:
+        try:
+            registry[name](fam)
+            builds = True
+        except H.ConfigurationError:
+            builds = False
+        assert (name in names) == builds, name
+    return names
+
+
 class TestCli:
     def test_list_families(self, capsys):
         assert cli.main(["list-families"]) == 0
@@ -219,22 +242,70 @@ class TestCli:
     def test_duel_names_opponents_that_build(self, capsys):
         # a co-learner cannot be built on a comparable pair; the error
         # names the learners that can
-        assert cli.main(["duel", "adv_vs_co_comparable", "co"]) == 2
+        names = _duel_error_lists_builders(
+            capsys, ["duel", "adv_vs_co_comparable", "co"],
+            "learners", "tilde_chains",
+        )
+        assert "co" not in names and "nus" in names
+
+    @pytest.mark.parametrize(
+        "adversary,opponent,kind",
+        [
+            ("adv_vs_fin", "gamma_fin_to_eqnat", "learners"),
+            ("adv_vs_total_id_operator", "fin", "operators"),
+        ],
+    )
+    def test_duel_opponent_of_wrong_kind_exit_code(
+        self, adversary, opponent, kind, capsys
+    ):
+        # the opponent builds on cycles, but it is not of the kind the
+        # adversary plays against
+        names = _duel_error_lists_builders(
+            capsys, ["duel", adversary, opponent], kind, "cycles"
+        )
+        assert opponent not in names
+
+    def test_every_duel_opponent_of_wrong_kind_exit_code(self, capsys):
+        for adversary, (family_name, kind, _) in H.DUELS.items():
+            for other_kind, registry in H.OPPONENTS.items():
+                if other_kind == kind:
+                    continue
+                for opponent in registry:
+                    argv = ["duel", adversary, opponent]
+                    assert cli.main(argv) == 2, argv
+                    err = capsys.readouterr().err
+                    assert err.startswith("error: ") and err.count("\n") == 1
+                    assert "%s that build on %s: " % (kind, family_name) in err
+
+    def test_run_certificate_records_seed_and_learner(self, capsys):
+        argv = [
+            "run", "omega_pair", "ex_minmax", "Co", "--seed", "1",
+            "--member", "0", "--horizon", "40", "--tail", "10",
+            "--window", "5",
+        ]
+        assert cli.main(argv) == 1
+        line = capsys.readouterr().out
+        cert = json.loads(line.split(" ", 2)[2])["certificate"]
+        assert cert["seed"] == 1
+        assert cert["opponent"] == "ExMinMaxLearner"
+
+    def test_matrix_unknown_cell_key_exit_code(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # the key is rejected before the valid first cell runs
+        monkeypatch.setattr(H, "run_cell", None)
+        config = tmp_path / "cells.json"
+        cell = {"family": "omega_pair", "learner": "ex_minmax",
+                "criterion": "Ex", "horizon": 128, "tail": 16, "window": 8}
+        config.write_text(json.dumps(
+            {"cells": [cell, dict(cell, members=[0])]}
+        ))
+        assert cli.main(["matrix", str(config)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ")
         assert captured.err.count("\n") == 1
-        listed = captured.err.split("learners that build on tilde_chains: ")
-        names = listed[1].strip().split(", ")
-        fam = H.get_family("tilde_chains")
-        for name in H.LEARNERS:
-            try:
-                H.LEARNERS[name](fam)
-                builds = True
-            except H.ConfigurationError:
-                builds = False
-            assert (name in names) == builds, name
-        assert "co" not in names and "nus" in names
+        assert "'members'" in captured.err
 
     def test_classify_command(self, capsys):
         assert cli.main(["classify", "cycles"]) == 0
