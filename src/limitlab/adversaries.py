@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 
 from .structures import embed_map
 from .catalog import (
-    Family,
     ReplayPresentation,
     TokenChain,
     audit_shape,
@@ -24,7 +23,7 @@ from .catalog import (
     parse_structure,
 )
 from .sigma1 import sigma1_leq
-from .learners import QUESTION, ConfigurationError
+from .learners import QUESTION, ConfigurationError, ladder_codes
 from .pairing import pair
 from .reductions import outputs
 
@@ -148,22 +147,17 @@ def _excerpt(transcript, stages=None, width=12):
     return tuple((s, transcript[s]) for s in sorted(marks))
 
 
-def rays_family(max_ray=8):
-    members = tuple(
-        parse_structure("du(ray(%d),iso_inf)" % n) for n in range(2, max_ray + 1)
-    ) + (parse_structure("du(ray,iso_inf)"),)
-    return Family(members, name="rays", truncated_from="all finite rays")
-
-
 def adv_vs_ex_rays(learner, seed=0, start=START_HORIZON, cap=HORIZON_CAP):
     """Extends the ray exactly when the learner conjectures the current
     finite ray; otherwise pads with isolated vertices."""
     family = learner.family
-    ray_code = {}
-    for i, m in enumerate(family):
-        key = m.key()
-        if key.startswith("du(ray("):
-            ray_code[int(key[len("du(ray("):key.index(")")])] = i
+    ray_code = family.param_codes("du(ray(%d),iso_inf)")
+    for code, m in enumerate(family):
+        if code not in ray_code.values() and m.key() != "du(ray,iso_inf)":
+            raise ConfigurationError(
+                "unexpected member %s: the members must be rays "
+                "du(ray(n),iso_inf) or du(ray,iso_inf)" % m.key()
+            )
 
     def play(horizon, last):
         builder = StreamBuilder(parse_structure("du(ray,iso_inf)"))
@@ -206,21 +200,11 @@ def adv_vs_ex_rays(learner, seed=0, start=START_HORIZON, cap=HORIZON_CAP):
     return _drive("adv_vs_ex_rays", learner, seed, start, cap, play)
 
 
-def poset_family(max_k=4):
-    members = tuple(
-        parse_structure("tilde(poset_p(%d))" % k) for k in range(max_k + 1)
-    )
-    return Family(members, name="posets", truncated_from="all ladder posets")
-
-
 def adv_vs_nus_poset(learner, seed=0, start=START_HORIZON, cap=HORIZON_CAP):
     """Builds the infinite ladder until conjectured, detours through a
     finite one, then returns, forcing an abandoned-and-resumed code."""
     family = learner.family
-    codes = {}
-    for i, m in enumerate(family):
-        key = m.key()
-        codes[int(key[len("tilde(poset_p("):-2])] = i
+    codes = ladder_codes(family)
     p0 = family.members[codes[0]]
 
     def play(horizon, last):
@@ -406,8 +390,8 @@ def adv_vs_total_id_operator(
                 return builder, "Inconclusive", {
                     "reason": "completion embedding not found"
                 }
-            for t in range(s + 1, horizon):
-                state, _ = operator.step(state, builder.add_least_unused())
+            for _ in range(s + 1, horizon):
+                builder.add_least_unused()
             return builder, "PrefixDisagreement", {
                 "position": p,
                 "member": members[i].key(),

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .structures import BINARY, FiniteFragment, iter_bits
 
@@ -744,8 +744,6 @@ class Family:
     """An ordered list of members; conjecture codes are list positions."""
 
     members: tuple
-    name: str = ""
-    truncated_from: str | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "members", tuple(self.members))
@@ -758,6 +756,19 @@ class Family:
 
     def __iter__(self):
         return iter(self.members)
+
+    def param_codes(self, shape):
+        """{n: code} of the members whose key is `shape % n` for a natural
+        number n, e.g. shape "tilde(chain(%d))"; other members are left
+        out."""
+        head, tail = shape.split("%d")
+        codes = {}
+        for code, m in enumerate(self.members):
+            key = m.key()
+            n = key[len(head):len(key) - len(tail)]
+            if key.startswith(head) and key.endswith(tail) and n.isdigit():
+                codes[int(n)] = code
+        return codes
 
     def code_of(self, structure):
         for i, m in enumerate(self.members):

@@ -11,7 +11,6 @@ import json
 import sys
 
 from . import harness as H
-from .catalog import Family
 from .learners import ConfigurationError
 from .reductions import verify_reduction, run_operator
 from .catalog import Presentation
@@ -69,7 +68,7 @@ def _build_parser():
 
 def _cmd_list_families(args):
     for name in sorted(H.FAMILIES):
-        family = H.FAMILIES[name]()
+        family = H.get_family(name)
         keys = ", ".join(m.key() for m in family)
         print("%-14s %s" % (name, keys))
     return 0

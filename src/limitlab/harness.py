@@ -211,98 +211,38 @@ def check(spec, transcript, truth, family):
 # registries
 
 
-def _family_omega_pair():
-    return Family(
-        (parse_structure("omega"), parse_structure("omega_star")),
-        name="omega_pair",
-    )
-
-
-def _family_cycles():
-    return Family(
-        (
-            parse_structure("du(cycle(3),iso_inf)"),
-            parse_structure("du(cycle(4),iso_inf)"),
-        ),
-        name="cycles",
-    )
-
-
-def _family_cyc_comp():
-    return Family(
-        tuple(parse_structure("cyc_comp(%d)" % n) for n in range(3, 7)),
-        name="cyc_comp",
-        truncated_from="all single-cycle complements",
-    )
-
-
-def _family_tilde_chains():
-    return Family(
-        (
-            parse_structure("tilde(chain(3))"),
-            parse_structure("tilde(chain(4))"),
-        ),
-        name="tilde_chains",
-    )
-
-
-def _family_fstar():
-    return Family(
-        (
-            parse_structure("tilde(omega)"),
-            parse_structure("tilde(omega_star)"),
-        )
-        + tuple(parse_structure("tilde(chain(%d))" % n) for n in range(2, 7)),
-        name="fstar",
-        truncated_from="all padded finite chains",
-    )
-
-
-def _family_padded_chains():
-    return Family(
-        tuple(parse_structure("tilde(chain(%d))" % n) for n in range(2, 9))
-        + (parse_structure("tilde(omega)"),),
-        name="padded_chains",
-        truncated_from="all padded finite chains",
-    )
-
-
+# every registered family as its member keys; conjecture codes are
+# positions in this order
 FAMILIES = {
-    "omega_pair": _family_omega_pair,
-    "cycles": _family_cycles,
-    "cyc_comp": _family_cyc_comp,
-    "tilde_chains": _family_tilde_chains,
-    "fstar": _family_fstar,
-    "padded_chains": _family_padded_chains,
-    "rays": A.rays_family,
-    "posets": A.poset_family,
+    "omega_pair": ("omega", "omega_star"),
+    "cycles": ("du(cycle(3),iso_inf)", "du(cycle(4),iso_inf)"),
+    "cyc_comp": tuple("cyc_comp(%d)" % n for n in range(3, 7)),
+    "tilde_chains": ("tilde(chain(3))", "tilde(chain(4))"),
+    "fstar": ("tilde(omega)", "tilde(omega_star)")
+        + tuple("tilde(chain(%d))" % n for n in range(2, 7)),
+    "padded_chains": tuple("tilde(chain(%d))" % n for n in range(2, 9))
+        + ("tilde(omega)",),
+    "rays": tuple("du(ray(%d),iso_inf)" % n for n in range(2, 9))
+        + ("du(ray,iso_inf)",),
+    "posets": tuple("tilde(poset_p(%d))" % k for k in range(5)),
 }
 
 
 def get_family(name):
-    if name in FAMILIES:
-        return FAMILIES[name]()
-    # fall back to a comma-separated list of structure expressions
-    members = tuple(parse_structure(p) for p in name.split(","))
-    return Family(members, name=name)
+    """A registered family, or else one given as a comma-separated list of
+    structure expressions."""
+    keys = FAMILIES[name] if name in FAMILIES else name.split(",")
+    return Family(tuple(parse_structure(k) for k in keys))
 
 
-def _make_fin(family):
-    cls = classify_family(family)
-    if cls.strong != "yes":
-        raise ConfigurationError(
-            "family is not a verified strong antichain (%s)" % cls.strong
-        )
-    return L.FinLearner(family, cls.strong_witnesses)
+def _on_order(cls):
+    """The factory of a learner or operator class that is built on the
+    family's theory order, its one shared classification."""
+    return lambda family: cls(family, classify_family(family))
 
 
-def _make_co(family):
-    cls = classify_family(family)
-    return L.CoLearner(family, cls.witnesses)
-
-
-def _make_nus(family):
-    return L.NusLearner(family, classify_family(family))
+_make_fin = _on_order(L.FinLearner)
+_make_nus = _on_order(L.NusLearner)
 
 
 def _make_pl_pairwise(family):
@@ -341,11 +281,11 @@ class _PairAdapter(L.Learner):
 LEARNERS = {
     "ex_minmax": L.ExMinMaxLearner,
     "fin": _make_fin,
-    "co": _make_co,
+    "co": _on_order(L.CoLearner),
     "nus": _make_nus,
     "dec_nus": lambda fam: L.DecisiveTransform(_make_nus(fam)),
     "pl_pairwise": _make_pl_pairwise,
-    "pl_fstar": lambda fam: L.PlFstarLearner(fam, max_chain=16),
+    "pl_fstar": L.PlFstarLearner,
     "ex_poset": L.ExPosetLearner,
     "dec_ex_poset": lambda fam: L.DecisiveTransform(L.ExPosetLearner(fam)),
     "ex_min_embed": L.ExMinEmbedLearner,
@@ -360,10 +300,8 @@ GAMMAS = {
     "gamma_fin_to_eqnat_total": lambda fam: R.GammaFinToEqnatTotal(
         fam, _make_fin(fam)
     ),
-    "gamma_erange": lambda fam: R.GammaErange(fam, classify_family(fam)),
-    "gamma_erange_to_e3": lambda fam: R.GammaErangeToE3(
-        fam, classify_family(fam)
-    ),
+    "gamma_erange": _on_order(R.GammaErange),
+    "gamma_erange_to_e3": _on_order(R.GammaErangeToE3),
 }
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from .pairing import unpair
 from .catalog import canonical_fragment, strict_order_relation
-from .sigma1 import StreamWatch, leq_matrix, sat_catalog
+from .sigma1 import StreamWatch, leq_matrix
 from .structures import iter_bits
 
 QUESTION = "?"
@@ -103,23 +103,17 @@ class ExMinMaxLearner(Learner):
 
 class FinLearner(Learner):
     """Waits for a stage where exactly one member's separating formula
-    holds, then commits forever."""
+    holds, then commits forever.  Built on the family's classification,
+    which must be a verified strong antichain."""
 
-    def __init__(self, family, strong_witnesses):
+    def __init__(self, family, classification):
         super().__init__(family)
-        members = list(family)
-        for i, a in enumerate(members):
-            w = strong_witnesses.get(i)
-            if w is None:
-                raise ConfigurationError("missing witness for code %d" % i)
-            if not sat_catalog(w, a):
-                raise ConfigurationError("witness %d fails on its member" % i)
-            for j, b in enumerate(members):
-                if j != i and sat_catalog(w, b):
-                    raise ConfigurationError(
-                        "witness %d is not separating (holds on %d)" % (i, j)
-                    )
-        self.watch = StreamWatch(strong_witnesses)
+        if classification.strong != "yes":
+            raise ConfigurationError(
+                "family is not a verified strong antichain (%s)"
+                % classification.strong
+            )
+        self.watch = StreamWatch(classification.strong_witnesses)
 
     def initial_state(self):
         return None, self.watch.initial()  # committed code, if any; watch
@@ -143,29 +137,31 @@ class CoLearner(Learner):
     """Output slot (i, t) carries code i exactly when member i was refuted
     by stage t (the fragment satisfies a formula true in some other member
     and false in member i).  On a member's own stream its code never
-    appears and every other code does."""
+    appears and every other code does.  Built on the family's
+    classification, which must be an antichain with a witness for every
+    ordered pair."""
 
-    def __init__(self, family, pairwise):
+    def __init__(self, family, classification):
         super().__init__(family)
-        members = list(family)
-        n = len(members)
+        pairwise = classification.witnesses
+        if (
+            not classification.is_antichain
+            or classification.inconclusive_pairs
+        ):
+            n = len(family)
+            i, j = next(
+                (i, j) for i in range(n) for j in range(n)
+                if i != j and (i, j) not in pairwise
+            )
+            raise ConfigurationError(
+                "missing witness for pair (%d,%d): comparable theories or "
+                "exhausted search" % (i, j)
+            )
         # code j is refuted once some member i's (i, j) witness holds
         refuters = {}
-        for i in range(n):
-            for j in range(n):
-                if i == j:
-                    continue
-                w = pairwise.get((i, j))
-                if w is None:
-                    raise ConfigurationError(
-                        "missing witness for pair (%d,%d): comparable "
-                        "theories or exhausted search" % (i, j)
-                    )
-                if not sat_catalog(w, members[i]) or sat_catalog(w, members[j]):
-                    raise ConfigurationError(
-                        "pair witness (%d,%d) fails verification" % (i, j)
-                    )
-                refuters[j] = refuters[j] | w if j in refuters else w
+        for i, j in sorted(pairwise):
+            w = pairwise[(i, j)]
+            refuters[j] = refuters[j] | w if j in refuters else w
         self.watch = StreamWatch(sorted(refuters.items()))
 
     def initial_state(self):
@@ -241,22 +237,10 @@ class NusLearner(Learner):
 
     def __init__(self, family, classification):
         super().__init__(family)
-        members = list(family)
-        leq = classification.leq
         witnesses = classification.solid_witnesses
         if witnesses is None:
             raise ConfigurationError("solid witness search exhausted")
-        for i, a in enumerate(members):
-            w = witnesses[i]
-            if not sat_catalog(w, a):
-                raise ConfigurationError("witness %d fails on its member" % i)
-            for j, b in enumerate(members):
-                if j != i and leq[j][i] and not leq[i][j]:
-                    if sat_catalog(w, b):
-                        raise ConfigurationError(
-                            "witness %d holds strictly below (%d)" % (i, j)
-                        )
-        self.watch = StreamWatch(witnesses, members)
+        self.watch = StreamWatch(witnesses, family)
 
     def initial_state(self):
         return QUESTION, self.watch.initial()  # current hypothesis, watch
@@ -287,18 +271,6 @@ def _decisive_step(h, prev_in, seen, prev_out, first):
     if h == prev_out or (h != prev_in and h not in seen):
         return h
     return prev_out
-
-
-def decisive_stream(hypotheses):
-    out = []
-    seen = set()
-    prev_in = None
-    for s, h in enumerate(hypotheses):
-        prev_out = out[-1] if out else None
-        out.append(_decisive_step(h, prev_in, seen, prev_out, s == 0))
-        seen.add(h)
-        prev_in = h
-    return out
 
 
 class DecisiveTransform(Learner):
@@ -417,18 +389,14 @@ class PlFstarLearner(Learner):
     and across growth the endpoint stability counters arbitrate between
     the two infinite limits."""
 
-    def __init__(self, family, max_chain):
+    def __init__(self, family):
         super().__init__(family)
         keys = [m.key() for m in family]
         if "tilde(omega)" not in keys or "tilde(omega_star)" not in keys:
             raise ConfigurationError("both padded infinite chains required")
         self.code_up = keys.index("tilde(omega)")
         self.code_down = keys.index("tilde(omega_star)")
-        self.chain_codes = {}
-        for n in range(2, max_chain + 1):
-            key = "tilde(chain(%d))" % n
-            if key in keys:
-                self.chain_codes[n] = keys.index(key)
+        self.chain_codes = family.param_codes("tilde(chain(%d))")
 
     def initial_state(self):
         return (None, {}, {})  # previous chain length, min counts, max counts
@@ -453,6 +421,21 @@ class PlFstarLearner(Learner):
         return (n, count_min, count_max), hyp
 
 
+def ladder_codes(family):
+    """{k: code} of a family of padded ladder posets tilde(poset_p(k)),
+    which must include the infinite one, k = 0."""
+    codes = family.param_codes("tilde(poset_p(%d))")
+    for code, m in enumerate(family):
+        if code not in codes.values():
+            raise ConfigurationError(
+                "unexpected member %s: the members must be ladder posets "
+                "tilde(poset_p(k))" % m.key()
+            )
+    if 0 not in codes:
+        raise ConfigurationError("the infinite member is required")
+    return codes
+
+
 class ExPosetLearner(Learner):
     """For the padded ladder posets: conjectures the infinite member while
     some element behaves like its root (everything comparable except one
@@ -461,14 +444,7 @@ class ExPosetLearner(Learner):
 
     def __init__(self, family):
         super().__init__(family)
-        self.codes = {}
-        for idx, m in enumerate(family):
-            key = m.key()
-            if not (key.startswith("tilde(poset_p(") and key.endswith("))")):
-                raise ConfigurationError("unexpected member %s" % key)
-            self.codes[int(key[len("tilde(poset_p("):-2])] = idx
-        if 0 not in self.codes:
-            raise ConfigurationError("the infinite member is required")
+        self.codes = ladder_codes(family)
         self.finite = [self.codes[k] for k in sorted(self.codes) if k > 0]
         self.watch = StreamWatch({}, family)
 

@@ -134,25 +134,20 @@ def _pair_witnesses(classification):
     are not included.  Members with equal existential theories are
     rejected."""
     leq = classification.leq
-    n = len(leq)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if leq[i][j] and leq[j][i]:
-                raise ConfigurationError(
-                    "members %d and %d have equal existential theories"
-                    % (i, j)
-                )
-    witnesses = {}
-    for i in range(n):
-        for j in range(n):
-            if i != j and not leq[i][j]:
-                w = classification.witnesses.get((i, j))
-                if w is None:
-                    raise ConfigurationError(
-                        "missing witness for pair (%d,%d)" % (i, j)
-                    )
-                witnesses[(i, j)] = w
-    return witnesses
+    if not classification.is_partial_order:
+        i, j = next(
+            (i, j) for i in range(len(leq)) for j in range(i + 1, len(leq))
+            if leq[i][j] and leq[j][i]
+        )
+        raise ConfigurationError(
+            "members %d and %d have equal existential theories" % (i, j)
+        )
+    if classification.inconclusive_pairs:
+        raise ConfigurationError(
+            "missing witness for pair (%d,%d)"
+            % classification.inconclusive_pairs[0]
+        )
+    return classification.witnesses
 
 
 class GammaErange(ReductionOperator):

@@ -23,6 +23,10 @@ from .catalog import (
 )
 
 WITNESS_SIZE_BOUND = 8
+# a family's theory order, computed once per process: member keys ->
+# leq_matrix, and (member keys, bound) -> classify_family
+_leq_matrices = {}
+_classifications = {}
 
 
 @dataclass(frozen=True)
@@ -262,18 +266,27 @@ def _find_separating_witness(a, candidates, others):
 
 def leq_matrix(family):
     """The family's theory-inclusion matrix: entry [i][j] is
-    `sigma1_leq(members[i], members[j])`."""
+    `sigma1_leq(members[i], members[j])`; computed once per tuple of
+    member keys, and shared."""
     members = list(family)
-    return tuple(tuple(sigma1_leq(a, b) for b in members) for a in members)
+    keys = tuple(m.key() for m in members)
+    leq = _leq_matrices.get(keys)
+    if leq is None:
+        leq = _leq_matrices[keys] = tuple(
+            tuple(sigma1_leq(a, b) for b in members) for a in members
+        )
+    return leq
 
 
-@dataclass
+@dataclass(frozen=True)
 class Sigma1Classification:
     """A family's theory order: the leq matrix, the witnesses that separate
     its members, and the flags derived from them.
 
     `solid_witnesses` maps each member to a formula true in it and false
     throughout its strict lower cone, or is None when a search exhausted.
+    One classification is shared by every reader of its family, so none
+    may mutate it.
     """
 
     level: str
@@ -318,9 +331,18 @@ def classify_family(family, bound=WITNESS_SIZE_BOUND):
 
     Definite verdicts come from the exact inclusion oracle; witness
     searches that exhaust the size bound report "inconclusive", never a
-    negative claim.
+    negative claim.  Computed once per (member keys, bound); the
+    classification is shared.
     """
     members = list(family)
+    key = (tuple(m.key() for m in members), bound)
+    cls = _classifications.get(key)
+    if cls is None:
+        cls = _classifications[key] = _classify(members, bound)
+    return cls
+
+
+def _classify(members, bound):
     n = len(members)
     leq = leq_matrix(members)
     candidates = [_witness_candidates(a, bound) for a in members]

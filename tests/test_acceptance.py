@@ -16,12 +16,13 @@ from limitlab.adversaries import (
     adv_vs_total_id_operator,
 )
 from limitlab.catalog import Presentation, canonical_fragment, parse_structure
-from limitlab.learners import QUESTION, ConfigurationError, decisive_stream, run
+from limitlab.learners import QUESTION, ConfigurationError, run
 from limitlab.pairing import pair
 from limitlab.reductions import run_operator, verify_reduction
 from limitlab.sigma1 import classify_family, sigma1_leq
 from limitlab.structures import embed_finite
 
+from _decisive import decisive_stream
 from _oracles import brute_age_inclusion, brute_embed_all_injections
 
 

@@ -13,8 +13,6 @@ from limitlab.adversaries import (
     adv_vs_fin,
     adv_vs_nus_poset,
     adv_vs_total_id_operator,
-    poset_family,
-    rays_family,
 )
 from limitlab.catalog import Family, canonical_fragment, parse_structure
 from limitlab.learners import QUESTION, ConfigurationError, Learner, run_on_stream
@@ -56,18 +54,18 @@ class EmitAtStage(Learner):
 
 class TestExRaysAdversary:
     def test_defeats_min_embed(self):
-        fam = rays_family()
+        fam = H.get_family("rays")
         pres, cert = adv_vs_ex_rays(H.LEARNERS["ex_min_embed"](fam))
         assert cert.kind in ("InfinitelyManyMindChanges", "StuckWrong")
         assert cert.shape_audit_ok
 
     def test_silent_learner_stuck(self):
-        fam = rays_family()
+        fam = H.get_family("rays")
         pres, cert = adv_vs_ex_rays(ConstantLearner(fam, QUESTION))
         assert cert.kind == "StuckWrong"
 
     def test_certificate_replays_on_stream(self):
-        fam = rays_family()
+        fam = H.get_family("rays")
         learner = H.LEARNERS["ex_min_embed"](fam)
         pres, cert = adv_vs_ex_rays(learner)
         replayed = run_on_stream(
@@ -79,20 +77,22 @@ class TestExRaysAdversary:
 
 class TestNusPosetAdversary:
     def test_abandon_return_vs_ex_poset(self):
-        pres, cert = adv_vs_nus_poset(H.LEARNERS["ex_poset"](poset_family()))
+        fam = H.get_family("posets")
+        pres, cert = adv_vs_nus_poset(H.LEARNERS["ex_poset"](fam))
         assert cert.kind == "AbandonReturn"
         stages = cert.details["stages"]
         assert stages["first"] < stages["detour"] < stages["return"]
 
     def test_stuck_wrong_vs_decisive_transform(self):
         pres, cert = adv_vs_nus_poset(
-            H.LEARNERS["dec_ex_poset"](poset_family())
+            H.LEARNERS["dec_ex_poset"](H.get_family("posets"))
         )
         assert cert.kind == "StuckWrong"
 
     def test_deterministic(self):
-        a = adv_vs_nus_poset(H.LEARNERS["ex_poset"](poset_family()))[1]
-        b = adv_vs_nus_poset(H.LEARNERS["ex_poset"](poset_family()))[1]
+        fam = H.get_family("posets")
+        a = adv_vs_nus_poset(H.LEARNERS["ex_poset"](fam))[1]
+        b = adv_vs_nus_poset(H.LEARNERS["ex_poset"](fam))[1]
         assert a == b
 
 

@@ -4,6 +4,7 @@ import pytest
 
 from limitlab import cli
 from limitlab import harness as H
+from limitlab import sigma1
 from limitlab.learners import QUESTION
 
 
@@ -159,6 +160,32 @@ class TestMatrix:
         assert "PASS" in H.render_table(rows)
 
 
+class TestRegistries:
+    def test_fin_family_order_built_once(self, monkeypatch):
+        # fin, id_to_co and gamma_fin_to_eqnat read one classification of
+        # cycles, and none of them checks its witnesses again
+        counts = {"classify": 0, "embeds": 0}
+        classify, embeds = sigma1._classify, sigma1.fragment_embeds
+
+        def counted(key, fn):
+            def wrapped(*args):
+                counts[key] += 1
+                return fn(*args)
+            return wrapped
+
+        monkeypatch.setattr(sigma1, "_classifications", {})
+        monkeypatch.setattr(sigma1, "_leq_matrices", {})
+        monkeypatch.setattr(sigma1, "_classify", counted("classify", classify))
+        monkeypatch.setattr(
+            sigma1, "fragment_embeds", counted("embeds", embeds)
+        )
+        H.LEARNERS["fin"](H.get_family("cycles"))
+        searched = counts["embeds"]
+        H.LEARNERS["id_to_co"](H.get_family("cycles"))
+        H.GAMMAS["gamma_fin_to_eqnat"](H.get_family("cycles"))
+        assert counts == {"classify": 1, "embeds": searched}
+
+
 class TestMonotoneEvidence:
     def test_stuck_wrong_persists_at_doubled_horizon(self):
         base = spec("Ex", horizon=8, tail=4, window=2)
@@ -264,6 +291,24 @@ class TestCli:
             capsys, ["duel", adversary, opponent], kind, "cycles"
         )
         assert opponent not in names
+
+    @pytest.mark.parametrize(
+        "adversary,shape",
+        [("adv_vs_ex_rays", "du(ray(n),iso_inf)"),
+         ("adv_vs_nus_poset", "tilde(poset_p(k))")],
+    )
+    def test_duel_family_of_wrong_shape_exit_code(
+        self, adversary, shape, capsys
+    ):
+        # the opponent builds on cycles, but the adversary reads its
+        # stream off the members' parameters, and cycles has none
+        argv = ["duel", adversary, "ex_min_embed", "--family", "cycles"]
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+        assert shape in captured.err
 
     def test_every_duel_opponent_of_wrong_kind_exit_code(self, capsys):
         for adversary, (family_name, kind, _) in H.DUELS.items():

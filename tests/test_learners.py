@@ -12,10 +12,11 @@ from limitlab.learners import (
     ExMinMaxLearner,
     ExPosetLearner,
     PlFstarLearner,
-    decisive_stream,
     run,
 )
 from limitlab import harness as H
+
+from _decisive import decisive_stream
 
 
 def S(key):
@@ -180,7 +181,7 @@ class TestExMinEmbed:
 class TestPlFstar:
     def test_truth_recurs(self):
         fam = H.get_family("fstar")
-        learner = PlFstarLearner(fam, max_chain=16)
+        learner = PlFstarLearner(fam)
         for code in (0, 1, 4):
             transcript = run(learner, Presentation(fam.members[code], 2), 300)
             window = 50

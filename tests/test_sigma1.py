@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import functools
 import itertools
 
@@ -13,6 +14,7 @@ from limitlab.catalog import (
     parse_structure,
 )
 from limitlab.sigma1 import (
+    WITNESS_SIZE_BOUND,
     Sigma1Classification,
     StreamWatch,
     age_fragments,
@@ -176,22 +178,29 @@ class TestClassifier:
         assert cls.solid == "yes"
         assert cls.level == "SolidPartialOrder"
 
-    def test_witnesses_separate_for_real(self):
-        fam = Family(
-            (S("du(cycle(3),iso_inf)"), S("du(cycle(4),iso_inf)")),
-        )
-        cls = classify_family(fam)
-        members = list(fam)
+    @pytest.mark.parametrize("name", sorted(H.FAMILIES))
+    def test_witnesses_separate_for_real(self, name):
+        # learners and operators read these witnesses without checking
+        # them again, so each one is checked here, its disjuncts against
+        # the brute-force oracle too
+        members = list(H.get_family(name))
+        cls = classify_family(members)
+        n = len(members)
         for (i, j), w in cls.witnesses.items():
             assert sat_catalog(w, members[i])
             assert not sat_catalog(w, members[j])
             for d in w.disjuncts:
                 assert brute_embeds_structure(d, members[i])
+                assert not brute_embeds_structure(d, members[j])
         for i, w in cls.strong_witnesses.items():
             assert sat_catalog(w, members[i])
-            for j in range(len(members)):
+            for d in w.disjuncts:
+                assert brute_embeds_structure(d, members[i])
+            for j in range(n):
                 if j != i:
                     assert not sat_catalog(w, members[j])
+                    for d in w.disjuncts:
+                        assert not brute_embeds_structure(d, members[j])
 
     def test_declared_cycle_witnesses_valid(self):
         # the obvious witnesses for the cycle pair check out against the
@@ -221,6 +230,36 @@ class TestClassifier:
             for j, b in enumerate(members):
                 if j != i and cls.leq[j][i] and not cls.leq[i][j]:
                     assert not sat_catalog(w, b)
+
+    def test_order_computed_once_per_members_and_bound(self, monkeypatch):
+        calls = {"classify": 0, "leq": 0}
+        classify, leq = sigma1._classify, sigma1.sigma1_leq
+
+        def counted(key, fn):
+            def wrapped(*args):
+                calls[key] += 1
+                return fn(*args)
+            return wrapped
+
+        monkeypatch.setattr(sigma1, "_classifications", {})
+        monkeypatch.setattr(sigma1, "_leq_matrices", {})
+        monkeypatch.setattr(sigma1, "_classify", counted("classify", classify))
+        monkeypatch.setattr(sigma1, "sigma1_leq", counted("leq", leq))
+        first = classify_family(H.get_family("cycles"))
+        assert calls == {"classify": 1, "leq": 4}
+        # a new Family object with the same members reads the same order
+        again = Family(
+            (S("du(cycle(3),iso_inf)"), S("du(cycle(4),iso_inf)"))
+        )
+        assert classify_family(again) is first
+        assert sigma1.leq_matrix(again) is first.leq
+        assert calls == {"classify": 1, "leq": 4}
+        # another bound is another search, over the same matrix
+        other = classify_family(again, bound=WITNESS_SIZE_BOUND + 1)
+        assert other is not first and other.leq is first.leq
+        assert calls == {"classify": 2, "leq": 4}
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            first.level = "Antichain"
 
     def test_invariants_raise_value_error(self):
         # checked with raise, not assert, so they also hold under -O
