@@ -8,6 +8,7 @@ elements; presentations reveal those elements in a seeded fair order.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import random
 from dataclasses import dataclass
@@ -49,28 +50,33 @@ class CatalogStructure:
     def related(self, x, y):
         raise NotImplementedError
 
-    def group(self, tok):
-        """The key a token chain files tok's position under, or None when
-        tok is related to no token; by default tokens are related only
-        within their group, and all share one."""
-        return None if self.style == "any" else 0
+    def file(self, groups, tok, j):
+        """Record in a chain's groups, its own record for relation_masks,
+        that its position j holds tok.  By default groups maps position to
+        token, and isolated structures record nothing."""
+        if self.style != "any":
+            groups[j] = tok
 
     def relation_masks(self, tokens, groups, tok):
         """tok's successor and predecessor masks against the earlier
         tokens: bit j is related(tok, tokens[j]), resp. related(tokens[j],
-        tok).  groups maps each group key to its tokens' positions, and
-        the default asks related about those of tok's group only."""
-        key = self.group(tok)
-        if key is None:
+        tok).  groups is what file recorded about the earlier tokens, and
+        the default asks related about each of those."""
+        if not groups:
             return 0, 0
         succ, pred = bytearray(len(tokens)), bytearray(len(tokens))
-        for j in groups.get(key, ()):
-            succ[j] = self.related(tok, tokens[j])
-            pred[j] = self.related(tokens[j], tok)
+        for j, other in groups.items():
+            succ[j] = self.related(tok, other)
+            pred[j] = self.related(other, tok)
         # bit j of each mask is byte j of its flags
         return tuple(
             int(f[::-1].translate(_DIGITS) or b"0", 2) for f in (succ, pred)
         )
+
+    def absorbs_isolated(self):
+        """Whether the age stays closed under adding an element in no
+        fact: what embeds here still does with one more isolated point."""
+        return False
 
     def size(self):
         """Number of elements, or None when infinite."""
@@ -103,7 +109,52 @@ class CatalogStructure:
         return hash(self.key())
 
 
-class OmegaOrder(CatalogStructure):
+class _Ranks:
+    """A chain's tokens of one linear order, by value: the filed tokens in
+    increasing order, and below[i], the mask of the chain positions of the
+    i least of them."""
+
+    __slots__ = ("tokens", "below")
+
+    def __init__(self):
+        self.tokens, self.below = [], [0]
+
+    def add(self, tok, j):
+        # O(log n + the tokens above tok): streams mostly reveal a new
+        # token near the top, so it seldom touches more than a few masks
+        i = bisect.bisect(self.tokens, tok)
+        self.tokens.insert(i, tok)
+        below, bit = self.below, 1 << j
+        below.insert(i + 1, below[i])
+        for k in range(i + 1, len(below)):
+            below[k] |= bit
+
+    def split(self, tok):
+        """The positions of the filed tokens below tok, and above it."""
+        below = self.below[bisect.bisect(self.tokens, tok)]
+        return below, self.below[-1] ^ below
+
+
+class _LinearOrder(CatalogStructure):
+    """A linear order on numeric tokens, by value (reversed when reverse
+    is set).  A chain files its tokens in a _Ranks, so relation_masks is
+    one binary search, not a related call per earlier token."""
+
+    reverse = False
+
+    def file(self, groups, tok, j):
+        if not groups:
+            groups[0] = _Ranks()
+        groups[0].add(tok, j)
+
+    def relation_masks(self, tokens, groups, tok):
+        if not groups:
+            return 0, 0
+        below, above = groups[0].split(tok)
+        return (below, above) if self.reverse else (above, below)
+
+
+class OmegaOrder(_LinearOrder):
     def key(self):
         return "omega"
 
@@ -111,8 +162,12 @@ class OmegaOrder(CatalogStructure):
         return x < y
 
 
-class OmegaStarOrder(CatalogStructure):
+class OmegaStarOrder(_LinearOrder):
     """The reverse of omega; token i is the i-th element from the top."""
+
+    # filed by token, not by -token: streams reveal tokens in nearly
+    # increasing order, which appends to the ranks
+    reverse = True
 
     def key(self):
         return "omega_star"
@@ -121,7 +176,7 @@ class OmegaStarOrder(CatalogStructure):
         return x > y
 
 
-class ZetaOrder(CatalogStructure):
+class ZetaOrder(_LinearOrder):
     """Integers; enumerated 0, 1, -1, 2, -2, ..."""
 
     def _enumerate(self):
@@ -139,7 +194,7 @@ class ZetaOrder(CatalogStructure):
         return x < y
 
 
-class FiniteChain(CatalogStructure):
+class FiniteChain(_LinearOrder):
     def __init__(self, n):
         super().__init__()
         if n < 2:
@@ -159,16 +214,35 @@ class FiniteChain(CatalogStructure):
         return x < y
 
 
-class Ray(CatalogStructure):
-    """The one-way infinite path, as an undirected graph."""
+class _SparseGraph(CatalogStructure):
+    """A graph in which each token has at most two neighbours, named by
+    neighbours(tok): a chain files each token's position under the token,
+    and relation_masks looks the revealed neighbours up."""
 
     style = "graph"
+
+    def file(self, groups, tok, j):
+        groups[tok] = j
+
+    def relation_masks(self, tokens, groups, tok):
+        near = 0
+        for t in self.neighbours(tok):
+            if t in groups:
+                near |= 1 << groups[t]
+        return near, near
+
+
+class Ray(_SparseGraph):
+    """The one-way infinite path, as an undirected graph."""
 
     def key(self):
         return "ray"
 
     def related(self, x, y):
         return abs(x - y) == 1
+
+    def neighbours(self, tok):
+        return tok - 1, tok + 1
 
 
 class FiniteRay(Ray):
@@ -188,9 +262,7 @@ class FiniteRay(Ray):
         return self.n
 
 
-class Cycle(CatalogStructure):
-    style = "graph"
-
+class Cycle(_SparseGraph):
     def __init__(self, n):
         super().__init__()
         if n < 3:
@@ -210,14 +282,8 @@ class Cycle(CatalogStructure):
         d = abs(x - y)
         return d == 1 or d == self.n - 1
 
-    def group(self, tok):
-        return tok  # each position on the cycle is its own group
-
-    def relation_masks(self, tokens, groups, tok):
-        # look up tok's two neighbours on the cycle among the revealed ones
-        sides = ((tok + 1) % self.n, (tok - 1) % self.n)
-        near = sum(1 << j for t in sides for j in groups.get(t, ()))
-        return near, near
+    def neighbours(self, tok):
+        return (tok + 1) % self.n, (tok - 1) % self.n
 
 
 class IsolatedInfinite(CatalogStructure):
@@ -228,6 +294,9 @@ class IsolatedInfinite(CatalogStructure):
 
     def related(self, x, y):
         return False
+
+    def absorbs_isolated(self):
+        return True
 
 
 class IsolatedFinite(CatalogStructure):
@@ -296,11 +365,9 @@ class PosetP(CatalogStructure):
         return i <= y // 2
 
 
-class CycleComplement(CatalogStructure):
+class CycleComplement(_SparseGraph):
     """Disjoint union of every cycle except the named one; tokens are
     (cycle size, position), enumerated by increasing cycle size."""
-
-    style = "graph"
 
     def __init__(self, n):
         super().__init__()
@@ -328,6 +395,10 @@ class CycleComplement(CatalogStructure):
             return False
         d = abs(p - q)
         return d == 1 or d == m - 1
+
+    def neighbours(self, tok):
+        m, p = tok
+        return (m, (p + 1) % m), (m, (p - 1) % m)
 
 
 class Tilde(CatalogStructure):
@@ -368,8 +439,20 @@ class Tilde(CatalogStructure):
             return self.inner.related(x[1], y[1])
         return False
 
-    def group(self, tok):
-        return "x" if tok[0] == "x" else None
+    # the fresh elements are related to nothing, so the inner structure's
+    # hooks serve its own tokens, and a fresh one is filed nowhere
+
+    def file(self, groups, tok, j):
+        if tok[0] == "x":
+            self.inner.file(groups, tok[1], j)
+
+    def relation_masks(self, tokens, groups, tok):
+        if tok[0] == "x":
+            return self.inner.relation_masks(tokens, groups, tok[1])
+        return 0, 0
+
+    def absorbs_isolated(self):
+        return True
 
 
 class DisjointUnion(CatalogStructure):
@@ -410,15 +493,23 @@ class DisjointUnion(CatalogStructure):
     def param(self):
         return max(self.left.param(), self.right.param())
 
-    def related(self, x, y):
-        if x[0] != y[0]:
-            return False
-        side = self.left if x[0] == "l" else self.right
-        return side.related(x[1], y[1])
+    def _side(self, tok):
+        return self.left if tok[0] == "l" else self.right
 
-    def group(self, tok):
-        side = self.left if tok[0] == "l" else self.right
-        return None if side.style == "any" else tok[0]
+    def related(self, x, y):
+        return x[0] == y[0] and self._side(x).related(x[1], y[1])
+
+    # each side's hooks serve its own tokens, on a record of their own
+
+    def file(self, groups, tok, j):
+        self._side(tok).file(groups.setdefault(tok[0], {}), tok[1], j)
+
+    def relation_masks(self, tokens, groups, tok):
+        side, record = self._side(tok), groups.get(tok[0], {})
+        return side.relation_masks(tokens, record, tok[1])
+
+    def absorbs_isolated(self):
+        return self.left.absorbs_isolated() or self.right.absorbs_isolated()
 
 
 # ---------------------------------------------------------------------------
@@ -451,15 +542,10 @@ def parse_structure(text):
         if head in ("tilde",):
             return Tilde(parse(body))
         if head == "du":
-            depth = 0
-            for i, ch in enumerate(body):
-                if ch == "(":
-                    depth += 1
-                elif ch == ")":
-                    depth -= 1
-                elif ch == "," and depth == 0:
-                    return DisjointUnion(parse(body[:i]), parse(body[i + 1:]))
-            raise ValueError("du needs two arguments: %r" % s)
+            sides = split_top_level(body)
+            if len(sides) != 2:
+                raise ValueError("du needs two arguments: %r" % s)
+            return DisjointUnion(parse(sides[0]), parse(sides[1]))
         n = int(body)
         maker = {
             "chain": FiniteChain,
@@ -474,6 +560,22 @@ def parse_structure(text):
         return maker(n)
 
     return parse(text)
+
+
+def split_top_level(text):
+    """text split at its commas outside parentheses, e.g. a family given
+    as `tilde(chain(3)),du(cycle(3),iso_inf)` into its two members."""
+    parts, depth, start = [], 0, 0
+    for i, ch in enumerate(text):
+        if ch == "(":
+            depth += 1
+        elif ch == ")":
+            depth -= 1
+        elif ch == "," and depth == 0:
+            parts.append(text[start:i])
+            start = i + 1
+    parts.append(text[start:])
+    return parts
 
 
 # ---------------------------------------------------------------------------
@@ -546,7 +648,7 @@ class TokenChain:
     def __init__(self, target):
         self.target = target
         self.tokens = []
-        self.groups = {}  # target.group(tok) -> positions, for its hook
+        self.groups = {}  # what target.file records, for relation_masks
         self.fragments = [FiniteFragment(BINARY, 0)]
 
     def push(self, tok):
@@ -559,9 +661,7 @@ class TokenChain:
         return frag
 
     def _file(self, tok):
-        key = self.target.group(tok)
-        if key is not None:
-            self.groups.setdefault(key, []).append(len(self.tokens))
+        self.target.file(self.groups, tok, len(self.tokens))
         self.tokens.append(tok)
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .catalog import Family, Presentation, parse_structure
+from .catalog import Family, Presentation, parse_structure, split_top_level
 from .sigma1 import classify_family
 from . import learners as L
 from . import reductions as R
@@ -229,9 +229,9 @@ FAMILIES = {
 
 
 def get_family(name):
-    """A registered family, or else one given as a comma-separated list of
-    structure expressions."""
-    keys = FAMILIES[name] if name in FAMILIES else name.split(",")
+    """A registered family, or else one given as a list of structure
+    expressions separated by commas outside parentheses."""
+    keys = FAMILIES[name] if name in FAMILIES else split_top_level(name)
     return Family(tuple(parse_structure(k) for k in keys))
 
 

@@ -170,8 +170,9 @@ class GammaErange(ReductionOperator):
         # every flat position below (size, 0, 0) has stage coordinate below
         # the size, so its value is already settled; they fill diagonals
         # d = s + pair(i, j) of the pairing, where index b is stage d - b
-        # and code b, and only a code whose formula held by then is not 0
-        top = triple(fragment.size, 0, 0)
+        # and code b, and only a code whose formula held by then is not 0;
+        # after a shorter fragment nothing is settled that was not emitted
+        top = max(emitted, triple(fragment.size, 0, 0))
         new = []
         for d in range(unpair(emitted)[0], fragment.size):
             row = [0] * (d + 1)
@@ -212,7 +213,8 @@ class GammaErangeToE3(ReductionOperator):
         # so its value is already settled; [pair(0, d), pair(0, d + 1)) is
         # column 0 at row d, then column m at row d + 1 - m for
         # m = d + 1 .. 1.  Column 0 is the diagonal pair (0, 0), all 0.
-        top = pair(0, fragment.size)
+        # After a shorter fragment nothing is settled that was not emitted.
+        top = max(emitted, pair(0, fragment.size))
         new = []
         for d in range(unpair(emitted)[1], fragment.size):
             chunk = [0] * (d + 2)

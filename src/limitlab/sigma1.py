@@ -109,14 +109,23 @@ class StreamWatch:
     per stage, as a one-disjunct formula.  A disjunct that held belongs
     only to formulas that hold, so only the pending ones are searched.
 
+    The members found to hold the last fragment are carried too.  An
+    extension by an element in no fact keeps those whose age absorbs
+    isolated points (see CatalogStructure.absorbs_isolated), so padding
+    stages ask them nothing; any other change asks them afresh.
+
     A state is (last fragment, {key: first stage it held}, bitmask of the
-    members left); `advance` and `first_inside` return new states and
-    never mutate the old one.
+    members left, bitmask of the members known to hold the last fragment);
+    `advance` and `first_inside` return new states and never mutate the
+    old one.
     """
 
     def __init__(self, formulas, members=()):
         self.formulas = dict(formulas)
         self.members = tuple(members)
+        self._absorbing = sum(
+            1 << i for i, m in enumerate(self.members) if m.absorbs_isolated()
+        )
         # each formula as indices into the distinct disjuncts, in its order
         index, self._atoms, self._parts = {}, [], {}
         for key, w in self.formulas.items():
@@ -129,10 +138,10 @@ class StreamWatch:
             self._parts[key] = parts
 
     def initial(self):
-        return (None, {}, 0)
+        return (None, {}, 0, 0)
 
     def advance(self, state, fragment):
-        last, held, left = state
+        last, held, left, inside = state
         if (
             last is not None
             and 0 <= fragment.size - last.size <= 1
@@ -141,8 +150,11 @@ class StreamWatch:
             if fragment.size == last.size:
                 return state
             required = last.size
+            if inside:
+                isolated = fragment.row(required) == (0, 0)
+                inside = inside & self._absorbing if isolated else 0
         else:
-            held, left, required = {}, 0, None
+            held, left, inside, required = {}, 0, 0, None
         s = fragment.size - 1
         new, known = {}, {}  # known: atom index -> held on this fragment
         for key, parts in self._parts.items():
@@ -157,19 +169,22 @@ class StreamWatch:
                 if hit:
                     new[key] = s
                     break
-        return (fragment, {**held, **new} if new else held, left)
+        return (fragment, {**held, **new} if new else held, left, inside)
 
     def first_inside(self, state, order):
         """The first member index in `order` whose age holds the last
         fragment, or None, with the state marking each member found left
-        on the way; members after the hit are not asked."""
-        last, held, left = state
+        on the way and the hit found inside; members after the hit are not
+        asked, and neither is a hit already known inside."""
+        last, held, left, inside = state
         for i in order:
+            if inside >> i & 1:
+                return i, (last, held, left, inside)
             if not left >> i & 1:
                 if fragment_embeds(last, self.members[i]):
-                    return i, (last, held, left)
+                    return i, (last, held, left, inside | 1 << i)
                 left |= 1 << i
-        return None, (last, held, left)
+        return None, (last, held, left, inside)
 
 
 def _saturation_bound(a, b):

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from limitlab.adversaries import StreamBuilder
+from limitlab.structures import BINARY, FiniteFragment
 from limitlab.catalog import (
     ConstructionError,
     Family,
@@ -33,6 +34,9 @@ PARSE_KEYS = [
     "du(cycle(3),iso_inf)",
     "du(ray,iso_inf)",
 ]
+#: the parse keys plus the other targets with their own relation hooks
+HOOK_KEYS = PARSE_KEYS + ["tilde(omega_star)", "tilde(zeta)", "ray(3)",
+                          "cyc_comp(3)"]
 
 
 class TestParser:
@@ -188,16 +192,16 @@ class _CheckedStreamBuilder(_CheckedPush, StreamBuilder):
 
 
 class TestRelationMasks:
-    @pytest.mark.parametrize("key", PARSE_KEYS)
+    @pytest.mark.parametrize("key", HOOK_KEYS)
     def test_presentation_hook_matches_related(self, key):
         s = parse_structure(key)
         n = 24 if s.size() is None else s.size()
         for seed in range(3):
             _CheckedPresentation(s, seed).restrict(n - 1)
 
-    @pytest.mark.parametrize("key", PARSE_KEYS)
+    @pytest.mark.parametrize("key", HOOK_KEYS)
     def test_stream_builder_hook_matches_related(self, key):
-        targets = [parse_structure(k) for k in PARSE_KEYS]
+        targets = [parse_structure(k) for k in HOOK_KEYS]
         for seed in range(3):
             rng = random.Random(seed)
             builder = _CheckedStreamBuilder(parse_structure(key))
@@ -207,6 +211,18 @@ class TestRelationMasks:
                     builder.retarget(rng.choice(targets))
                 elif size is None or len(builder.indices) < size:
                     builder.add_least_unused()
+
+    @pytest.mark.parametrize("key", HOOK_KEYS)
+    def test_stream_builder_out_of_order_hook_matches_related(self, key):
+        # shuffled canonical indices file each token between earlier ones
+        s = parse_structure(key)
+        n = 24 if s.size() is None else s.size()
+        for seed in range(3):
+            order = list(range(n))
+            random.Random(seed).shuffle(order)
+            builder = _CheckedStreamBuilder(s)
+            for idx in order:
+                builder.add_index(idx)
 
 
 class TestAgeDeciders:
@@ -236,6 +252,33 @@ class TestAgeDeciders:
                 assert fragment_embeds(sub, target) == brute_embeds_structure(
                     sub, target
                 ), (src_key, target_key, sorted(sub.tuples()))
+
+
+    ABSORBING = [
+        "iso_inf",
+        "tilde(chain(3))",
+        "tilde(omega)",
+        "tilde(poset_p(1))",
+        "du(cycle(3),iso_inf)",
+        "du(iso(1),tilde(chain(2)))",
+    ]
+
+    @pytest.mark.parametrize("target_key", ABSORBING)
+    def test_absorbing_age_takes_an_isolated_point(self, target_key):
+        target = parse_structure(target_key)
+        assert target.absorbs_isolated()
+        sources = ["chain(3)", "cycle(3)", "ray(3)", "iso(4)", "poset_p(1)"]
+        inside = 0
+        for src_key in sources:
+            for sub in distinct_substructures(parse_structure(src_key), 4):
+                if brute_embeds_structure(sub, target):
+                    inside += 1
+                    padded = FiniteFragment.from_tuples(
+                        BINARY, sub.size + 1, sub.tuples()
+                    )
+                    assert brute_embeds_structure(padded, target), (
+                        src_key, target_key, sorted(sub.tuples()))
+        assert inside  # some of the age was checked
 
 
 class TestFamily:

@@ -231,6 +231,13 @@ class TestCli:
         assert cli.main(["run", "omega_pair", "nope", "Ex"]) == 2
         assert cli.main(["frobnicate"]) == 2
 
+    def test_family_members_with_commas(self, capsys):
+        # the family splits only at commas outside parentheses
+        family = "tilde(chain(3)),du(cycle(3),iso_inf)"
+        assert cli.main(["classify", family]) == 0
+        assert len(H.get_family(family)) == 2
+        assert capsys.readouterr().err == ""
+
     @pytest.mark.parametrize(
         "extra",
         [

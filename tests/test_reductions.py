@@ -164,18 +164,19 @@ class TestGammaErange:
 def reference_step(op, state, fragment):
     """An E-range operator's step decoded one flat position at a time:
     untriple for GammaErange, unpair of the position and of its column
-    for GammaErangeToE3."""
+    for GammaErangeToE3.  A position once emitted is never emitted again,
+    also after a shorter fragment."""
     watched, emitted = state
     watched = op.watch.advance(watched, fragment)
     first_sat, new = watched[1], []
     if op.columnar:
-        top = pair(0, fragment.size)
+        top = max(emitted, pair(0, fragment.size))
         for q in range(emitted, top):
             col, row = unpair(q)
             t = first_sat.get(unpair(col))
             new.append(1 if t is not None and row >= t else 0)
     else:
-        top = triple(fragment.size, 0, 0)
+        top = max(emitted, triple(fragment.size, 0, 0))
         for q in range(emitted, top):
             s, i, j = untriple(q)
             t = first_sat.get((i, j))
@@ -211,6 +212,22 @@ def test_erange_operators_match_per_position_reference(name, gamma):
                 assert state == ref
                 nonzero += sum(map(bool, new))
     assert nonzero  # some formula held, so the values were not all 0
+
+
+@pytest.mark.parametrize("gamma", [GammaErange, GammaErangeToE3])
+def test_erange_operators_never_reemit(gamma):
+    """After a shorter fragment the settled length does not go down, so
+    the output stays indexed by the pairing: no flat position twice."""
+    fam = H.get_family("tilde_chains")
+    op = gamma(fam, classify_family(fam))
+    pres = Presentation(fam.members[1], 1)
+    state, out = op.initial(), []
+    for s in (50, 10, 11):
+        emitted = state[1]
+        state, new = op.step(state, pres.restrict(s))
+        assert state[1] == emitted + len(new)
+        out.extend(new)
+    assert out == list(op.prefix([pres.restrict(50)]).values)
 
 
 class TestGammaErangeToE3:

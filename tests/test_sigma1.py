@@ -13,6 +13,7 @@ from limitlab.catalog import (
     fragment_embeds,
     parse_structure,
 )
+from limitlab.structures import BINARY, FiniteFragment
 from limitlab.sigma1 import (
     WITNESS_SIZE_BOUND,
     Sigma1Classification,
@@ -426,3 +427,78 @@ def test_stream_watch_searches_shared_disjuncts_once(source, seed, steps):
                 expected[key] = min(stages)
         order = sorted(expected, key=lambda k: (expected[k], keys.index(k)))
         assert list(state[1].items()) == [(k, expected[k]) for k in order]
+
+
+def _counting_embeds(monkeypatch):
+    """The (fragment size, member key) of every age question the watch
+    asks from here on."""
+    asked = []
+
+    def counted(fragment, structure):
+        asked.append((fragment.size, structure.key()))
+        return fragment_embeds(fragment, structure)
+
+    monkeypatch.setattr(sigma1, "fragment_embeds", counted)
+    return asked
+
+
+@pytest.mark.parametrize(
+    "key", ["tilde(chain(3))", "tilde(omega)", "du(cycle(3),iso_inf)",
+            "iso_inf"]
+)
+def test_stream_watch_carries_absorbing_member(key, monkeypatch):
+    """On a member's own stream, an absorbing member found inside is not
+    asked again after an extension by an element in no fact."""
+    member = S(key)
+    assert member.absorbs_isolated()
+    watch = StreamWatch({}, (member,))
+    asked = _counting_embeds(monkeypatch)
+    state, pres, padding = watch.initial(), Presentation(member, 1), 0
+    for s in range(40):
+        frag = pres.restrict(s)
+        state = watch.advance(state, frag)
+        asked.clear()
+        hit, state = watch.first_inside(state, [0])
+        assert hit == 0
+        if s and frag.row(s) == (0, 0):
+            padding += 1
+            assert asked == []
+        else:
+            assert asked == [(s + 1, key)]
+    assert padding
+
+
+@pytest.mark.parametrize("key", ["chain(4)", "iso(3)", "cycle(5)"])
+def test_stream_watch_reasks_other_members(key, monkeypatch):
+    """A member whose age need not absorb an isolated point is asked again
+    after an extension by an element in no fact."""
+    member = S(key)
+    assert not member.absorbs_isolated()
+    watch = StreamWatch({}, (member,))
+    asked = _counting_embeds(monkeypatch)
+    one = FiniteFragment(BINARY, 0).extended(0, 0)
+    hit, state = watch.first_inside(watch.advance(watch.initial(), one), [0])
+    assert hit == 0
+    asked.clear()
+    state = watch.advance(state, one.extended(0, 0))
+    hit, state = watch.first_inside(state, [0])
+    assert asked == [(2, key)]
+    assert hit == (None if key == "chain(4)" else 0)
+
+
+@pytest.mark.parametrize(
+    "key", ["tilde(chain(3))", "du(cycle(3),iso_inf)", "iso_inf", "iso(3)"]
+)
+def test_stream_watch_reasks_after_non_extension(key, monkeypatch):
+    """Every member is asked again on a fragment that is not the last one
+    or its one-element extension, even when it has no fact."""
+    watch = StreamWatch({}, (S(key),))
+    asked = _counting_embeds(monkeypatch)
+    state = watch.initial()
+    # a shorter fragment, then one two elements larger
+    for n in (2, 1, 3):
+        state = watch.advance(state, FiniteFragment.from_tuples(BINARY, n, []))
+        asked.clear()
+        hit, state = watch.first_inside(state, [0])
+        assert hit == 0
+        assert asked == [(n, key)]
