@@ -13,7 +13,7 @@ import itertools
 import random
 from dataclasses import dataclass
 
-from .structures import BINARY, FiniteFragment, iter_bits
+from .structures import BINARY, FiniteFragment, embed_finite, iter_bits
 
 _SCHEDULE_WINDOW = 4
 _DIGITS = bytes.maketrans(b"\x00\x01", b"01")
@@ -688,8 +688,6 @@ def fragment_embeds(fragment, structure):
     """Age membership: does the fragment embed into the structure as an
     induced substructure?  Decided structurally per catalog class, with a
     generic saturated-restriction fallback."""
-    from .structures import embed_finite
-
     if fragment.size == 0:
         return True
 

@@ -11,22 +11,24 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from .structures import embed_map
+from .structures import embed_map, iter_bits
 from .catalog import (
     CatalogStructure,
     UnsupportedOracleError,
-    _nonisolated_part,
     canonical_fragment,
     fragment_embeds,
-    graph_components,
     parse_structure,
 )
 
 WITNESS_SIZE_BOUND = 8
-# a family's theory order, computed once per process: member keys ->
-# leq_matrix, and (member keys, bound) -> classify_family
+# each age question asked once per process: member keys -> leq_matrix,
+# (member keys, bound) -> classify_family, (structure key, bound) ->
+# _witness_candidates, and structure key -> {fragment: fragment_embeds}
+# for fragments of at most max_size or bound elements (see _verdicts_of)
 _leq_matrices = {}
 _classifications = {}
+_candidates = {}
+_verdicts = {}
 
 
 @dataclass(frozen=True)
@@ -208,7 +210,25 @@ def sigma1_leq(a, b, max_size=None):
         if size is not None:
             n = min(n, size)
         return fragment_embeds(canonical_fragment(a, n), b)
-    return all(fragment_embeds(sub, b) for sub in age_fragments(a, max_size))
+    embeds = _verdicts_of(b)
+    return all(embeds(sub) for sub in age_fragments(a, max_size))
+
+
+def _verdicts_of(structure):
+    """`fragment_embeds(-, structure)`, asked once per process for each
+    distinct fragment.  Only the bounded searches read it, whose fragments
+    have at most max_size or bound elements; the stream watch and the
+    default-mode comparison ask about growing fragments, which would only
+    fill it, and call fragment_embeds directly."""
+    verdicts = _verdicts.setdefault(structure.key(), {})
+
+    def embeds(fragment):
+        hit = verdicts.get(fragment)
+        if hit is None:
+            hit = verdicts[fragment] = fragment_embeds(fragment, structure)
+        return hit
+
+    return embeds
 
 
 def age_fragments(a, max_size):
@@ -245,35 +265,64 @@ def age_fragments(a, max_size):
 
 def _witness_candidates(a, bound):
     """Small fragments from the age of `a`, smallest first: canonical
-    prefixes, their comparable cores, and their connected components."""
+    prefixes, their comparable cores (the linked elements), and their
+    connected components.  Computed once per (structure key, bound); the
+    returned list is shared, so callers must not mutate it.
+
+    The prefixes share one chain, so the fragment induced on a set of
+    elements is the same from every prefix that holds it: each distinct
+    set is induced once, at the first prefix that has it.  A prefix's
+    components are the last one's, with the new element's merged into one,
+    so only that one is new."""
+    key = (a.key(), bound)
+    out = _candidates.get(key)
+    if out is not None:
+        return out
     top = 2 * bound + 4
     size = a.size()
     if size is not None:
         top = min(top, size)
     out = []
     seen = set()
+    induced = {}  # element mask -> its fragment, or None outside 1..bound
 
-    def add(frag):
-        if 1 <= frag.size <= bound and frag not in seen:
+    def add(prefix, mask):
+        if mask not in induced:
+            small = 1 <= mask.bit_count() <= bound
+            induced[mask] = prefix.induced(iter_bits(mask)) if small else None
+        frag = induced[mask]
+        if frag is not None and frag not in seen:
             seen.add(frag)
             out.append(frag)
 
+    comps = []  # the prefix's connected components, as element masks
     for m in range(1, top + 1):
         prefix = canonical_fragment(a, m)
-        add(prefix)
-        core = _nonisolated_part(prefix)
-        add(core)
-        for comp in graph_components(prefix):
-            add(prefix.induced(comp))
+        full = (1 << m) - 1
+        induced[full] = prefix if m <= bound else None
+        add(prefix, full)
+        add(prefix, prefix.linked_mask())
+        succ, pred = prefix.row(m - 1)
+        comp = 1 << (m - 1) | succ | pred
+        rest = []
+        for c in comps:
+            if c & comp:
+                comp |= c
+            else:
+                rest.append(c)
+        comps = rest + [comp]
+        add(prefix, comp)
     out.sort(key=lambda f: (f.size, f.fact_count()))
+    _candidates[key] = out
     return out
 
 
 def _find_separating_witness(a, candidates, others):
     """The first of `a`'s witness candidates embedding into none of
     `others`, or None when the bounded search exhausts."""
+    others = [_verdicts_of(o) for o in others]
     for cand in candidates:
-        if all(not fragment_embeds(cand, o) for o in others):
+        if not any(embeds(cand) for embeds in others):
             label = "prefix(%s)[%d]" % (a.key(), cand.size)
             return FormulaWitness((cand,), (label,))
     return None

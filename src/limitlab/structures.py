@@ -36,11 +36,18 @@ class FiniteFragment:
     Extended fragments share both mask lists, so a stream of h stages
     stores each fact once.  An extension only adds facts that mention its
     new element, so the mask bits below a fragment's size, its facts,
-    never change after it is built.  The order flag and the mask of
-    elements in some fact are carried along extensions the same way.
+    never change after it is built.  The mask of elements in some fact is
+    carried along extensions the same way, and the hash is computed once.
+
+    Whether the facts form a strict order is a threshold along a chain:
+    true up to some size, false from the next one on.  The fragments of a
+    chain share one record of it, [largest size known to be an order,
+    whether the next size is known not to be], and `is_strict_order`
+    resumes from that size, so each element of a chain is checked at most
+    once, whichever fragment is asked first.
     """
 
-    __slots__ = ("size", "_out", "_in", "_order", "_linked")
+    __slots__ = ("size", "_out", "_in", "_order", "_linked", "_hash")
 
     def __init__(self, signature, size, _out=None, _in=None):
         if signature != BINARY:
@@ -48,8 +55,9 @@ class FiniteFragment:
         self.size = size
         self._out = [0] * size if _out is None else _out
         self._in = [0] * size if _in is None else _in
-        self._order = None  # is_strict_order(), once known
+        self._order = [0, False]  # the chain's order record, see above
         self._linked = None  # linked_mask(), once known
+        self._hash = None  # __hash__(), once known
 
     @classmethod
     def from_tuples(cls, signature, size, tuples):
@@ -88,8 +96,7 @@ class FiniteFragment:
             inn[j] |= bit
         child = FiniteFragment(BINARY, e + 1, out, inn)
         child._linked = linked | both | bit if both else linked
-        if self._order is not None:
-            child._order = self._order and child._order_grows_from(e)
+        child._order = self._order
         return child
 
     def has(self, rel, args):
@@ -157,46 +164,50 @@ class FiniteFragment:
         return [m & full for m in out], [m & full for m in inn]
 
     def is_strict_order(self):
-        """Irreflexive and transitive (hence antisymmetric); computed once
-        per fragment, and carried along extensions from the new elements'
-        masks only."""
-        if self._order is None:
-            succ, _ = self.masks()
-            self._order = not any(
-                row >> a & 1 or any(succ[b] & ~row for b in iter_bits(row))
-                for a, row in enumerate(succ)
-            )
-        return self._order
+        """Irreflexive and transitive (hence antisymmetric); resumed from
+        the chain's record (see the class), so only elements no fragment of
+        the chain has been asked about are checked."""
+        record = self._order
+        known, broken = record
+        if self.size > known and not broken:
+            grown = self._order_grows_from(known)
+            record[0], record[1] = grown, grown < self.size
+            known = grown
+        return self.size <= known
 
     def _order_grows_from(self, old):
-        """With the facts among 0..old-1 a strict order, does each later
-        element x keep it one?  With P and S its predecessors and successors
-        among 0..x-1: no self-loop, P down-closed, S up-closed, and every
-        element of P below all of S (so P and S are disjoint)."""
+        """With the facts among 0..old-1 a strict order, the first later
+        element x that does not keep it one, or the size.  With P and S
+        x's predecessors and successors among 0..x-1, x keeps it one when
+        it has no self-loop, P is down-closed, S up-closed, and every
+        element of P lies below all of S (so P and S are disjoint)."""
         out, inn = self._out, self._in
         for x in range(old, self.size):
             below = (1 << x) - 1
             pred, succ = inn[x] & below, out[x] & below
             if out[x] >> x & 1:
-                return False
+                return x
             for p in iter_bits(pred):
                 if inn[p] & below & ~pred or succ & ~out[p]:
-                    return False
+                    return x
             for s in iter_bits(succ):
                 if out[s] & below & ~succ:
-                    return False
-        return True
+                    return x
+        return self.size
 
     def extends(self, other):
         """The extension partial order: other's facts over other's domain are
         exactly this fragment's facts restricted to that domain.  Fragments
         of one chain share their masks, and so extend each other by size."""
         n, mine, theirs = other.size, self._out, other._out
-        full = (1 << n) - 1
-        return self.size >= n and (
-            mine is theirs
-            or all(not (mine[e] ^ theirs[e]) & full for e in range(n))
-        )
+        if self.size < n:
+            return False
+        if mine is not theirs:
+            full = (1 << n) - 1
+            for e in range(n):
+                if (mine[e] ^ theirs[e]) & full:
+                    return False
+        return True
 
     def restricted(self, k):
         """The induced fragment on domain {0..k-1}."""
@@ -223,8 +234,9 @@ class FiniteFragment:
                     j = relabel[b]
                     out[i] |= 1 << j
                     inn[j] |= 1 << i
-        if self._order:
-            frag._order = True  # a restriction of a strict order is one
+        if self.size <= self._order[0]:
+            # a restriction of a strict order is one
+            frag._order = [frag.size, False]
         return frag
 
     def __eq__(self, other):
@@ -235,8 +247,10 @@ class FiniteFragment:
         )
 
     def __hash__(self):
-        full = (1 << self.size) - 1  # the size is the tuple's length
-        return hash(tuple(m & full for m in self._out[: self.size]))
+        if self._hash is None:
+            full = (1 << self.size) - 1  # the size is the tuple's length
+            self._hash = hash(tuple(m & full for m in self._out[: self.size]))
+        return self._hash
 
     def __repr__(self):
         return "FiniteFragment(size=%d, tuples=%s)" % (

@@ -161,7 +161,7 @@ class TestMatrix:
 
 
 class TestRegistries:
-    def test_fin_family_order_built_once(self, monkeypatch):
+    def test_fin_family_order_built_once(self, monkeypatch, fresh_sigma1):
         # fin, id_to_co and gamma_fin_to_eqnat read one classification of
         # cycles, and none of them checks its witnesses again
         counts = {"classify": 0, "embeds": 0}
@@ -173,8 +173,6 @@ class TestRegistries:
                 return fn(*args)
             return wrapped
 
-        monkeypatch.setattr(sigma1, "_classifications", {})
-        monkeypatch.setattr(sigma1, "_leq_matrices", {})
         monkeypatch.setattr(sigma1, "_classify", counted("classify", classify))
         monkeypatch.setattr(
             sigma1, "fragment_embeds", counted("embeds", embeds)

@@ -9,8 +9,10 @@ from hypothesis import given, settings, strategies as st
 from limitlab.catalog import (
     Family,
     Presentation,
+    _nonisolated_part,
     canonical_fragment,
     fragment_embeds,
+    graph_components,
     parse_structure,
 )
 from limitlab.structures import BINARY, FiniteFragment
@@ -232,7 +234,9 @@ class TestClassifier:
                 if j != i and cls.leq[j][i] and not cls.leq[i][j]:
                     assert not sat_catalog(w, b)
 
-    def test_order_computed_once_per_members_and_bound(self, monkeypatch):
+    def test_order_computed_once_per_members_and_bound(
+        self, monkeypatch, fresh_sigma1
+    ):
         calls = {"classify": 0, "leq": 0}
         classify, leq = sigma1._classify, sigma1.sigma1_leq
 
@@ -242,8 +246,6 @@ class TestClassifier:
                 return fn(*args)
             return wrapped
 
-        monkeypatch.setattr(sigma1, "_classifications", {})
-        monkeypatch.setattr(sigma1, "_leq_matrices", {})
         monkeypatch.setattr(sigma1, "_classify", counted("classify", classify))
         monkeypatch.setattr(sigma1, "sigma1_leq", counted("leq", leq))
         first = classify_family(H.get_family("cycles"))
@@ -502,3 +504,100 @@ def test_stream_watch_reasks_after_non_extension(key, monkeypatch):
         hit, state = watch.first_inside(state, [0])
         assert hit == 0
         assert asked == [(n, key)]
+
+
+def reference_candidates(a, bound):
+    """The witness candidates rebuilt prefix by prefix: each canonical
+    prefix, its linked part and each of its components, induced afresh at
+    every prefix, kept if new and of 1..bound elements, then sorted
+    stably by size and fact count."""
+    top = 2 * bound + 4
+    if a.size() is not None:
+        top = min(top, a.size())
+    out = []
+
+    def add(frag):
+        if 1 <= frag.size <= bound and frag not in out:
+            out.append(frag)
+
+    for m in range(1, top + 1):
+        prefix = canonical_fragment(a, m)
+        add(prefix)
+        add(_nonisolated_part(prefix))
+        for comp in graph_components(prefix):
+            add(prefix.induced(comp))
+    out.sort(key=lambda f: (f.size, f.fact_count()))
+    return out
+
+
+@pytest.mark.parametrize("bound", [8, 9, 10])
+def test_witness_candidates_match_reference(bound, fresh_sigma1):
+    for name in sorted(H.FAMILIES):
+        for a in H.get_family(name):
+            got = sigma1._witness_candidates(a, bound)
+            want = reference_candidates(a, bound)
+            assert [(f.size, f.tuples()) for f in got] == [
+                (f.size, f.tuples()) for f in want
+            ]
+            # shared by structure key: a new object reads the same list
+            assert sigma1._witness_candidates(S(a.key()), bound) is got
+
+
+GRID_AGE_SIZE = 3
+
+
+def _grid_pass():
+    structs = [S(k) for k in GRID_KEYS]
+    return [
+        [sigma1_leq(a, b, max_size=GRID_AGE_SIZE) for b in structs]
+        for a in structs
+    ]
+
+
+def _largest_memo_entry():
+    return max(f.size for v in sigma1._verdicts.values() for f in v)
+
+
+class TestVerdictMemo:
+    def test_agrees_with_fresh_verdicts(self, fresh_sigma1):
+        """Every (age fragment, grid structure) pair of acceptance
+        criterion 10 at size 3, asked through the memo after its equal
+        fragments from other structures filled it."""
+        structs = [S(k) for k in GRID_KEYS]
+        for a in structs:
+            for sub in age_fragments(a, GRID_AGE_SIZE):
+                for b in structs:
+                    memo = sigma1._verdicts_of(b)(sub)
+                    assert memo == fragment_embeds(sub, b)
+
+    def test_second_grid_pass_asks_nothing(self, monkeypatch, fresh_sigma1):
+        first = _grid_pass()
+        asked = []
+
+        def counted(fragment, structure):
+            asked.append((fragment.size, structure.key()))
+            return fragment_embeds(fragment, structure)
+
+        monkeypatch.setattr(sigma1, "fragment_embeds", counted)
+        assert _grid_pass() == first
+        assert asked == []
+
+    def test_entries_stay_within_the_bound(self, fresh_sigma1):
+        _grid_pass()
+        assert _largest_memo_entry() <= GRID_AGE_SIZE
+        for name in sorted(H.FAMILIES):
+            classify_family(H.get_family(name))
+        assert _largest_memo_entry() <= WITNESS_SIZE_BOUND
+        # default-mode comparisons and the stream watch ask about growing
+        # fragments without the memo
+        before = {k: dict(v) for k, v in sigma1._verdicts.items()}
+        fstar = list(H.get_family("fstar"))
+        for a in fstar:
+            for b in fstar:
+                sigma1_leq(a, b)
+        watch = StreamWatch({}, fstar)
+        state, pres = watch.initial(), Presentation(fstar[0], 1)
+        for s in range(30):
+            state = watch.advance(state, pres.restrict(s))
+            _, state = watch.first_inside(state, range(len(fstar)))
+        assert sigma1._verdicts == before

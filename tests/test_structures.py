@@ -6,13 +6,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from limitlab import structures
-from limitlab.catalog import canonical_fragment, parse_structure
+from limitlab.catalog import Presentation, canonical_fragment, parse_structure
 from limitlab.pairing import pair, unpair, triple, untriple
 from limitlab.structures import (
     BINARY,
     FiniteFragment,
     embed_finite,
     embed_map,
+    iter_bits,
 )
 
 from _oracles import brute_embed, brute_embed_all_injections, induced_copy
@@ -309,6 +310,48 @@ class TestMaskCore:
             assert sub.is_strict_order() == brute_strict_order(
                 sub.tuple_set()
             )
+
+
+def order_from_scratch(frag):
+    """Irreflexive and transitive, read off every row: each successor's
+    successors are successors too."""
+    succ, _ = frag.masks()
+    return not any(
+        row >> a & 1 or any(succ[b] & ~row for b in iter_bits(row))
+        for a, row in enumerate(succ)
+    )
+
+
+@pytest.mark.parametrize(
+    "key", ["zeta", "poset_p(0)", "tilde(poset_p(2))", "cyc_comp(5)",
+            "du(cycle(4),iso_inf)"]
+)
+def test_order_flag_resumes_along_a_prebuilt_stream(key, monkeypatch):
+    """A stream built before it is read: building does no order work, each
+    flag, asked in a shuffled order, equals a from-scratch check, and each
+    element of the chain up to the first that breaks the order is looked
+    at once, and no later one at all."""
+    looked = []
+    grows = FiniteFragment._order_grows_from
+
+    def counted(frag, old):
+        stop = grows(frag, old)
+        looked.extend(range(old, min(stop + 1, frag.size)))
+        return stop
+
+    monkeypatch.setattr(FiniteFragment, "_order_grows_from", counted)
+    for seed in (1, 2):
+        pres = Presentation(parse_structure(key), seed)
+        frags = [pres.restrict(s) for s in range(48)]
+        assert looked == []
+        random.Random(seed).shuffle(frags)
+        flags = {}
+        for frag in frags:
+            flags[frag.size] = frag.is_strict_order()
+            assert flags[frag.size] == order_from_scratch(frag)
+        top = max(n for n, flag in flags.items() if flag)
+        assert sorted(looked) == list(range(min(top + 1, 48)))
+        looked.clear()
 
 
 def mentioned(frag):
