@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 from .structures import embed_map
 from .catalog import (
+    ConstructionError,
     ReplayPresentation,
     TokenChain,
     audit_shape,
@@ -69,7 +70,7 @@ class StreamBuilder(TokenChain):
     def add_index(self, idx):
         if idx in self._used:
             raise ValueError("canonical element %d already revealed" % idx)
-        frag = self.push(self.target.element(idx))
+        frag = self.push(self._token(idx))
         self.indices.append(idx)
         self._used.add(idx)
         return frag
@@ -81,10 +82,19 @@ class StreamBuilder(TokenChain):
             self._low += 1
         idx = self._low
         while idx in self._used or not (
-            predicate is None or predicate(self.target.element(idx))
+            predicate is None or predicate(self._token(idx))
         ):
             idx += 1
         return self.add_index(idx)
+
+    def _token(self, idx):
+        """The target's canonical element idx; a stream that runs past a
+        finite target cannot be built."""
+        try:
+            return self.target.element(idx)
+        except IndexError:
+            raise ConstructionError("%s has only %d elements" % (
+                self.target.key(), self.target.size())) from None
 
     def retarget(self, new_target):
         """Re-root the current fragment inside a new target; True on

@@ -13,7 +13,7 @@ import itertools
 import random
 from dataclasses import dataclass
 
-from .structures import BINARY, FiniteFragment, embed_finite, iter_bits
+from .structures import FiniteFragment, embed_finite, iter_bits
 
 _SCHEDULE_WINDOW = 4
 _DIGITS = bytes.maketrans(b"\x00\x01", b"01")
@@ -28,24 +28,22 @@ class UnsupportedOracleError(ValueError):
 
 
 class CatalogStructure:
-    """Base class; subclasses define the relation on abstract tokens and,
-    unless the tokens are the naturals below size(), their canonical
-    element enumeration."""
+    """Base class; a subclass is one kind of structure and the one place
+    that states it: its `name` (an atom's key, or the head of a
+    parameterised key), the relation on its abstract tokens, its age in
+    age_holds and, unless the tokens are the naturals below size(), their
+    canonical enumeration."""
 
+    name = None
     style = "order"  # "order" | "graph" | "any"
-
-    def __init__(self):
-        self._enum_cache = []
-        self._age = {}  # max_size -> sigma1.age_fragments list
-        self._enum_iter = None
-        self._exhausted = False
+    _tokens = None  # the canonical enumeration so far, made on first use
 
     def _enumerate(self):
         size = self.size()
         return itertools.count() if size is None else iter(range(size))
 
     def key(self):
-        raise NotImplementedError
+        return self.name
 
     def related(self, x, y):
         raise NotImplementedError
@@ -73,6 +71,18 @@ class CatalogStructure:
             int(f[::-1].translate(_DIGITS) or b"0", 2) for f in (succ, pred)
         )
 
+    def age_holds(self, fragment):
+        """Whether a nonempty fragment of this structure's style (see
+        fragment_embeds) embeds as an induced substructure.  By default it
+        is asked of a saturated canonical restriction."""
+        size = self.size()
+        bound = 2 * fragment.size + 8
+        if size is not None:
+            if fragment.size > size:
+                return False
+            bound = min(bound, size)
+        return embed_finite(fragment, canonical_fragment(self, bound))
+
     def absorbs_isolated(self):
         """Whether the age stays closed under adding an element in no
         fact: what embeds here still does with one more isolated point."""
@@ -87,17 +97,20 @@ class CatalogStructure:
         return 3
 
     def element(self, i):
-        while len(self._enum_cache) <= i and not self._exhausted:
-            if self._enum_iter is None:
-                self._enum_iter = self._enumerate()
+        """Token i of the canonical enumeration."""
+        tokens = self._tokens
+        if tokens is None:
+            tokens = self._tokens = []
+            self._more = self._enumerate()
+        while len(tokens) <= i and self._more is not None:
             try:
-                self._enum_cache.append(next(self._enum_iter))
+                tokens.append(next(self._more))
             except StopIteration:
-                self._exhausted = True
-        if i >= len(self._enum_cache):
+                self._more = None
+        if i >= len(tokens):
             raise IndexError("structure %s has only %d elements" % (
-                self.key(), len(self._enum_cache)))
-        return self._enum_cache[i]
+                self.key(), len(tokens)))
+        return tokens[i]
 
     def __repr__(self):
         return self.key()
@@ -107,6 +120,29 @@ class CatalogStructure:
 
     def __hash__(self):
         return hash(self.key())
+
+
+class _Numbered(CatalogStructure):
+    """A structure with one natural-number parameter n, at least `least`,
+    keyed name(n); unless it says otherwise it has n elements."""
+
+    least = 0
+
+    def __init__(self, n):
+        if n < self.least:
+            raise ValueError(
+                "%s(n) needs n >= %d, got %d" % (self.name, self.least, n)
+            )
+        self.n = n
+
+    def key(self):
+        return "%s(%d)" % (self.name, self.n)
+
+    def size(self):
+        return self.n
+
+    def param(self):
+        return self.n
 
 
 class _Ranks:
@@ -138,9 +174,13 @@ class _Ranks:
 class _LinearOrder(CatalogStructure):
     """A linear order on numeric tokens, by value (reversed when reverse
     is set).  A chain files its tokens in a _Ranks, so relation_masks is
-    one binary search, not a related call per earlier token."""
+    one binary search, not a related call per earlier token.  Its age is
+    the total chains that fit."""
 
     reverse = False
+
+    def related(self, x, y):
+        return x > y if self.reverse else x < y
 
     def file(self, groups, tok, j):
         if not groups:
@@ -153,31 +193,30 @@ class _LinearOrder(CatalogStructure):
         below, above = groups[0].split(tok)
         return (below, above) if self.reverse else (above, below)
 
+    def age_holds(self, fragment):
+        size = self.size()
+        return (size is None or fragment.size <= size) and _is_total_chain(
+            fragment
+        )
+
 
 class OmegaOrder(_LinearOrder):
-    def key(self):
-        return "omega"
-
-    def related(self, x, y):
-        return x < y
+    name = "omega"
 
 
 class OmegaStarOrder(_LinearOrder):
     """The reverse of omega; token i is the i-th element from the top."""
 
+    name = "omega_star"
     # filed by token, not by -token: streams reveal tokens in nearly
     # increasing order, which appends to the ranks
     reverse = True
 
-    def key(self):
-        return "omega_star"
-
-    def related(self, x, y):
-        return x > y
-
 
 class ZetaOrder(_LinearOrder):
     """Integers; enumerated 0, 1, -1, 2, -2, ..."""
+
+    name = "zeta"
 
     def _enumerate(self):
         yield 0
@@ -187,37 +226,17 @@ class ZetaOrder(_LinearOrder):
             yield -i
             i += 1
 
-    def key(self):
-        return "zeta"
 
-    def related(self, x, y):
-        return x < y
-
-
-class FiniteChain(_LinearOrder):
-    def __init__(self, n):
-        super().__init__()
-        if n < 2:
-            raise ValueError("chains need at least 2 elements")
-        self.n = n
-
-    def key(self):
-        return "chain(%d)" % self.n
-
-    def size(self):
-        return self.n
-
-    def param(self):
-        return self.n
-
-    def related(self, x, y):
-        return x < y
+class FiniteChain(_Numbered, _LinearOrder):
+    name, least = "chain", 2
 
 
 class _SparseGraph(CatalogStructure):
     """A graph in which each token has at most two neighbours, named by
     neighbours(tok): a chain files each token's position under the token,
-    and relation_masks looks the revealed neighbours up."""
+    and relation_masks looks the revealed neighbours up.  A fragment in its
+    age has only paths and cycles as components, and fits decides whether
+    those do."""
 
     style = "graph"
 
@@ -231,12 +250,24 @@ class _SparseGraph(CatalogStructure):
                 near |= 1 << groups[t]
         return near, near
 
+    def age_holds(self, fragment):
+        comps = graph_components(fragment)
+        kinds = [_component_path_or_cycle(fragment, c) for c in comps]
+        if None in kinds:
+            return False
+        cycles = [len(c) for c, k in zip(comps, kinds) if k == "cycle"]
+        return self.fits(fragment.size, len(comps), cycles)
+
+    def fits(self, size, components, cycles):
+        """Whether `size` elements in that many path or cycle components,
+        the cycles of the listed sizes, embed."""
+        raise NotImplementedError
+
 
 class Ray(_SparseGraph):
     """The one-way infinite path, as an undirected graph."""
 
-    def key(self):
-        return "ray"
+    name = "ray"
 
     def related(self, x, y):
         return abs(x - y) == 1
@@ -244,39 +275,19 @@ class Ray(_SparseGraph):
     def neighbours(self, tok):
         return tok - 1, tok + 1
 
-
-class FiniteRay(Ray):
-    def __init__(self, n):
-        super().__init__()
-        if n < 2:
-            raise ValueError("finite rays need at least 2 elements")
-        self.n = n
-
-    def key(self):
-        return "ray(%d)" % self.n
-
-    def size(self):
-        return self.n
-
-    def param(self):
-        return self.n
+    def fits(self, size, components, cycles):
+        return not cycles
 
 
-class Cycle(_SparseGraph):
-    def __init__(self, n):
-        super().__init__()
-        if n < 3:
-            raise ValueError("cycles need at least 3 elements")
-        self.n = n
+class FiniteRay(_Numbered, Ray):
+    name, least = "ray", 2
 
-    def key(self):
-        return "cycle(%d)" % self.n
+    def fits(self, size, components, cycles):
+        return not cycles and size + components - 1 <= self.n
 
-    def size(self):
-        return self.n
 
-    def param(self):
-        return self.n
+class Cycle(_Numbered, _SparseGraph):
+    name, least = "cycle", 3
 
     def related(self, x, y):
         d = abs(x - y)
@@ -285,12 +296,14 @@ class Cycle(_SparseGraph):
     def neighbours(self, tok):
         return (tok + 1) % self.n, (tok - 1) % self.n
 
+    def fits(self, size, components, cycles):
+        if cycles:
+            return components == 1 and size == self.n
+        return size + components <= self.n
+
 
 class IsolatedInfinite(CatalogStructure):
-    style = "any"
-
-    def key(self):
-        return "iso_inf"
+    name, style = "iso_inf", "any"
 
     def related(self, x, y):
         return False
@@ -299,20 +312,8 @@ class IsolatedInfinite(CatalogStructure):
         return True
 
 
-class IsolatedFinite(CatalogStructure):
-    style = "any"
-
-    def __init__(self, n):
-        super().__init__()
-        if n < 0:
-            raise ValueError("negative size")
-        self.n = n
-
-    def key(self):
-        return "iso(%d)" % self.n
-
-    def size(self):
-        return self.n
+class IsolatedFinite(_Numbered):
+    name, style = "iso", "any"
 
     def param(self):
         return max(self.n, 1)
@@ -321,59 +322,49 @@ class IsolatedFinite(CatalogStructure):
         return False
 
 
-class PosetP(CatalogStructure):
+class PosetP(_Numbered):
     """The ladder-like posets: evens form a chain, odds sit on top.
 
-    For k > 0 the domain is {0..2k+1} with 2i below 2i+2 (i < k) and 2i
-    below 2i+1 (i <= k).  For k = 0 the domain is all of N with 2i below
+    For n > 0 the domain is {0..2n+1} with 2i below 2i+2 (i < n) and 2i
+    below 2i+1 (i <= n).  For n = 0 the domain is all of N with 2i below
     2i+2 and 2j below 2j-1 for j > 0.  Tokens are the domain elements and
     the relation is the strict order with the transitive closure
     materialized.
     """
 
-    def __init__(self, k):
-        super().__init__()
-        if k < 0:
-            raise ValueError("negative parameter")
-        self.k = k
-
-    def key(self):
-        return "poset_p(%d)" % self.k
+    name = "poset_p"
 
     def size(self):
-        return None if self.k == 0 else 2 * self.k + 2
+        return 2 * self.n + 2 if self.n else None
 
     def param(self):
-        return 2 * self.k + 2 if self.k else 4
+        return 2 * self.n + 2 if self.n else 4
 
     def related(self, x, y):
         # strictly below, after closing under transitivity
-        if x == y:
-            return False
-        if self.k == 0:
-            if x % 2 == 1:
-                return False
-            i = x // 2
-            if y % 2 == 0:
-                return i < y // 2
-            return i <= (y + 1) // 2
-        if x % 2 == 1:
+        if x == y or x % 2 == 1:
             return False
         i = x // 2
         if y % 2 == 0:
             return i < y // 2
-        return i <= y // 2
+        return i <= (y + 1) // 2 if self.n == 0 else i <= y // 2
+
+    def age_holds(self, fragment):
+        if self.n:
+            return super().age_holds(fragment)
+        # g embeds iff the non-maximal elements are totally ordered: evens
+        # form a chain, odds are maximal with prefix down-sets that can be
+        # spread arbitrarily far apart
+        succ, _ = strict_order_relation(fragment)
+        non_maximal = [e for e in range(fragment.size) if succ[e]]
+        return _is_total_chain(fragment.induced(non_maximal))
 
 
-class CycleComplement(_SparseGraph):
+class CycleComplement(_Numbered, _SparseGraph):
     """Disjoint union of every cycle except the named one; tokens are
     (cycle size, position), enumerated by increasing cycle size."""
 
-    def __init__(self, n):
-        super().__init__()
-        if n < 3:
-            raise ValueError("cycle sizes start at 3")
-        self.n = n
+    name, least = "cyc_comp", 3
 
     def _enumerate(self):
         m = 3
@@ -383,11 +374,8 @@ class CycleComplement(_SparseGraph):
                     yield (m, p)
             m += 1
 
-    def key(self):
-        return "cyc_comp(%d)" % self.n
-
-    def param(self):
-        return self.n
+    def size(self):
+        return None
 
     def related(self, x, y):
         (m, p), (m2, q) = x, y
@@ -400,13 +388,17 @@ class CycleComplement(_SparseGraph):
         m, p = tok
         return (m, (p + 1) % m), (m, (p - 1) % m)
 
+    def fits(self, size, components, cycles):
+        # one copy of each cycle size but n is available; path components
+        # always fit somewhere, as sizes are unbounded
+        return len(set(cycles)) == len(cycles) and self.n not in cycles
+
 
 class Tilde(CatalogStructure):
     """A partial order plus infinitely many pairwise incomparable fresh
     elements; odd enumeration slots carry the inner structure."""
 
     def __init__(self, inner):
-        super().__init__()
         if inner.style == "graph":
             raise ValueError("tilde applies to partial orders")
         self.inner = inner
@@ -440,7 +432,8 @@ class Tilde(CatalogStructure):
         return False
 
     # the fresh elements are related to nothing, so the inner structure's
-    # hooks serve its own tokens, and a fresh one is filed nowhere
+    # hooks serve its own tokens, a fresh one is filed nowhere, and the
+    # fresh ones take a fragment's isolated points
 
     def file(self, groups, tok, j):
         if tok[0] == "x":
@@ -451,13 +444,15 @@ class Tilde(CatalogStructure):
             return self.inner.relation_masks(tokens, groups, tok[1])
         return 0, 0
 
+    def age_holds(self, fragment):
+        return fragment_embeds(_nonisolated_part(fragment), self.inner)
+
     def absorbs_isolated(self):
         return True
 
 
 class DisjointUnion(CatalogStructure):
     def __init__(self, left, right):
-        super().__init__()
         styles = {left.style, right.style} - {"any"}
         if len(styles) > 1:
             raise ValueError("cannot mix orders and graphs in a union")
@@ -508,6 +503,14 @@ class DisjointUnion(CatalogStructure):
         side, record = self._side(tok), groups.get(tok[0], {})
         return side.relation_masks(tokens, record, tok[1])
 
+    def age_holds(self, fragment):
+        # an infinite isolated side takes the isolated points
+        if isinstance(self.right, IsolatedInfinite):
+            return fragment_embeds(_nonisolated_part(fragment), self.left)
+        if isinstance(self.left, IsolatedInfinite):
+            return fragment_embeds(_nonisolated_part(fragment), self.right)
+        return super().age_holds(fragment)
+
     def absorbs_isolated(self):
         return self.left.absorbs_isolated() or self.right.absorbs_isolated()
 
@@ -515,51 +518,39 @@ class DisjointUnion(CatalogStructure):
 # ---------------------------------------------------------------------------
 # textual syntax
 
+#: the structures written as their name, and as name(n)
+_ATOMS = {
+    c.name: c
+    for c in (OmegaOrder, OmegaStarOrder, ZetaOrder, Ray, IsolatedInfinite)
+}
+_NUMBERED = {
+    c.name: c
+    for c in (FiniteChain, FiniteRay, Cycle, IsolatedFinite, PosetP,
+              CycleComplement)
+}
+
 
 def parse_structure(text):
     """Parse the CLI syntax, e.g. `tilde(chain(3))` or `du(cycle(4), iso_inf)`."""
-
-    text = text.strip()
-
-    def parse(s):
-        s = s.strip()
-        if "(" not in s:
-            atom = {
-                "omega": OmegaOrder,
-                "omega_star": OmegaStarOrder,
-                "zeta": ZetaOrder,
-                "ray": Ray,
-                "iso_inf": IsolatedInfinite,
-            }.get(s)
-            if atom is None:
-                raise ValueError("unknown structure: %r" % s)
-            return atom()
-        head, rest = s.split("(", 1)
-        if not rest.endswith(")"):
-            raise ValueError("unbalanced parentheses in %r" % s)
-        body = rest[:-1]
-        head = head.strip()
-        if head in ("tilde",):
-            return Tilde(parse(body))
-        if head == "du":
-            sides = split_top_level(body)
-            if len(sides) != 2:
-                raise ValueError("du needs two arguments: %r" % s)
-            return DisjointUnion(parse(sides[0]), parse(sides[1]))
-        n = int(body)
-        maker = {
-            "chain": FiniteChain,
-            "ray": FiniteRay,
-            "cycle": Cycle,
-            "iso": IsolatedFinite,
-            "poset_p": PosetP,
-            "cyc_comp": CycleComplement,
-        }.get(head)
-        if maker is None:
+    s = text.strip()
+    if "(" not in s:
+        if s not in _ATOMS:
             raise ValueError("unknown structure: %r" % s)
-        return maker(n)
-
-    return parse(text)
+        return _ATOMS[s]()
+    head, rest = s.split("(", 1)
+    if not rest.endswith(")"):
+        raise ValueError("unbalanced parentheses in %r" % s)
+    head, body = head.strip(), rest[:-1]
+    if head == "tilde":
+        return Tilde(parse_structure(body))
+    if head == "du":
+        sides = split_top_level(body)
+        if len(sides) != 2:
+            raise ValueError("du needs two arguments: %r" % s)
+        return DisjointUnion(*map(parse_structure, sides))
+    if head not in _NUMBERED:
+        raise ValueError("unknown structure: %r" % s)
+    return _NUMBERED[head](int(body))
 
 
 def split_top_level(text):
@@ -649,7 +640,7 @@ class TokenChain:
         self.target = target
         self.tokens = []
         self.groups = {}  # what target.file records, for relation_masks
-        self.fragments = [FiniteFragment(BINARY, 0)]
+        self.fragments = [FiniteFragment(0)]
 
     def push(self, tok):
         """Reveal tok as the next element and return the extended fragment;
@@ -686,11 +677,10 @@ _canonical_chains = {}  # structure key -> TokenChain of its canonical order
 
 def fragment_embeds(fragment, structure):
     """Age membership: does the fragment embed into the structure as an
-    induced substructure?  Decided structurally per catalog class, with a
-    generic saturated-restriction fallback."""
+    induced substructure?  After the checks of its style, the structure's
+    age_holds decides."""
     if fragment.size == 0:
         return True
-
     if structure.style == "any":
         # isolated structures embed exactly the tuple-free fragments that fit
         size = structure.size()
@@ -701,54 +691,7 @@ def fragment_embeds(fragment, structure):
         return False
     if structure.style == "graph" and not is_symmetric_graph(fragment):
         return False
-
-    if isinstance(structure, (OmegaOrder, OmegaStarOrder, ZetaOrder)):
-        return _is_total_chain(fragment)
-    if isinstance(structure, FiniteChain):
-        return fragment.size <= structure.n and _is_total_chain(fragment)
-    if isinstance(structure, (Cycle, Ray, CycleComplement)):
-        comps = graph_components(fragment)
-        kinds = [_component_path_or_cycle(fragment, c) for c in comps]
-        cycles = [len(c) for c, k in zip(comps, kinds) if k == "cycle"]
-        if None in kinds:
-            return False
-        if isinstance(structure, CycleComplement):
-            # one copy of each cycle size but n is available; path
-            # components always fit somewhere, as sizes are unbounded
-            distinct = len(set(cycles)) == len(cycles)
-            return distinct and structure.n not in cycles
-        if isinstance(structure, Cycle):
-            if cycles:
-                return len(comps) == 1 and fragment.size == structure.n
-            return fragment.size + len(comps) <= structure.n
-        return not cycles and (
-            not isinstance(structure, FiniteRay)
-            or fragment.size + len(comps) - 1 <= structure.n
-        )
-    if isinstance(structure, PosetP) and structure.k == 0:
-        # g embeds iff the non-maximal elements are totally ordered: evens
-        # form a chain, odds are maximal with prefix down-sets that can be
-        # spread arbitrarily far apart
-        succ, _ = strict_order_relation(fragment)
-        non_maximal = [e for e in range(fragment.size) if succ[e]]
-        return _is_total_chain(fragment.induced(non_maximal))
-    if isinstance(structure, Tilde):
-        return fragment_embeds(_nonisolated_part(fragment), structure.inner)
-    if isinstance(structure, DisjointUnion):
-        left, right = structure.left, structure.right
-        if isinstance(right, IsolatedInfinite):
-            return fragment_embeds(_nonisolated_part(fragment), left)
-        if isinstance(left, IsolatedInfinite):
-            return fragment_embeds(_nonisolated_part(fragment), right)
-
-    # generic fallback: embed into a saturated canonical restriction
-    size = structure.size()
-    bound = 2 * fragment.size + 8
-    if size is not None:
-        bound = min(bound, size)
-    if size is not None and fragment.size > size:
-        return False
-    return embed_finite(fragment, canonical_fragment(structure, bound))
+    return structure.age_holds(fragment)
 
 
 # ---------------------------------------------------------------------------

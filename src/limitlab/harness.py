@@ -418,6 +418,11 @@ def run_duel(adversary, opponent, family_name=None, seed=0):
     default_family, kind, extra = DUELS[adversary]
     family_name = family_name or default_family
     family = get_family(family_name)
+    if "pair" in extra and len(family) < 2:
+        raise ConfigurationError(
+            "%s plays on a pair of members, and %s has %d"
+            % (adversary, family_name, len(family))
+        )
     registry = OPPONENTS[kind]
     try:
         if opponent not in registry:

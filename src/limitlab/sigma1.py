@@ -22,11 +22,13 @@ from .catalog import (
 
 WITNESS_SIZE_BOUND = 8
 # each age question asked once per process: member keys -> leq_matrix,
-# (member keys, bound) -> classify_family, (structure key, bound) ->
-# _witness_candidates, and structure key -> {fragment: fragment_embeds}
-# for fragments of at most max_size or bound elements (see _verdicts_of)
+# (member keys, bound) -> classify_family, (structure key, max_size) ->
+# age_fragments, (structure key, bound) -> _witness_candidates, and
+# structure key -> {fragment: fragment_embeds} for fragments of at most
+# max_size or bound elements (see _verdicts_of)
 _leq_matrices = {}
 _classifications = {}
+_ages = {}
 _candidates = {}
 _verdicts = {}
 
@@ -236,12 +238,13 @@ def age_fragments(a, max_size):
     max_size elements, smallest first, drawn from a canonical prefix deep
     enough for the bounded comparison in `sigma1_leq`.
 
-    Computed once per (structure, max_size) and kept on the structure; the
-    returned list is shared, so callers must not mutate it.
+    Computed once per (structure key, max_size); the returned list is
+    shared, so callers must not mutate it.
     """
     if max_size < 1:
         raise ValueError("max_size must be at least 1, got %r" % (max_size,))
-    age = a._age.get(max_size)
+    key = (a.key(), max_size)
+    age = _ages.get(key)
     if age is not None:
         return age
     n = 2 * max_size + a.param() + 4
@@ -255,11 +258,11 @@ def age_fragments(a, max_size):
     for k in range(1, min(max_size, n) + 1):
         for subset in itertools.combinations(range(n), k):
             # the subset's facts, as one bit per ordered pair
-            key = tuple(succ[u] >> v & 1 for u in subset for v in subset)
-            if key not in seen:
-                seen.add(key)
+            bits = tuple(succ[u] >> v & 1 for u in subset for v in subset)
+            if bits not in seen:
+                seen.add(bits)
                 age.append(prefix.induced(subset))
-    a._age[max_size] = age
+    _ages[key] = age
     return age
 
 

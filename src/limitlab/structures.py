@@ -10,16 +10,6 @@ arguments lie inside its domain.
 from __future__ import annotations
 
 
-class MalformedFormulaError(ValueError):
-    pass
-
-
-#: the one signature of the package: a single binary relation R, with
-#: relation index 0.  Orders store strict (irreflexive, transitive) pairs,
-#: graphs store both directions of every edge.
-BINARY = (("R", 2),)
-
-
 def iter_bits(mask):
     """The positions of the set bits of a non-negative int, ascending."""
     while mask:
@@ -29,7 +19,9 @@ def iter_bits(mask):
 
 
 class FiniteFragment:
-    """An initial segment of an atomic diagram of the binary signature.
+    """An initial segment of an atomic diagram of the one binary relation
+    R, whose facts R(a, b) are written (0, (a, b)): orders store strict
+    pairs, graphs both directions of every edge.
 
     Element e's successors and predecessors are the bits of two ints,
     `_out[e]` and `_in[e]`; every other fact over the domain is false.
@@ -49,9 +41,7 @@ class FiniteFragment:
 
     __slots__ = ("size", "_out", "_in", "_order", "_linked", "_hash")
 
-    def __init__(self, signature, size, _out=None, _in=None):
-        if signature != BINARY:
-            raise ValueError("fragments support only the binary signature")
+    def __init__(self, size, _out=None, _in=None):
         self.size = size
         self._out = [0] * size if _out is None else _out
         self._in = [0] * size if _in is None else _in
@@ -60,13 +50,15 @@ class FiniteFragment:
         self._hash = None  # __hash__(), once known
 
     @classmethod
-    def from_tuples(cls, signature, size, tuples):
-        frag = cls(signature, size)
+    def from_tuples(cls, size, tuples):
+        """The fragment whose facts are `tuples`, each (0, (a, b)) for
+        R(a, b)."""
+        frag = cls(size)
         out, inn = frag._out, frag._in
         for rel, args in tuples:
             a, b = args
             if rel != 0 or not (0 <= a < size and 0 <= b < size):
-                raise MalformedFormulaError(
+                raise ValueError(
                     "no such fact over %d elements: %r" % (size, (rel, args))
                 )
             out[a] |= 1 << b
@@ -94,7 +86,7 @@ class FiniteFragment:
             out[j] |= bit
         for j in iter_bits(succ):
             inn[j] |= bit
-        child = FiniteFragment(BINARY, e + 1, out, inn)
+        child = FiniteFragment(e + 1, out, inn)
         child._linked = linked | both | bit if both else linked
         child._order = self._order
         return child
@@ -225,7 +217,7 @@ class FiniteFragment:
             if not 0 <= e < self.size:
                 raise ValueError("element %r out of domain" % (e,))
             chosen |= 1 << e
-        frag = FiniteFragment(BINARY, len(elems))
+        frag = FiniteFragment(len(elems))
         out, inn = frag._out, frag._in
         for i, e in enumerate(elems):
             row = self._out[e] & chosen

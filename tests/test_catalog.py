@@ -3,7 +3,7 @@ import random
 import pytest
 
 from limitlab.adversaries import StreamBuilder
-from limitlab.structures import BINARY, FiniteFragment
+from limitlab.structures import FiniteFragment
 from limitlab.catalog import (
     ConstructionError,
     Family,
@@ -40,14 +40,16 @@ HOOK_KEYS = PARSE_KEYS + ["tilde(omega_star)", "tilde(zeta)", "ray(3)",
 
 
 class TestParser:
-    @pytest.mark.parametrize("key", PARSE_KEYS)
+    @pytest.mark.parametrize("key", HOOK_KEYS)
     def test_key_round_trip(self, key):
         s = parse_structure(key)
         assert s.key() == key
         assert parse_structure(s.key()) == s
 
     @pytest.mark.parametrize(
-        "bad", ["", "chain", "chain(1)", "cycle(2)", "poset_p(-1)", "frob(3)"]
+        "bad",
+        ["", "chain", "chain(1)", "cycle(2)", "poset_p(-1)", "frob(3)",
+         "ray(1)", "iso(-1)", "cyc_comp(2)", "omega()"],
     )
     def test_rejects_malformed(self, bad):
         with pytest.raises((ConstructionError, ValueError)):
@@ -228,6 +230,7 @@ class TestRelationMasks:
 class TestAgeDeciders:
     STRUCTS = [
         "omega",
+        "omega_star",
         "zeta",
         "ray",
         "chain(4)",
@@ -236,16 +239,23 @@ class TestAgeDeciders:
         "iso(3)",
         "iso_inf",
         "poset_p(0)",
+        "poset_p(1)",
         "poset_p(2)",
         "cyc_comp(3)",
+        "cyc_comp(5)",
         "tilde(chain(3))",
+        "tilde(poset_p(0))",
         "du(cycle(3),iso_inf)",
+        "du(iso_inf,cycle(3))",
+        "du(ray,iso_inf)",
+        "du(chain(2),chain(3))",
     ]
 
     @pytest.mark.parametrize("target_key", STRUCTS)
     def test_matches_brute_force(self, target_key):
         target = parse_structure(target_key)
-        sources = ["chain(3)", "cycle(3)", "ray(3)", "iso(4)", "poset_p(1)"]
+        sources = ["chain(3)", "cycle(3)", "cycle(4)", "ray(3)", "iso(4)",
+                   "poset_p(1)"]
         for src_key in sources:
             src = parse_structure(src_key)
             for sub in distinct_substructures(src, 4):
@@ -274,7 +284,7 @@ class TestAgeDeciders:
                 if brute_embeds_structure(sub, target):
                     inside += 1
                     padded = FiniteFragment.from_tuples(
-                        BINARY, sub.size + 1, sub.tuples()
+                        sub.size + 1, sub.tuples()
                     )
                     assert brute_embeds_structure(padded, target), (
                         src_key, target_key, sorted(sub.tuples()))

@@ -315,6 +315,27 @@ class TestCli:
         assert captured.err.count("\n") == 1
         assert shape in captured.err
 
+    def test_duel_stream_past_a_finite_member_exit_code(self, capsys):
+        # the adversary presents chain(2) for more stages than it has
+        # elements
+        argv = ["duel", "adv_vs_co_comparable", "ex_min_embed",
+                "--family", "chain(2),chain(3)"]
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+        assert "chain(2) has only 2 elements" in captured.err
+
+    def test_duel_pair_from_one_member_exit_code(self, capsys):
+        argv = ["duel", "adv_vs_fin", "fin", "--family", "iso(3)"]
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+        assert "adv_vs_fin" in captured.err
+
     def test_every_duel_opponent_of_wrong_kind_exit_code(self, capsys):
         for adversary, (family_name, kind, _) in H.DUELS.items():
             for other_kind, registry in H.OPPONENTS.items():

@@ -15,7 +15,7 @@ from limitlab.catalog import (
     graph_components,
     parse_structure,
 )
-from limitlab.structures import BINARY, FiniteFragment
+from limitlab.structures import FiniteFragment
 from limitlab.sigma1 import (
     WITNESS_SIZE_BOUND,
     Sigma1Classification,
@@ -478,7 +478,7 @@ def test_stream_watch_reasks_other_members(key, monkeypatch):
     assert not member.absorbs_isolated()
     watch = StreamWatch({}, (member,))
     asked = _counting_embeds(monkeypatch)
-    one = FiniteFragment(BINARY, 0).extended(0, 0)
+    one = FiniteFragment(0).extended(0, 0)
     hit, state = watch.first_inside(watch.advance(watch.initial(), one), [0])
     assert hit == 0
     asked.clear()
@@ -499,7 +499,7 @@ def test_stream_watch_reasks_after_non_extension(key, monkeypatch):
     state = watch.initial()
     # a shorter fragment, then one two elements larger
     for n in (2, 1, 3):
-        state = watch.advance(state, FiniteFragment.from_tuples(BINARY, n, []))
+        state = watch.advance(state, FiniteFragment.from_tuples(n, []))
         asked.clear()
         hit, state = watch.first_inside(state, [0])
         assert hit == 0
@@ -541,6 +541,24 @@ def test_witness_candidates_match_reference(bound, fresh_sigma1):
             ]
             # shared by structure key: a new object reads the same list
             assert sigma1._witness_candidates(S(a.key()), bound) is got
+
+
+def test_fresh_sigma1_empties_every_memo(fresh_sigma1):
+    """A memo added to sigma1 later must join the fixture, or it would
+    answer the call-counting tests from an earlier test's questions."""
+    memos = {
+        name for name, value in vars(sigma1).items()
+        if name.startswith("_") and not name.startswith("__")
+        and isinstance(value, dict)
+    }
+    assert set(fresh_sigma1) == memos
+
+
+def test_age_fragments_shared_by_key(fresh_sigma1):
+    got = age_fragments(S("tilde(chain(3))"), 3)
+    # a new object with the same key reads the same list
+    assert age_fragments(S("tilde(chain(3))"), 3) is got
+    assert sigma1._ages == {("tilde(chain(3))", 3): got}
 
 
 GRID_AGE_SIZE = 3

@@ -9,7 +9,6 @@ from limitlab import structures
 from limitlab.catalog import Presentation, canonical_fragment, parse_structure
 from limitlab.pairing import pair, unpair, triple, untriple
 from limitlab.structures import (
-    BINARY,
     FiniteFragment,
     embed_finite,
     embed_map,
@@ -25,7 +24,7 @@ def random_fragment(rng, size, density=0.4):
         for b in range(size):
             if a != b and rng.random() < density:
                 tuples.append((0, (a, b)))
-    return FiniteFragment.from_tuples(BINARY, size, tuples)
+    return FiniteFragment.from_tuples(size, tuples)
 
 
 @st.composite
@@ -33,7 +32,7 @@ def grown_views(draw, max_size):
     """Every view of one extension chain of 1..max_size elements, each
     element added with random successor and predecessor masks, self-loops
     allowed."""
-    frag, views = FiniteFragment(BINARY, 0), []
+    frag, views = FiniteFragment(0), []
     for e in range(draw(st.integers(1, max_size))):
         below = st.integers(0, (1 << e) - 1)
         loop = draw(st.booleans()) << e
@@ -75,16 +74,14 @@ class TestPairing:
 
 class TestFragmentLaws:
     def test_extends_chain(self):
-        f = FiniteFragment.from_tuples(BINARY, 2, [(0, (0, 1))])
+        f = FiniteFragment.from_tuples(2, [(0, (0, 1))])
         g = f.extended(0, 0b011)  # 0 and 1 below the new element 2
         assert g.extends(f)
         assert not f.extends(g)
         assert g.restricted(2).tuple_set() == f.tuple_set()
 
     def test_induced_relabels(self):
-        f = FiniteFragment.from_tuples(
-            BINARY, 4, [(0, (0, 2)), (0, (2, 3))]
-        )
+        f = FiniteFragment.from_tuples(4, [(0, (0, 2)), (0, (2, 3))])
         sub = f.induced([0, 2, 3])
         assert sub.size == 3
         assert sub.tuple_set() == {(0, (0, 1)), (0, (1, 2))}
@@ -92,16 +89,14 @@ class TestFragmentLaws:
     def test_extended_rejects_tuple_inside_old_domain(self):
         # the masks name facts with the new element 2 only: a bit beyond
         # it, or a self-loop in one mask alone, is refused
-        f = FiniteFragment.from_tuples(BINARY, 2, [])
+        f = FiniteFragment.from_tuples(2, [])
         with pytest.raises(ValueError):
             f.extended(1 << 3, 0)
         with pytest.raises(ValueError):
             f.extended(0, 1 << 2)
 
     def test_restricted_drops_outside_tuples(self):
-        f = FiniteFragment.from_tuples(
-            BINARY, 3, [(0, (0, 1)), (0, (1, 2))]
-        )
+        f = FiniteFragment.from_tuples(3, [(0, (0, 1)), (0, (1, 2))])
         assert f.restricted(2).tuple_set() == {(0, (0, 1))}
 
 
@@ -264,7 +259,7 @@ class TestMaskCore:
     @given(extension_chains())
     def test_extension_chain_views(self, chain):
         rel, sizes, asked, rng = chain
-        frags = [FiniteFragment(BINARY, 0)]
+        frags = [FiniteFragment(0)]
         for old, new, ask in zip(sizes, sizes[1:], asked):
             # ask some fragments for the order flag while the chain grows,
             # so both the derived and the computed flag are exercised
@@ -293,7 +288,6 @@ class TestMaskCore:
             rng.shuffle(subset)
             relabel = {e: i for i, e in enumerate(subset)}
             expected = FiniteFragment.from_tuples(
-                BINARY,
                 len(subset),
                 [
                     (0, (relabel[a], relabel[b]))
@@ -375,7 +369,7 @@ class TestLinkedMask:
         """The carried mask along a random extension chain, on its older
         views once the chain has grown, and the lazily computed one of
         `from_tuples` and `induced` fragments and of their extensions."""
-        frag, views = FiniteFragment(BINARY, 0), []
+        frag, views = FiniteFragment(0), []
         for _ in range(data.draw(st.integers(1, 10))):
             frag = self.grow(data, frag)
             assert frag.linked() == mentioned(frag)
@@ -388,7 +382,7 @@ class TestLinkedMask:
         subset = data.draw(
             st.lists(st.integers(0, view.size - 1), unique=True)
         )
-        rebuilt = FiniteFragment.from_tuples(BINARY, view.size, view.tuples())
+        rebuilt = FiniteFragment.from_tuples(view.size, view.tuples())
         for frag in (rebuilt, view.induced(subset)):
             # extending it computes its mask before the masks grow
             grown = self.grow(data, frag)
