@@ -204,7 +204,6 @@ def check(spec, transcript, truth, family):
                 {"code": code, "stages": [left, right]},
             )
         return _check_ex(spec, transcript, truth)
-    return Verdict("INCONCLUSIVE", reason="unknown criterion")
 
 
 # ---------------------------------------------------------------------------
@@ -336,8 +335,8 @@ CELL_KEYS = (
 
 def run_matrix(cells):
     """cells: iterable of dicts with keys family, learner, criterion and
-    optional member, seeds, horizon, tail, window, budget; any other key
-    is a usage error, raised before a cell runs."""
+    optional member, seeds, horizon, tail, window, budget; any other key,
+    and an unknown learner, is a usage error, raised before a cell runs."""
     cells = list(cells)
     for cell in cells:
         unknown = sorted(set(cell) - set(CELL_KEYS))
@@ -345,6 +344,11 @@ def run_matrix(cells):
             raise ValueError(
                 "unknown matrix cell key %r; the keys are %s"
                 % (unknown[0], ", ".join(CELL_KEYS))
+            )
+        if cell.get("learner") not in LEARNERS:
+            raise ValueError(
+                "unknown learner %r; the learners are %s"
+                % (cell.get("learner"), ", ".join(sorted(LEARNERS)))
             )
     rows = []
     for cell in cells:
@@ -358,7 +362,7 @@ def run_matrix(cells):
         )
         try:
             learner = LEARNERS[cell["learner"]](family)
-        except (ConfigurationError, KeyError) as exc:
+        except ConfigurationError as exc:
             rows.append(
                 {
                     "cell": cell,

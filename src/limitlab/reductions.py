@@ -2,8 +2,8 @@
 
 Operators consume a fragment stream stage by stage and append values to an
 output sequence; they never rewrite what they emitted, which is the whole
-continuity contract.  Columnar outputs live in the same flat sequence via
-the Cantor pairing, column m row r at position pair(m, r).
+continuity contract.  E3 outputs live in the same flat sequence via the
+Cantor pairing, column m row r at position pair(m, r).
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from .learners import QUESTION, ConfigurationError
 @dataclass(frozen=True)
 class OutputPrefix:
     values: tuple
-    columnar: bool = False
 
     def __len__(self):
         return len(self.values)
@@ -47,8 +46,8 @@ class PrefixVerdict:
 
 
 def outputs(operator, fragments):
-    """The values an operator (anything with `initial` and `step`) emits
-    along a fragment stream, in order."""
+    """The values an operator emits along a fragment stream, in order: its
+    `initial()` state, then `step(state, fragment)` -> (state, new values)."""
     state, out = operator.initial(), []
     for frag in fragments:
         state, new = operator.step(state, frag)
@@ -56,29 +55,7 @@ def outputs(operator, fragments):
     return out
 
 
-class ReductionOperator:
-    """Base operator: `initial()` and `step(state, fragment)` returning
-    (state, newly emitted values)."""
-
-    tag = None
-    columnar = False
-
-    def initial(self):
-        raise NotImplementedError
-
-    def step(self, state, fragment):
-        raise NotImplementedError
-
-    def prefix(self, fragments):
-        return OutputPrefix(tuple(outputs(self, fragments)), self.columnar)
-
-    def declared_range(self, code):
-        """Limiting range on streams of the given member, when the target
-        relation makes that meaningful."""
-        return None
-
-
-class GammaFinToEqnat(ReductionOperator):
+class GammaFinToEqnat:
     """Empty output until the one-shot learner commits, then the constant
     sequence of the committed code."""
 
@@ -105,9 +82,6 @@ class GammaFinToEqnat(ReductionOperator):
             return (fin_state, None, emitted), ()
         new = (committed,) * (fragment.size - emitted)
         return (fin_state, committed, fragment.size), new
-
-    def declared_range(self, code):
-        return {code}
 
 
 class GammaFinToEqnatTotal(GammaFinToEqnat):
@@ -150,7 +124,7 @@ def _pair_witnesses(classification):
     return classification.witnesses
 
 
-class GammaErange(ReductionOperator):
+class GammaErange:
     """Position (s, i, j) carries the code pair(i, j) once the (i, j)
     separating formula holds at stage s, else 0; 0 is always in range."""
 
@@ -191,12 +165,11 @@ class GammaErange(ReductionOperator):
         return out
 
 
-class GammaErangeToE3(ReductionOperator):
+class GammaErangeToE3:
     """Column pair(i, j) flips 0 to 1 at the stage the (i, j) formula
     first holds; comparable or diagonal pairs stay all-0."""
 
     tag = "E3"
-    columnar = True
 
     def __init__(self, family, classification):
         self.family = family
@@ -226,40 +199,25 @@ class GammaErangeToE3(ReductionOperator):
 
 
 def check_prefix(rel, a, b, closed_range_a=None, closed_range_b=None):
-    """Compare two output prefixes under the named relation.
+    """Compare two output prefixes under the named relation: =N, E-range or
+    E3.
 
     DefinitelyDistinct is only produced when no extension can restore
-    equivalence: a flat mismatch for Id, differing first values for =N, or
-    a range value outside the other side's declared closed range.  The
-    almost-everywhere relations (E_0, E_3, E_set) never settle at a finite
-    stage; their verdicts carry agreement statistics instead.
+    equivalence: differing first values for =N, or a range value outside
+    the other side's declared closed range for E-range.  E3 is an
+    almost-everywhere relation that never settles at a finite stage; its
+    verdict carries per-column mismatch counts instead.
     """
-    if a.columnar != b.columnar:
-        raise ValueError("prefix shapes differ")
-    k = min(len(a), len(b))
-    if rel == "Id":
-        for p in range(k):
-            if a.values[p] != b.values[p]:
-                return PrefixVerdict("DefinitelyDistinct", p)
-        return PrefixVerdict("ConsistentSoFar", payload={"agreed": k})
     if rel == "eqnat":
         if len(a) and len(b):
             if a.values[0] != b.values[0]:
                 return PrefixVerdict("DefinitelyDistinct", 0)
             return PrefixVerdict("EquivalentByRule")
         return PrefixVerdict("ConsistentSoFar", payload={"agreed": 0})
-    if rel == "E0":
-        diffs = [p for p in range(k) if a.values[p] != b.values[p]]
-        return PrefixVerdict(
-            "ConsistentSoFar",
-            payload={
-                "mismatches": len(diffs),
-                "last_mismatch": diffs[-1] if diffs else None,
-            },
-        )
     if rel == "E3":
         # both sides reach row r of column m iff pair(m, r) < k, so only
         # the differing positions of the common prefix are decoded
+        k = min(len(a), len(b))
         cols = {}
         if a.values[:k] != b.values[:k]:
             for q in compress(count(), map(ne, a.values, b.values)):
@@ -289,23 +247,7 @@ def check_prefix(rel, a, b, closed_range_a=None, closed_range_b=None):
             "ConsistentSoFar",
             payload={"delta": sorted((ra - rb) | (rb - ra))},
         )
-    if rel == "Eset":
-        sets_a = _column_sets(a)
-        sets_b = _column_sets(b)
-        delta = [sorted(s) for s in sets_a ^ sets_b]
-        return PrefixVerdict("ConsistentSoFar", payload={"delta": delta})
     raise ValueError("unknown relation tag: %r" % rel)
-
-
-def _column_sets(prefix):
-    out = set()
-    m = 0
-    while pair(m, 0) < len(prefix):
-        col = prefix.column(m)
-        if col:
-            out.add(frozenset(col))
-        m += 1
-    return out
 
 
 def run_operator(operator, presentation, horizon):
@@ -313,25 +255,17 @@ def run_operator(operator, presentation, horizon):
     values = outputs(
         operator, (presentation.restrict(s) for s in range(horizon))
     )
-    return OutputPrefix(tuple(values), operator.columnar)
+    return OutputPrefix(tuple(values))
 
 
-def _separation_evidence(rel, verdict, pa, pb):
+def _separation_evidence(rel, verdict):
     if verdict.kind == "DefinitelyDistinct":
         return True
-    if rel == "Id":
-        return False
-    if rel == "eqnat":
-        return False
-    if rel == "E0":
-        return verdict.payload["mismatches"] >= 3
     if rel == "E3":
         return any(
             c["mismatches"] >= 3 for c in verdict.payload["columns"].values()
         )
     if rel == "Erange":
-        return bool(verdict.payload["delta"])
-    if rel == "Eset":
         return bool(verdict.payload["delta"])
     return False
 
@@ -379,7 +313,7 @@ def verify_reduction(operator, family, horizon=100, seeds=(1, 2, 3)):
                     if i == j:
                         passed = verdict.kind != "DefinitelyDistinct"
                     else:
-                        passed = _separation_evidence(rel, verdict, pa, pb)
+                        passed = _separation_evidence(rel, verdict)
                     ok = ok and passed
                     cells.append(
                         {

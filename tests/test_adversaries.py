@@ -167,12 +167,11 @@ class TestIdOperatorAdversary:
 
 
 class ChainParityOperator:
-    """A columnar operator whose column 0 leaks the current chain length
+    """An E3 operator whose column 0 leaks the current chain length
     parity, so its outputs depend on the revelation schedule and not just
     the limit structure."""
 
     tag = "E3"
-    columnar = True
 
     def initial(self):
         return None
@@ -186,9 +185,6 @@ class ChainParityOperator:
         top = pair(0, fragment.size)
         new = tuple(length % 2 for _ in range(emitted, top))
         return top, new
-
-    def declared_range(self, code):
-        return None
 
 
 class TestE3OperatorAdversary:

@@ -41,6 +41,12 @@ class TestCheck:
         v = H.check(spec("Fin", horizon=4, tail=2), ["?", 1, 1, 1], 1, FAM)
         assert v.status == "PASS"
 
+    def test_fin_stuck_wrong(self):
+        v = H.check(spec("Fin", horizon=8), [1] * 8, 0, FAM)
+        assert v.status == "FAIL"
+        assert v.certificate.kind == "StuckWrong"
+        assert v.certificate.details == {"final_hypothesis": 1, "truth_code": 0}
+
     def test_fin_silence_fails(self):
         v = H.check(spec("Fin", horizon=4, tail=2), ["?"] * 4, 1, FAM)
         assert v.status == "FAIL"
@@ -107,6 +113,14 @@ class TestCheck:
         for transcript in ([None] * 6, [object()] * 6, [0.5, {}, (), "x", 0, 0]):
             v = H.check(spec("Ex"), transcript, 0, FAM)
             assert v.status in ("PASS", "FAIL", "INCONCLUSIVE")
+
+    @pytest.mark.parametrize("kind", H.CRITERIA)
+    def test_every_criterion_is_checked(self, kind):
+        # a spec only admits a kind in CRITERIA, and each one has a checker
+        budget = 1 if kind == "AlphaFin" else None
+        v = H.check(spec(kind, budget=budget), [0] * 6, 0, FAM)
+        assert isinstance(v, H.Verdict)
+        assert v.status in ("PASS", "FAIL")
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):
@@ -363,20 +377,21 @@ class TestCli:
     def test_matrix_unknown_cell_key_exit_code(
         self, tmp_path, capsys, monkeypatch
     ):
-        # the key is rejected before the valid first cell runs
+        # the bad key, or the unknown learner, is rejected before the
+        # valid first cell runs; a learner typo is not a SKIPPED cell
         monkeypatch.setattr(H, "run_cell", None)
         config = tmp_path / "cells.json"
         cell = {"family": "omega_pair", "learner": "ex_minmax",
                 "criterion": "Ex", "horizon": 128, "tail": 16, "window": 8}
-        config.write_text(json.dumps(
-            {"cells": [cell, dict(cell, members=[0])]}
-        ))
-        assert cli.main(["matrix", str(config)]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("error: ")
-        assert captured.err.count("\n") == 1
-        assert "'members'" in captured.err
+        for bad, named in ((dict(cell, members=[0]), "'members'"),
+                           (dict(cell, learner="nope"), "'nope'")):
+            config.write_text(json.dumps({"cells": [cell, bad]}))
+            assert cli.main(["matrix", str(config)]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error: ")
+            assert captured.err.count("\n") == 1
+            assert named in captured.err
 
     def test_classify_command(self, capsys):
         assert cli.main(["classify", "cycles"]) == 0
@@ -399,6 +414,24 @@ class TestCli:
         )
         assert code == 0
         assert json.loads(capsys.readouterr().out)["passed"]
+
+    def test_reduce_command(self, capsys):
+        argv = ["reduce", "gamma_fin_to_eqnat", "cycles", "--horizon", "12"]
+        assert cli.main(argv) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out == {"relation": "eqnat", "values": [0] * 12}
+
+    def test_reduce_missing_witness_exit_code(self, capsys):
+        # witness bound 8 leaves the pair (7, 6) of padded_chains open
+        assert cli.main(["reduce", "gamma_erange", "padded_chains"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: missing witness for pair (7,6)\n"
+
+    def test_duel_command(self, capsys):
+        assert cli.main(["duel", "adv_vs_nus_poset", "ex_poset"]) == 0
+        cert = json.loads(capsys.readouterr().out)
+        assert cert["kind"] == "AbandonReturn"
 
     def test_matrix_and_report(self, tmp_path, capsys):
         config = tmp_path / "cells.json"

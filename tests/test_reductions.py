@@ -10,7 +10,9 @@ from limitlab.reductions import (
     GammaFinToEqnat,
     GammaFinToEqnatTotal,
     OutputPrefix,
+    _separation_evidence,
     check_prefix,
+    outputs,
     run_operator,
     verify_reduction,
 )
@@ -23,28 +25,15 @@ def S(key):
 
 
 class TestCheckPrefix:
-    def test_id_first_mismatch(self):
-        a = OutputPrefix((1, 2, 3))
-        b = OutputPrefix((1, 5, 3))
-        v = check_prefix("Id", a, b)
-        assert v.kind == "DefinitelyDistinct" and v.position == 1
-
-    def test_id_consistent(self):
-        v = check_prefix("Id", OutputPrefix((1, 2)), OutputPrefix((1, 2, 9)))
-        assert v.kind == "ConsistentSoFar"
-
     def test_eqnat_settles_on_first_value(self):
         same = check_prefix("eqnat", OutputPrefix((4, 0)), OutputPrefix((4, 9)))
         assert same.kind == "EquivalentByRule"
         diff = check_prefix("eqnat", OutputPrefix((4,)), OutputPrefix((5,)))
         assert diff.kind == "DefinitelyDistinct" and diff.position == 0
-
-    def test_e0_counts_mismatches(self):
-        a = OutputPrefix((0, 1, 0, 1))
-        b = OutputPrefix((0, 0, 0, 0))
-        v = check_prefix("E0", a, b)
-        assert v.kind == "ConsistentSoFar"
-        assert v.payload["mismatches"] == 2
+        # an operator that has not committed yet leaves =N undecided
+        open_ = check_prefix("eqnat", OutputPrefix(()), OutputPrefix((5,)))
+        assert open_.kind == "ConsistentSoFar"
+        assert not _separation_evidence("eqnat", open_)
 
     def test_erange_distinct_outside_closed_range(self):
         a = OutputPrefix((0, 7))
@@ -52,6 +41,13 @@ class TestCheckPrefix:
         v = check_prefix("Erange", a, b, closed_range_a={0, 7},
                          closed_range_b={0})
         assert v.kind == "DefinitelyDistinct"
+        # while every value lies in both closed ranges, which differ, the
+        # pair stays undecided, and an empty delta is no separation
+        v = check_prefix("Erange", OutputPrefix((0, 0)), OutputPrefix((0,)),
+                         closed_range_a={0, 7}, closed_range_b={0})
+        assert v.kind == "ConsistentSoFar"
+        assert v.payload == {"delta": []}
+        assert not _separation_evidence("Erange", v)
 
     def test_erange_equal_ranges_equivalent(self):
         a = OutputPrefix((0, 1))
@@ -66,7 +62,7 @@ class TestCheckPrefix:
         st.lists(st.integers(0, 1), max_size=60),
     )
     def test_e3_columns_match_column_reference(self, xs, ys):
-        a, b = OutputPrefix(tuple(xs), True), OutputPrefix(tuple(ys), True)
+        a, b = OutputPrefix(tuple(xs)), OutputPrefix(tuple(ys))
         k = min(len(a), len(b))
         expected, m = {}, 0
         while pair(m, 0) < k:
@@ -86,8 +82,10 @@ class TestCheckPrefix:
         assert all(list(cols[m]) == list(expected[m]) for m in expected)
 
     def test_unknown_relation(self):
-        with pytest.raises(ValueError):
-            check_prefix("E9", OutputPrefix(()), OutputPrefix(()))
+        # no registered operator targets Id, E0 or Eset
+        for rel in ("E9", "Id", "E0", "Eset"):
+            with pytest.raises(ValueError, match="unknown relation tag"):
+                check_prefix(rel, OutputPrefix(()), OutputPrefix(()))
 
 
 class TestGammaFinToEqnat:
@@ -98,7 +96,6 @@ class TestGammaFinToEqnat:
             prefix = run_operator(op, Presentation(fam.members[code], 3), 80)
             assert prefix.values
             assert set(prefix.values) == {code}
-            assert op.declared_range(code) == {code}
 
     def test_total_variant_defaults(self):
         fam = H.get_family("cycles")
@@ -139,9 +136,9 @@ class TestGammaErange:
         op = H.GAMMAS["gamma_erange"](fam)
         pres = Presentation(fam.members[1], 2)
         frags = [pres.restrict(s) for s in range(60)]
-        short = op.prefix(frags[:30])
-        full = op.prefix(frags)
-        assert full.values[: len(short)] == short.values
+        short = outputs(op, frags[:30])
+        full = outputs(op, frags)
+        assert full[: len(short)] == short
 
     def test_verify_passes(self):
         fam = H.get_family("tilde_chains")
@@ -169,7 +166,7 @@ def reference_step(op, state, fragment):
     watched, emitted = state
     watched = op.watch.advance(watched, fragment)
     first_sat, new = watched[1], []
-    if op.columnar:
+    if op.tag == "E3":
         top = max(emitted, pair(0, fragment.size))
         for q in range(emitted, top):
             col, row = unpair(q)
@@ -227,7 +224,7 @@ def test_erange_operators_never_reemit(gamma):
         state, new = op.step(state, pres.restrict(s))
         assert state[1] == emitted + len(new)
         out.extend(new)
-    assert out == list(op.prefix([pres.restrict(50)]).values)
+    assert out == outputs(op, [pres.restrict(50)])
 
 
 class TestGammaErangeToE3:
