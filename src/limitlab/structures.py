@@ -26,10 +26,18 @@ class FiniteFragment:
     Element e's successors and predecessors are the bits of two ints,
     `_out[e]` and `_in[e]`; every other fact over the domain is false.
     Extended fragments share both mask lists, so a stream of h stages
-    stores each fact once.  An extension only adds facts that mention its
-    new element, so the mask bits below a fragment's size, its facts,
-    never change after it is built.  The mask of elements in some fact is
-    carried along extensions the same way, and the hash is computed once.
+    stores each fact once.  An extension stores only its new element's
+    row, its facts with the earlier elements; the older rows take its
+    bits on the first read that needs an older element's full row, and
+    that read folds every pending element of the chain in one pass.  The
+    chain shares one fold record, [number of its elements whose bits are
+    in the older rows]; `_fold` is that record while this fragment may
+    have elements to fold, and None once it has none or when it owns its
+    masks (`from_tuples`, `induced`).  Folding element x sets only bit x
+    of older rows and every read masks to the fragment's size, so no
+    read ever sees a bit at or above its own size, and a fragment's facts
+    never change after it is built.  The mask of elements in some fact
+    is carried along extensions, and the hash is computed once.
 
     Whether the facts form a strict order is a threshold along a chain:
     true up to some size, false from the next one on.  The fragments of a
@@ -39,13 +47,14 @@ class FiniteFragment:
     once, whichever fragment is asked first.
     """
 
-    __slots__ = ("size", "_out", "_in", "_order", "_linked", "_hash")
+    __slots__ = ("size", "_out", "_in", "_order", "_fold", "_linked", "_hash")
 
     def __init__(self, size, _out=None, _in=None):
         self.size = size
         self._out = [0] * size if _out is None else _out
         self._in = [0] * size if _in is None else _in
         self._order = [0, False]  # the chain's order record, see above
+        self._fold = None  # the chain's fold record while one is pending
         self._linked = None  # linked_mask(), once known
         self._hash = None  # __hash__(), once known
 
@@ -68,7 +77,8 @@ class FiniteFragment:
     def extended(self, succ, pred):
         """The fragment with one more element e = size, sharing this one's
         masks: bit j of succ (of pred) says R(e, j) (R(j, e)), for j <= e.
-        Only valid on the newest fragment of a chain."""
+        Only valid on the newest fragment of a chain.  It stores e's row;
+        the older rows take e's bits when a reader needs them."""
         e = self.size
         out, inn = self._out, self._in
         if e != len(out):
@@ -76,33 +86,50 @@ class FiniteFragment:
         both = succ | pred
         if not 0 <= both < 2 << e or (succ ^ pred) >> e:
             raise ValueError("masks need bits 0..%d, a self-loop in both" % e)
-        bit = 1 << e
         linked = self._linked
         if linked is None:
             linked = self.linked_mask()
         out.append(succ)
         inn.append(pred)
-        for j in iter_bits(pred):
-            out[j] |= bit
-        for j in iter_bits(succ):
-            inn[j] |= bit
         child = FiniteFragment(e + 1, out, inn)
-        child._linked = linked | both | bit if both else linked
+        child._linked = linked | both | 1 << e if both else linked
         child._order = self._order
+        # with no record pending, all e elements are in the older rows
+        child._fold = [e] if self._fold is None else self._fold
         return child
+
+    def _settle(self):
+        """Fold every element of the chain not yet folded into the older
+        rows: bit x of R(j, x) goes into j's successors, of R(x, j) into
+        j's predecessors.  An unfolded row has no bit above its element."""
+        fold, out, inn = self._fold, self._out, self._in
+        top = len(out)
+        for x in range(fold[0], top):
+            bit = 1 << x
+            m = inn[x]
+            while m:
+                low = m & -m
+                out[low.bit_length() - 1] |= bit
+                m ^= low
+            m = out[x]
+            while m:
+                low = m & -m
+                inn[low.bit_length() - 1] |= bit
+                m ^= low
+        fold[0] = top
+        self._fold = None
 
     def has(self, rel, args):
         a, b = args
-        return (
-            rel == 0
-            and 0 <= a < self.size
-            and 0 <= b < self.size
-            and self._out[a] >> b & 1 == 1
-        )
+        if rel != 0 or not (0 <= a < self.size and 0 <= b < self.size):
+            return False
+        # the later element's row holds the fact, folded or not
+        return (self._out[a] >> b if a >= b else self._in[b] >> a) & 1 == 1
 
     def tuples(self):
         """The facts in chain order: element e ascending, and with each
-        j <= e ascending, (j, e) before (e, j)."""
+        j <= e ascending, (j, e) before (e, j); read off each element's
+        row against the earlier ones, so nothing needs folding."""
         out, inn, facts = self._out, self._in, []
         for e in range(self.size):
             upto = (2 << e) - 1
@@ -115,6 +142,8 @@ class FiniteFragment:
         return facts
 
     def fact_count(self):
+        if self._fold is not None:
+            self._settle()
         full = (1 << self.size) - 1
         return sum((m & full).bit_count() for m in self._out[: self.size])
 
@@ -127,7 +156,10 @@ class FiniteFragment:
         return [t for t in self.tuples() if element in t[1]]
 
     def row(self, e):
-        """Element e's successor and predecessor masks within the domain."""
+        """Element e's successor and predecessor masks within the domain;
+        the newest element's row needs no folding."""
+        if self._fold is not None and e != self.size - 1:
+            self._settle()
         full = (1 << self.size) - 1
         return self._out[e] & full, self._in[e] & full
 
@@ -151,6 +183,8 @@ class FiniteFragment:
     def masks(self):
         """Per-element successor and predecessor bitmasks over this
         fragment's domain, as two lists indexed by element."""
+        if self._fold is not None:
+            self._settle()
         n, full = self.size, (1 << self.size) - 1
         out, inn = self._out[:n], self._in[:n]
         return [m & full for m in out], [m & full for m in inn]
@@ -173,6 +207,8 @@ class FiniteFragment:
         x's predecessors and successors among 0..x-1, x keeps it one when
         it has no self-loop, P is down-closed, S up-closed, and every
         element of P lies below all of S (so P and S are disjoint)."""
+        if self._fold is not None:
+            self._settle()
         out, inn = self._out, self._in
         for x in range(old, self.size):
             below = (1 << x) - 1
@@ -195,6 +231,10 @@ class FiniteFragment:
         if self.size < n:
             return False
         if mine is not theirs:
+            if self._fold is not None:
+                self._settle()
+            if other._fold is not None:
+                other._settle()
             full = (1 << n) - 1
             for e in range(n):
                 if (mine[e] ^ theirs[e]) & full:
@@ -217,6 +257,8 @@ class FiniteFragment:
             if not 0 <= e < self.size:
                 raise ValueError("element %r out of domain" % (e,))
             chosen |= 1 << e
+        if self._fold is not None:
+            self._settle()
         frag = FiniteFragment(len(elems))
         out, inn = frag._out, frag._in
         for i, e in enumerate(elems):
@@ -240,6 +282,8 @@ class FiniteFragment:
 
     def __hash__(self):
         if self._hash is None:
+            if self._fold is not None:
+                self._settle()
             full = (1 << self.size) - 1  # the size is the tuple's length
             self._hash = hash(tuple(m & full for m in self._out[: self.size]))
         return self._hash
@@ -264,6 +308,10 @@ def embed_map(f, g, required=None):
     """
     if f.size > g.size:
         return None
+    if f._fold is not None:
+        f._settle()
+    if g._fold is not None:
+        g._settle()
     f_out, f_in, f_full = f._out, f._in, (1 << f.size) - 1
     # u's neighbours in f, and the number of facts mentioning u, which an
     # image's out- plus in-degree must reach

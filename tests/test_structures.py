@@ -5,7 +5,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from limitlab import structures
+from limitlab import harness as H, structures
+from limitlab.learners import run
 from limitlab.catalog import Presentation, canonical_fragment, parse_structure
 from limitlab.pairing import pair, unpair, triple, untriple
 from limitlab.structures import (
@@ -305,6 +306,111 @@ class TestMaskCore:
                 sub.tuple_set()
             )
 
+    @settings(max_examples=200, deadline=None)
+    @given(extension_chains(), st.sampled_from(["empty", "tuples", "induced"]))
+    def test_reads_while_the_chain_grows(self, chain, root):
+        """Random reads of every kind on random fragments of a chain, older
+        ones and the newest, between its extensions; the chain starts from
+        the empty fragment or from one that owns its masks.  Each read
+        equals the brute-force answer on that fragment's own facts."""
+        rel, sizes, _, rng = chain
+        n = sizes[-1]
+
+        def facts(m):
+            return {(0, (a, b)) for a, b in rel if a < m and b < m}
+
+        r = rng.randint(0, n) if root != "empty" else 0
+        if root == "tuples":
+            frag = FiniteFragment.from_tuples(r, facts(r))
+        elif root == "induced":
+            # the first r elements sit at shuffled places of a bigger
+            # fragment, and come back in order
+            place = list(range(n + 2))
+            rng.shuffle(place)
+            frag = FiniteFragment.from_tuples(
+                n + 2, [(0, (place[a], place[b])) for _, (a, b) in facts(n)]
+            ).induced(place[:r])
+        else:
+            frag = FiniteFragment(0)
+        views = [frag]
+        for x in range(r, n):
+            frag = frag.extended(
+                sum(1 << b for a, b in rel if a == x and b <= x),
+                sum(1 << a for a, b in rel if b == x and a <= x),
+            )
+            views.append(frag)
+            for _ in range(rng.randint(0, 3)):
+                view = rng.choice(views[-2:] if rng.random() < 0.4 else views)
+                self.check_read(view, facts(view.size), rng)
+        for view in views:
+            self.check_read(view, facts(view.size), rng)
+
+    @staticmethod
+    def check_read(view, facts, rng):
+        n = view.size
+        pairs = {args for _, args in facts}
+        row = [
+            (sum(1 << b for a, b in pairs if a == e),
+             sum(1 << a for a, b in pairs if b == e))
+            for e in range(n)
+        ]
+        same = FiniteFragment.from_tuples(n, facts)
+        kind = rng.choice([
+            "row", "masks", "has", "tuples", "count", "equal", "induced",
+            "embed", "order",
+        ])
+        if kind == "row" and n:
+            e = n - 1 if rng.random() < 0.5 else rng.randrange(n)
+            assert view.row(e) == row[e]
+        elif kind == "masks":
+            assert view.masks() == ([s for s, _ in row], [p for _, p in row])
+        elif kind == "has":
+            for a in range(n + 1):
+                for b in range(n + 1):
+                    assert view.has(0, (a, b)) == ((a, b) in pairs)
+        elif kind == "tuples":
+            expected = []
+            for e in range(n):
+                for j in range(e + 1):
+                    expected += [(0, (j, e))] * ((j, e) in pairs)
+                    expected += [(0, (e, j))] * (j < e and (e, j) in pairs)
+            assert view.tuples() == expected
+        elif kind == "count":
+            assert view.fact_count() == len(facts)
+        elif kind == "equal":
+            assert view == same and same == view
+            assert hash(view) == hash(same)
+            assert view.extends(same) and same.extends(view)
+        elif kind == "induced":
+            subset = [e for e in range(n) if rng.random() < 0.6]
+            rng.shuffle(subset)
+            relabel = {e: i for i, e in enumerate(subset)}
+            assert view.induced(subset).tuple_set() == {
+                (0, (relabel[a], relabel[b]))
+                for a, b in pairs
+                if a in relabel and b in relabel
+            }
+        elif kind == "embed":
+            # into and out of the chain: a relabelled copy embeds both
+            # ways, a random fragment as the brute search says
+            perm = list(range(n))
+            rng.shuffle(perm)
+            copy = FiniteFragment.from_tuples(
+                n, [(0, (perm[a], perm[b])) for a, b in pairs]
+            )
+            other = random_fragment(rng, rng.randint(0, 4))
+            for f, g, found in ((copy, view, True), (view, copy, True),
+                                (other, view, None), (view, other, None)):
+                m = embed_map(f, g)
+                if found is None:
+                    found = brute_embed(f, g)
+                assert (m is not None) == found
+                if found:
+                    mapping = tuple(m[u] for u in range(f.size))
+                    assert induced_copy(f, g, mapping)
+        elif kind == "order":
+            assert view.is_strict_order() == brute_strict_order(facts)
+
 
 def order_from_scratch(frag):
     """Irreflexive and transitive, read off every row: each successor's
@@ -346,6 +452,23 @@ def test_order_flag_resumes_along_a_prebuilt_stream(key, monkeypatch):
         top = max(n for n, flag in flags.items() if flag)
         assert sorted(looked) == list(range(min(top + 1, 48)))
         looked.clear()
+
+
+def test_min_max_learner_never_folds_its_stream():
+    """The min/max learner reads only each new element's row and extends
+    on one chain, so 1,024 stages of either member leave every element
+    unfolded; one full read folds the chain and sees the same rows as a
+    fragment that owns its masks."""
+    family = H.get_family("omega_pair")
+    learner = H.LEARNERS["ex_minmax"](family)
+    for member in family:
+        pres = Presentation(member, 1)
+        run(learner, pres, 1024)
+        frag = pres.restrict(1023)
+        assert frag._fold == [0]
+        owned = FiniteFragment.from_tuples(frag.size, frag.tuples())
+        assert frag.masks() == owned.masks()
+        assert frag._fold is None and pres.fragments[1]._fold == [1024]
 
 
 def mentioned(frag):
