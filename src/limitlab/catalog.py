@@ -731,8 +731,6 @@ class Presentation(TokenChain):
             )
         while len(self.tokens) <= s:
             self._refill()
-            if not self._buffer:
-                raise ConstructionError("ran out of elements")
             if len(self.tokens) % 2 == 0:
                 tok = self._buffer.pop(0)
             else:
@@ -741,15 +739,13 @@ class Presentation(TokenChain):
         return self.fragments[s + 1]
 
 
-class AdversarialPresentation:
-    """A presentation driven by a stage rule instead of a catalog target.
+class ReplayPresentation:
+    """Replays an explicit list of fragments, one per stage.  Fairness is
+    not guaranteed by construction; each stage is checked as it is first
+    read, for its size and for extending the stage before it."""
 
-    Fairness is not guaranteed by construction; monotonicity is checked at
-    every step.
-    """
-
-    def __init__(self, builder, label="adversarial"):
-        self.builder = builder
+    def __init__(self, fragments, label="replay"):
+        self.builder = fragments.__getitem__  # stage -> fragment
         self.label = label
         self._fragments = []
 
@@ -765,13 +761,6 @@ class AdversarialPresentation:
                 raise ConstructionError("builder step is not monotone")
             self._fragments.append(frag)
         return self._fragments[s]
-
-
-class ReplayPresentation(AdversarialPresentation):
-    """Replays an explicit list of fragments (one per stage)."""
-
-    def __init__(self, fragments, label="replay"):
-        super().__init__(lambda s: fragments[s], label)
 
 
 def audit_shape(fragment, shapes):

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from .catalog import Family, Presentation, parse_structure, split_top_level
-from .sigma1 import classify_family
 from . import learners as L
 from . import reductions as R
 from . import adversaries as A
@@ -234,73 +233,27 @@ def get_family(name):
     return Family(tuple(parse_structure(k) for k in keys))
 
 
-def _on_order(cls):
-    """The factory of a learner or operator class that is built on the
-    family's theory order, its one shared classification."""
-    return lambda family: cls(family, classify_family(family))
-
-
-_make_fin = _on_order(L.FinLearner)
-_make_nus = _on_order(L.NusLearner)
-
-
-def _make_pl_pairwise(family):
-    keys = sorted(m.key() for m in family)
-    duels = {}
-    n = len(family)
-    for i in range(n):
-        for j in range(i + 1, n):
-            pair_fam = Family((family.members[i], family.members[j]))
-            if keys == ["omega", "omega_star"]:
-                inner = L.ExMinMaxLearner(pair_fam)
-            else:
-                inner = L.ExMinEmbedLearner(pair_fam)
-            duels[(i, j)] = _PairAdapter(inner, (i, j))
-    return L.PlFromPairwiseEx(family, duels)
-
-
-class _PairAdapter(L.Learner):
-    """Lifts a two-member learner's codes {0,1} to global family codes."""
-
-    def __init__(self, inner, codes):
-        super().__init__(inner.family)
-        self.inner = inner
-        self.codes = codes
-
-    def initial_state(self):
-        return self.inner.initial_state()
-
-    def step(self, state, fragment):
-        state, h = self.inner.step(state, fragment)
-        if h == QUESTION:
-            return state, h
-        return state, self.codes[h]
-
-
+# every registered learner and operator is built from the family alone
 LEARNERS = {
     "ex_minmax": L.ExMinMaxLearner,
-    "fin": _make_fin,
-    "co": _on_order(L.CoLearner),
-    "nus": _make_nus,
-    "dec_nus": lambda fam: L.DecisiveTransform(_make_nus(fam)),
-    "pl_pairwise": _make_pl_pairwise,
+    "fin": L.FinLearner,
+    "co": L.CoLearner,
+    "nus": L.NusLearner,
+    "dec_nus": lambda fam: L.DecisiveTransform(L.NusLearner(fam)),
+    "pl_pairwise": L.PlFromPairwiseEx,
     "pl_fstar": L.PlFstarLearner,
     "ex_poset": L.ExPosetLearner,
     "dec_ex_poset": lambda fam: L.DecisiveTransform(L.ExPosetLearner(fam)),
     "ex_min_embed": L.ExMinEmbedLearner,
-    "id_to_co": lambda fam: L.IdToCoLearner(
-        fam, R.GammaFinToEqnat(fam, _make_fin(fam))
-    ),
+    "id_to_co": lambda fam: L.IdToCoLearner(fam, R.GammaFinToEqnat(fam)),
 }
 
 
 GAMMAS = {
-    "gamma_fin_to_eqnat": lambda fam: R.GammaFinToEqnat(fam, _make_fin(fam)),
-    "gamma_fin_to_eqnat_total": lambda fam: R.GammaFinToEqnatTotal(
-        fam, _make_fin(fam)
-    ),
-    "gamma_erange": _on_order(R.GammaErange),
-    "gamma_erange_to_e3": _on_order(R.GammaErangeToE3),
+    "gamma_fin_to_eqnat": R.GammaFinToEqnat,
+    "gamma_fin_to_eqnat_total": R.GammaFinToEqnatTotal,
+    "gamma_erange": R.GammaErange,
+    "gamma_erange_to_e3": R.GammaErangeToE3,
 }
 
 
@@ -406,9 +359,9 @@ ADVERSARIES = tuple(DUELS)
 OPPONENTS = {"learners": LEARNERS, "operators": GAMMAS}
 
 
-def _builds(factory, family):
+def _builds(build, family):
     try:
-        factory(family)
+        build(family)
     except ConfigurationError:
         return False
     return True

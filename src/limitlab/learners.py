@@ -8,9 +8,11 @@ code into the active family or the question mark.  Steps are pure in
 
 from __future__ import annotations
 
+from itertools import combinations
+
 from .pairing import unpair
-from .catalog import canonical_fragment, strict_order_relation
-from .sigma1 import StreamWatch, leq_matrix
+from .catalog import Family, canonical_fragment, strict_order_relation
+from .sigma1 import StreamWatch, classify_family, leq_matrix
 from .structures import iter_bits
 
 QUESTION = "?"
@@ -103,11 +105,12 @@ class ExMinMaxLearner(Learner):
 
 class FinLearner(Learner):
     """Waits for a stage where exactly one member's separating formula
-    holds, then commits forever.  Built on the family's classification,
+    holds, then commits forever.  Reads the family's classification,
     which must be a verified strong antichain."""
 
-    def __init__(self, family, classification):
+    def __init__(self, family):
         super().__init__(family)
+        classification = classify_family(family)
         if classification.strong != "yes":
             raise ConfigurationError(
                 "family is not a verified strong antichain (%s)"
@@ -137,12 +140,13 @@ class CoLearner(Learner):
     """Output slot (i, t) carries code i exactly when member i was refuted
     by stage t (the fragment satisfies a formula true in some other member
     and false in member i).  On a member's own stream its code never
-    appears and every other code does.  Built on the family's
+    appears and every other code does.  Reads the family's
     classification, which must be an antichain with a witness for every
     ordered pair."""
 
-    def __init__(self, family, classification):
+    def __init__(self, family):
         super().__init__(family)
+        classification = classify_family(family)
         pairwise = classification.witnesses
         if (
             not classification.is_antichain
@@ -235,9 +239,9 @@ class NusLearner(Learner):
     whose theory contains the fragment and whose own formula already
     holds.  The true code, once emitted, is never abandoned."""
 
-    def __init__(self, family, classification):
+    def __init__(self, family):
         super().__init__(family)
-        witnesses = classification.solid_witnesses
+        witnesses = classify_family(family).solid_witnesses
         if witnesses is None:
             raise ConfigurationError("solid witness search exhausted")
         self.watch = StreamWatch(witnesses, family)
@@ -293,67 +297,57 @@ class DecisiveTransform(Learner):
 
 
 class PlFromPairwiseEx(Learner):
-    """Round-robin slots (i, k): code i is emitted when every pairwise
-    duel against the first k' competitors has conjectured i more often
-    than this learner has."""
+    """Round-robin slots (i, k): with c the number of times this learner
+    has emitted i, code i is emitted when, for some c < k' < k, the duel
+    of i against every other member j <= k' has conjectured i more than c
+    times by stage k.  The duel of members i < j is an Ex learner on the
+    family (member i, member j), so its codes 0 and 1 stand for i and j."""
 
-    def __init__(self, family, duels):
+    def __init__(self, family):
         super().__init__(family)
-        n = len(family)
-        for i in range(n):
-            for j in range(i + 1, n):
-                if (i, j) not in duels:
-                    raise ConfigurationError("missing duel (%d,%d)" % (i, j))
-        self.duels = {k: duels[k] for k in duels}
+        chains = sorted(m.key() for m in family) == ["omega", "omega_star"]
+        duel = ExMinMaxLearner if chains else ExMinEmbedLearner
+        members = family.members
+        # (i, j) -> (duel index, state slot of the counts of code i)
+        self.slots = {}
+        self.duels = []
+        for i, j in combinations(range(len(members)), 2):
+            t = len(self.duels)
+            self.slots[i, j], self.slots[j, i] = (t, 1), (t, 2)
+            self.duels.append(duel(Family((members[i], members[j]))))
 
     def initial_state(self):
-        duel_states = {k: d.initial_state() for k, d in self.duels.items()}
-        # per duel, per code, cumulative count history indexed by stage
-        histories = {k: {k[0]: [], k[1]: []} for k in self.duels}
-        own = [0] * len(self.family)
-        return (duel_states, histories, own)
-
-    def _duel_count(self, histories, i, j, code, stage):
-        key = (min(i, j), max(i, j))
-        hist = histories[key][code]
-        if stage >= len(hist):
-            stage = len(hist) - 1
-        return hist[stage] if stage >= 0 else 0
+        # per duel its state and, per code, its cumulative count after
+        # each stage; this learner's own count per code
+        duels = tuple((d.initial_state(), (), ()) for d in self.duels)
+        return duels, (0,) * len(self.family)
 
     def step(self, state, fragment):
-        duel_states, histories, own = state
-        duel_states = dict(duel_states)
-        histories = {
-            k: {c: list(v) for c, v in h.items()} for k, h in histories.items()
-        }
-        own = list(own)
-        for key, duel in self.duels.items():
-            duel_states[key], h = duel.step(duel_states[key], fragment)
-            for code in key:
-                prev = histories[key][code][-1] if histories[key][code] else 0
-                histories[key][code].append(prev + (1 if h == code else 0))
-        s = fragment.size - 1
+        duels, own = state
+        stepped = []
+        for duel, (duel_state, first, second) in zip(self.duels, duels):
+            duel_state, h = duel.step(duel_state, fragment)
+            first += ((first[-1] if first else 0) + (h == 0),)
+            second += ((second[-1] if second else 0) + (h == 1),)
+            stepped.append((duel_state, first, second))
         n = len(self.family)
-        i, k = unpair(s)
+        i, k = unpair(fragment.size - 1)
         hyp = QUESTION
         if i < n and k > 0:
-            if n == 1:
-                hyp = 0
-            else:
-                c_l = own[i]
-                for k_prime in range(1, k):
-                    if c_l >= k_prime:
-                        continue
-                    if all(
-                        c_l < self._duel_count(histories, i, j, i, k)
-                        for j in range(min(k_prime, n - 1) + 1)
-                        if j != i and j < n
-                    ):
-                        hyp = i
-                        break
-        if hyp != QUESTION:
-            own[hyp] += 1
-        return (duel_states, histories, own), hyp
+            c = own[i]
+            # a larger k' adds competitors and reads the same stage k, so
+            # k' = c + 1 is the one to test; a stream that skips sizes can
+            # put k beyond the stages run, and the last one stands in
+            counts = (
+                stepped[t][slot] for t, slot in
+                (self.slots[i, j] for j in range(min(c + 2, n)) if j != i)
+            )
+            if n == 1 or c + 1 < k and all(
+                c < seq[min(k, len(seq) - 1)] for seq in counts
+            ):
+                hyp = i
+                own = own[:i] + (c + 1,) + own[i + 1:]
+        return (tuple(stepped), own), hyp
 
 
 def _longest_chain(fragment):

@@ -13,8 +13,8 @@ from itertools import compress, count
 from operator import ne
 
 from .pairing import pair, unpair, triple
-from .sigma1 import StreamWatch, sat_catalog
-from .learners import QUESTION, ConfigurationError
+from .sigma1 import StreamWatch, classify_family, sat_catalog
+from .learners import QUESTION, ConfigurationError, FinLearner
 
 
 @dataclass(frozen=True)
@@ -56,14 +56,14 @@ def outputs(operator, fragments):
 
 
 class GammaFinToEqnat:
-    """Empty output until the one-shot learner commits, then the constant
-    sequence of the committed code."""
+    """Empty output until the family's one-shot learner commits, then the
+    constant sequence of the committed code."""
 
     tag = "eqnat"
 
-    def __init__(self, family, fin):
+    def __init__(self, family):
         self.family = family
-        self.fin = fin
+        self.fin = FinLearner(family)
 
     def initial(self):
         return (self.fin.initial_state(), None, 0)
@@ -88,8 +88,8 @@ class GammaFinToEqnatTotal(GammaFinToEqnat):
     """Total extension: if the learner has not committed within the
     patience bound, the output defaults to the zero sequence forever."""
 
-    def __init__(self, family, fin, patience=64):
-        super().__init__(family, fin)
+    def __init__(self, family, patience=64):
+        super().__init__(family)
         self.patience = patience
 
     def step(self, state, fragment):
@@ -103,10 +103,11 @@ class GammaFinToEqnatTotal(GammaFinToEqnat):
         return super().step(state, fragment)
 
 
-def _pair_witnesses(classification):
+def _pair_witnesses(family):
     """The separating formula of every ordered pair (i, j) whose theories
-    are not included.  Members with equal existential theories are
-    rejected."""
+    are not included, from the family's classification.  Members with
+    equal existential theories are rejected."""
+    classification = classify_family(family)
     leq = classification.leq
     if not classification.is_partial_order:
         i, j = next(
@@ -130,9 +131,9 @@ class GammaErange:
 
     tag = "Erange"
 
-    def __init__(self, family, classification):
+    def __init__(self, family):
         self.family = family
-        self.watch = StreamWatch(_pair_witnesses(classification))
+        self.watch = StreamWatch(_pair_witnesses(family))
 
     def initial(self):
         return (self.watch.initial(), 0)
@@ -171,9 +172,9 @@ class GammaErangeToE3:
 
     tag = "E3"
 
-    def __init__(self, family, classification):
+    def __init__(self, family):
         self.family = family
-        self.watch = StreamWatch(_pair_witnesses(classification))
+        self.watch = StreamWatch(_pair_witnesses(family))
 
     def initial(self):
         return (self.watch.initial(), 0)
@@ -276,22 +277,26 @@ def verify_reduction(operator, family, horizon=100, seeds=(1, 2, 3)):
 
     Same-member pairs must never be definitely distinct; cross pairs must
     accumulate the relation-appropriate separation evidence by horizon.
+    Every member must be infinite: a finite one's stream ends before the
+    horizon, too soon to show separation.
     """
     from .catalog import Presentation
 
     rel = operator.tag
     members = list(family)
+    finite = [m.key() for m in members if m.size() is not None]
+    if finite:
+        raise ValueError(
+            "member %s is finite, and verify_reduction runs every member "
+            "to the horizon" % finite[0]
+        )
     if rel == "Erange":
         ranges = [operator.declared_range(i) for i in range(len(members))]
     prefixes = {}
     for i, m in enumerate(members):
         for seed in seeds:
-            h = horizon
-            size = m.size()
-            if size is not None:
-                h = min(h, size)
             prefixes[(i, seed)] = run_operator(
-                operator, Presentation(m, seed), h
+                operator, Presentation(m, seed), horizon
             )
     cells = []
     ok = True

@@ -119,6 +119,18 @@ class TestPresentations:
         for s in range(6):
             assert replay.restrict(s).tuple_set() == frags[s].tuple_set()
 
+    def test_replay_rejects_a_wrong_size_or_a_non_monotone_stage(self):
+        one = FiniteFragment(1)
+        up = FiniteFragment.from_tuples(2, [(0, (0, 1))])
+        down = FiniteFragment.from_tuples(3, [(0, (1, 0))])
+        with pytest.raises(ConstructionError, match="stage 1 .* size 3"):
+            ReplayPresentation([one, down]).restrict(1)
+        replay = ReplayPresentation([one, up, down])
+        assert replay.restrict(1) is up
+        # R(1, 0) at stage 2 contradicts R(0, 1) at stage 1
+        with pytest.raises(ConstructionError, match="not monotone"):
+            replay.restrict(2)
+
 
 def _log_from_related(structure, tokens):
     """The relation log in the documented order: element e after every

@@ -285,6 +285,16 @@ class TestCli:
         assert captured.err.startswith("error: ")
         assert captured.err.count("\n") == 1
 
+    def test_verify_on_finite_members_exit_code(self, capsys):
+        # a finite member's stream ends before the horizon, too soon to
+        # show separation; the first one is named
+        argv = ["reduce", "gamma_erange", "chain(3),chain(4)", "--verify"]
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: member chain(3) is finite")
+        assert captured.err.count("\n") == 1
+
     def test_duel_names_opponents_that_build(self, capsys):
         # a co-learner cannot be built on a comparable pair; the error
         # names the learners that can

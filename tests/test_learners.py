@@ -13,7 +13,9 @@ from limitlab.learners import (
     ExPosetLearner,
     PlFstarLearner,
     run,
+    run_on_stream,
 )
+from limitlab.pairing import unpair
 from limitlab import harness as H
 
 from _decisive import decisive_stream
@@ -201,6 +203,76 @@ class TestPlPairwise:
         for start in range(300, 551, 50):
             assert 0 in transcript[start:start + 50]
         assert all(h in (0, QUESTION) for h in transcript[300:])
+
+
+def reference_pl_pairwise(family, fragments):
+    """The pairwise PL rule, spelled out: every duel's full history of
+    cumulative counts per code, and at slot (i, k) a search over k' = 1 ..
+    k - 1 for a k' above the learner's own count of i such that the duel
+    of i against every other member j <= k' has, by stage k, conjectured
+    i more often than the learner has emitted it.  A count read beyond
+    the stages run so far is the last one."""
+    n = len(family)
+    chains = sorted(m.key() for m in family) == ["omega", "omega_star"]
+    duel_class = ExMinMaxLearner if chains else ExMinEmbedLearner
+    duels, states, history = {}, {}, {}
+    for i, j in itertools.combinations(range(n), 2):
+        duels[i, j] = duel_class(
+            Family((family.members[i], family.members[j]))
+        )
+        states[i, j] = duels[i, j].initial_state()
+        history[i, j] = {i: [], j: []}
+    own = [0] * n
+    transcript = []
+    for fragment in fragments:
+        for key, duel in duels.items():
+            states[key], h = duel.step(states[key], fragment)
+            for local, code in enumerate(key):
+                counts = history[key][code]
+                counts.append((counts[-1] if counts else 0) + (h == local))
+
+        def count(i, j, stage):
+            counts = history[min(i, j), max(i, j)][i]
+            return counts[min(stage, len(counts) - 1)]
+
+        i, k = unpair(fragment.size - 1)
+        hyp = QUESTION
+        if i < n and k > 0 and n == 1:
+            hyp = 0
+        elif i < n and k > 0:
+            for k_prime in range(1, k):
+                rivals = [j for j in range(min(k_prime, n - 1) + 1) if j != i]
+                if own[i] < k_prime and all(
+                    own[i] < count(i, j, k) for j in rivals
+                ):
+                    hyp = i
+                    break
+        if hyp != QUESTION:
+            own[hyp] += 1
+        transcript.append(hyp)
+    return transcript
+
+
+#: stages of a stream that skips sizes: early jumps put the slot's stage
+#: coordinate beyond the stages run so far
+SKIPPING = [0, 9, 29] + list(range(30, 80)) + list(range(80, 200, 6))
+
+
+@pytest.mark.parametrize("name", ["omega_pair", "rays", "tilde_chains", "omega"])
+def test_pl_pairwise_matches_reference(name):
+    fam = H.get_family(name)
+    learner = H.LEARNERS["pl_pairwise"](fam)
+    emitted = set()
+    for code, member in enumerate(fam.members):
+        for seed in (1, 2):
+            pres = Presentation(member, seed)
+            for stages in (range(80), SKIPPING):
+                stream = [pres.restrict(s) for s in stages]
+                transcript = run_on_stream(learner, stream)
+                assert transcript == reference_pl_pairwise(fam, stream)
+                emitted.update(transcript)
+    # every member's code is emitted somewhere, so the rule was exercised
+    assert emitted - {QUESTION} == set(range(len(fam)))
 
 
 # a family each registered learner builds on

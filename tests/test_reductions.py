@@ -17,7 +17,7 @@ from limitlab.reductions import (
     verify_reduction,
 )
 from limitlab.sigma1 import classify_family
-from limitlab import harness as H
+from limitlab import harness as H, reductions
 
 
 def S(key):
@@ -99,7 +99,7 @@ class TestGammaFinToEqnat:
 
     def test_total_variant_defaults(self):
         fam = H.get_family("cycles")
-        op = GammaFinToEqnatTotal(fam, H.LEARNERS["fin"](fam), patience=10)
+        op = GammaFinToEqnatTotal(fam, patience=10)
         # a stream of isolated points never commits; output defaults
         builder_fam = Family((S("iso_inf"),))
         prefix = run_operator(op, Presentation(S("iso_inf"), 1), 40)
@@ -191,10 +191,16 @@ SCHEDULE = (
 
 @pytest.mark.parametrize("gamma", [GammaErange, GammaErangeToE3])
 @pytest.mark.parametrize("name", ["tilde_chains", "cyc_comp", "padded_chains"])
-def test_erange_operators_match_per_position_reference(name, gamma):
+def test_erange_operators_match_per_position_reference(
+    name, gamma, monkeypatch
+):
     fam = H.get_family(name)
     # separating tilde(omega) from tilde(chain(8)) takes a 9-element chain
-    op = gamma(fam, classify_family(fam, bound=9))
+    monkeypatch.setattr(
+        reductions, "classify_family",
+        lambda family: classify_family(family, bound=9),
+    )
+    op = gamma(fam)
     nonzero = 0
     for member in fam.members:
         last = SCHEDULE[-1] if member.size() is None else member.size() - 1
@@ -216,7 +222,7 @@ def test_erange_operators_never_reemit(gamma):
     """After a shorter fragment the settled length does not go down, so
     the output stays indexed by the pairing: no flat position twice."""
     fam = H.get_family("tilde_chains")
-    op = gamma(fam, classify_family(fam))
+    op = gamma(fam)
     pres = Presentation(fam.members[1], 1)
     state, out = op.initial(), []
     for s in (50, 10, 11):
