@@ -8,12 +8,14 @@ code into the active family or the question mark.  Steps are pure in
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from collections import namedtuple
 from itertools import combinations
 
 from .pairing import unpair
-from .catalog import Family, canonical_fragment, strict_order_relation
+from .catalog import Family, canonical_fragment
 from .sigma1 import StreamWatch, classify_family, leq_matrix
-from .structures import iter_bits
+from .structures import FiniteFragment, iter_bits
 
 QUESTION = "?"
 
@@ -184,7 +186,9 @@ class CoLearner(Learner):
 class IdToCoLearner(Learner):
     """Refutes member i the first time the operator's output on the stream
     is inconsistent with its output on member i's canonical stream; each
-    refuted code is emitted once, least first."""
+    refuted code is emitted once, least first.  Outputs only grow: per
+    member the length of the prefix found to agree is kept (None once
+    refuted), and only the positions added since are compared."""
 
     def __init__(self, family, operator):
         super().__init__(family)
@@ -197,13 +201,13 @@ class IdToCoLearner(Learner):
             "refs": tuple(
                 (self.operator.initial(), ()) for _ in range(n)
             ),
-            "emitted": frozenset(),
+            "agreed": (0,) * n,
         }
 
     def _advance(self, run_state, fragment):
         op_state, out = run_state
         op_state, new = self.operator.step(op_state, fragment)
-        return op_state, out + tuple(new)
+        return op_state, out + tuple(new) if new else out
 
     def step(self, state, fragment):
         s = fragment.size - 1
@@ -219,18 +223,19 @@ class IdToCoLearner(Learner):
                     state["refs"][i], canonical_fragment(member, s + 1)
                 )
             )
-        emitted = state["emitted"]
+        agreed = list(state["agreed"])
         hyp = QUESTION
-        for i in range(len(self.family)):
-            if i in emitted:
+        for i, done in enumerate(agreed):
+            if done is None:
                 continue
             a, b = mine[1], refs[i][1]
             k = min(len(a), len(b))
-            if a[:k] != b[:k]:
-                hyp = i
-                emitted = emitted | {i}
+            if a[done:k] != b[done:k]:
+                hyp, agreed[i] = i, None
                 break
-        return {"mine": mine, "refs": tuple(refs), "emitted": emitted}, hyp
+            agreed[i] = k
+        refs, agreed = tuple(refs), tuple(agreed)
+        return {"mine": mine, "refs": refs, "agreed": agreed}, hyp
 
 
 class NusLearner(Learner):
@@ -350,38 +355,101 @@ class PlFromPairwiseEx(Learner):
         return (tuple(stepped), own), hyp
 
 
-def _longest_chain(fragment):
+#: a strict order's summary: the masks of the linked elements, the
+#: minimal and the maximal ones, those comparable to every other linked
+#: one and those with several strict predecessors, and the height levels
+#: (levels[k]: the elements whose longest chain has k + 1 elements), or
+#: None once dropped
+OrderSummary = namedtuple(
+    "OrderSummary", "linked minimal maximal comparable several_pred levels"
+)
+#: the empty fragment and its summary, which every stream extends
+_EMPTY = (FiniteFragment(0), OrderSummary(0, 0, 0, 0, 0, ()))
+
+
+def _add_element(summary, e, succ, pred):
+    """The summary once element e joins with these successors and
+    predecessors among the earlier elements, the order staying strict.  An
+    e comparable to every linked element is a level of its own, between
+    the levels below and above it; any other linked e drops the levels."""
+    near = succ | pred
+    if not near:
+        return summary
+    linked, minimal, maximal, comparable, several, levels = summary
+    bit, new = 1 << e, near & ~linked
+    several |= succ & linked & ~minimal | (bit if pred & (pred - 1) else 0)
+    # an element linked only now has e as its one neighbour
+    minimal = (minimal | new) & ~succ | (0 if pred else bit)
+    maximal = (maximal | new) & ~pred | (0 if succ else bit)
+    if new:
+        comparable = 0 if linked or new & (new - 1) else new
+    comparable = comparable & near | (0 if linked & ~near else bit)
+    if not linked:
+        levels = (pred, bit) if pred else (bit, succ)
+    elif near != linked:
+        levels = None
+    elif levels is not None:
+        k = bisect_left(levels, True, key=lambda level: bool(level & succ))
+        levels = levels[:k] + (bit,) + levels[k:]
+    return OrderSummary(
+        linked | near | bit, minimal, maximal, comparable, several, levels
+    )
+
+
+def _order_summary(carried, fragment):
+    """(fragment, its order summary), the summary None when the fragment
+    is not a strict order.  From `carried`, the previous stage's pair, a
+    fragment that extends it by one element adds that element's row,
+    which never folds; any other is summarized one element at a time."""
+    last, summary = carried
+    start = last.size
+    if fragment.size != start + 1 or not fragment.extends(last):
+        start, summary = 0, _EMPTY[1]
+    if summary is None or not fragment.is_strict_order():
+        return fragment, None
+    for e in range(start, fragment.size):
+        below = (1 << e) - 1
+        succ, pred = fragment.row(e)
+        summary = _add_element(summary, e, succ & below, pred & below)
+    return fragment, summary
+
+
+def _chain_ends(carried):
     """Length of the longest chain, and the endpoints of the comparable
-    part (least/greatest under the strict order, least index on ties)."""
-    masks = strict_order_relation(fragment)
-    if masks is None:
-        return 0, None, None
-    succ, pred = masks
-    comp = fragment.linked()
-    if not comp:
-        return 0, None, None
-    # since the relation is transitively closed, the longest chain ending
-    # at e is one longer than the longest ending at a predecessor, and
-    # predecessors have fewer predecessors; levels[k] holds the elements
-    # whose longest chain has k + 1 elements
-    levels = []
-    for e in sorted(comp, key=lambda e: pred[e].bit_count()):
-        k = len(levels)
-        while k and not pred[e] & levels[k - 1]:
-            k -= 1
-        if k == len(levels):
-            levels.append(0)
-        levels[k] |= 1 << e
-    lo = min(e for e in comp if not pred[e])
-    hi = min(e for e in comp if not succ[e])
-    return len(levels), lo, hi
+    part (least/greatest under the strict order, least index on ties);
+    and `carried` with its levels rebuilt if they were dropped."""
+    fragment, summary = carried
+    if summary is None or not summary.linked:
+        return (0, None, None), carried
+    if summary.levels is None:
+        pred = {e: fragment.row(e)[1] for e in iter_bits(summary.linked)}
+        # since the relation is transitively closed, the longest chain
+        # ending at e is one longer than the longest ending at a
+        # predecessor, and predecessors have fewer predecessors
+        levels = []
+        for e in sorted(pred, key=lambda e: pred[e].bit_count()):
+            k = len(levels)
+            while k and not pred[e] & levels[k - 1]:
+                k -= 1
+            if k == len(levels):
+                levels.append(0)
+            levels[k] |= 1 << e
+        summary = summary._replace(levels=tuple(levels))
+    lo, hi = ((m & -m).bit_length() - 1 for m in summary[1:3])
+    return (len(summary.levels), lo, hi), (fragment, summary)
+
+
+def _longest_chain(fragment):
+    """`_chain_ends` of the fragment, summarized from scratch."""
+    return _chain_ends(_order_summary(_EMPTY, fragment))[0]
 
 
 class PlFstarLearner(Learner):
     """For the padded chains plus the two padded infinite chains: tracks
     the longest chain; while it is stable a finite code is conjectured,
     and across growth the endpoint stability counters arbitrate between
-    the two infinite limits."""
+    the two infinite limits.  The chain and its endpoints are read off
+    the order summary carried along the stream (`_order_summary`)."""
 
     def __init__(self, family):
         super().__init__(family)
@@ -393,11 +461,12 @@ class PlFstarLearner(Learner):
         self.chain_codes = family.param_codes("tilde(chain(%d))")
 
     def initial_state(self):
-        return (None, {}, {})  # previous chain length, min counts, max counts
+        # previous chain length, min counts, max counts, order summary
+        return (None, {}, {}, _EMPTY)
 
     def step(self, state, fragment):
-        prev_n, count_min, count_max = state
-        n, lo, hi = _longest_chain(fragment)
+        prev_n, count_min, count_max, carried = state
+        (n, lo, hi), carried = _chain_ends(_order_summary(carried, fragment))
         count_min = dict(count_min)
         count_max = dict(count_max)
         if lo is not None:
@@ -405,14 +474,14 @@ class PlFstarLearner(Learner):
         if hi is not None:
             count_max[hi] = count_max.get(hi, 0) + 1
         if prev_n is None:
-            return (n, count_min, count_max), self.code_up
+            return (n, count_min, count_max, carried), self.code_up
         if n == prev_n and n in self.chain_codes:
             hyp = self.chain_codes[n]
         else:
             c_min = count_min.get(lo, 0)
             c_max = count_max.get(hi, 0)
             hyp = self.code_up if c_min >= c_max else self.code_down
-        return (n, count_min, count_max), hyp
+        return (n, count_min, count_max, carried), hyp
 
 
 def ladder_codes(family):
@@ -432,9 +501,10 @@ def ladder_codes(family):
 
 class ExPosetLearner(Learner):
     """For the padded ladder posets: conjectures the infinite member while
-    some element behaves like its root (everything comparable except one
-    strict predecessor sits above it), otherwise the least finite member
-    the fragment embeds into."""
+    the fragment is a strict order with a root (comparable to every other
+    linked element, with one strict predecessor: neither minimal nor above
+    several), otherwise the least finite member the fragment embeds into.
+    Roots are read off the order summary carried along the stream."""
 
     def __init__(self, family):
         super().__init__(family)
@@ -443,28 +513,18 @@ class ExPosetLearner(Learner):
         self.watch = StreamWatch({}, family)
 
     def initial_state(self):
-        return self.watch.initial()
-
-    def _guard(self, fragment):
-        masks = strict_order_relation(fragment)
-        if masks is None:
-            return False
-        succ, pred = masks
-        comp = fragment.linked_mask()
-        # a root b: every other comparable element is above b except one,
-        # which is below b
-        for b in iter_bits(comp):
-            rest = comp & ~succ[b] & ~(1 << b)
-            if rest.bit_count() == 1 and succ[rest.bit_length() - 1] >> b & 1:
-                return True
-        return False
+        # the stream watch, and the last fragment with its order summary
+        return self.watch.initial(), _EMPTY
 
     def step(self, state, fragment):
-        state = self.watch.advance(state, fragment)
-        if self._guard(fragment):
-            return state, self.codes[0]
-        code, state = self.watch.first_inside(state, self.finite)
-        return state, QUESTION if code is None else code
+        watched, carried = state
+        watched = self.watch.advance(watched, fragment)
+        carried = _order_summary(carried, fragment)
+        order = carried[1]
+        if order and order.comparable & ~(order.minimal | order.several_pred):
+            return (watched, carried), self.codes[0]
+        code, watched = self.watch.first_inside(watched, self.finite)
+        return (watched, carried), QUESTION if code is None else code
 
 
 class ExMinEmbedLearner(Learner):

@@ -471,6 +471,32 @@ def test_min_max_learner_never_folds_its_stream():
         assert frag._fold is None and pres.fragments[1]._fold == [1024]
 
 
+@pytest.mark.parametrize("name, family", [
+    ("pl_fstar", "fstar"), ("ex_poset", "posets"),
+])
+def test_summary_learners_read_no_full_masks(monkeypatch, name, family):
+    """The chain and ladder learners carry their order summary, so after
+    the first stage of a 1,024-stage presentation they add each new
+    element's row and never ask for every element's masks."""
+    calls = []
+    masks = FiniteFragment.masks
+
+    def counted(frag):
+        calls.append(frag.size)
+        return masks(frag)
+
+    monkeypatch.setattr(FiniteFragment, "masks", counted)
+    family = H.get_family(family)
+    learner = H.LEARNERS[name](family)
+    for member in family:
+        pres = Presentation(member, 1)
+        state, _ = learner.step(learner.initial_state(), pres.restrict(0))
+        calls.clear()
+        for s in range(1, 1024):
+            state, _ = learner.step(state, pres.restrict(s))
+        assert calls == [], member.key()
+
+
 def mentioned(frag):
     """The elements named by some fact, ascending, read off the facts."""
     return sorted({x for _, args in frag.tuples() for x in args})
