@@ -63,16 +63,19 @@ class StreamBuilder(TokenChain):
 
     def __init__(self, target):
         super().__init__(target)
-        self.indices = []  # canonical index of each revealed element
-        self._used = set()  # the same indices, for lookups
+        self._used = {}  # keys: the revealed canonical indices, in order
         self._low = 0  # every canonical index below it is revealed
+
+    @property
+    def indices(self):
+        """The canonical index of each revealed element, in stream order."""
+        return list(self._used)
 
     def add_index(self, idx):
         if idx in self._used:
             raise ValueError("canonical element %d already revealed" % idx)
         frag = self.push(self._token(idx))
-        self.indices.append(idx)
-        self._used.add(idx)
+        self._used[idx] = None
         return frag
 
     def add_least_unused(self, predicate=None):
@@ -108,16 +111,16 @@ class StreamBuilder(TokenChain):
         mapping = embed_map(frag, canonical_fragment(new_target, top))
         if mapping is None:
             return False
-        self.indices = [mapping[e] for e in range(frag.size)]
-        self._used, self._low = set(self.indices), 0
+        self._used = dict.fromkeys(mapping[e] for e in range(frag.size))
+        self._low = 0
         # the same elements, named by the new target's tokens
         self.target, self.tokens, self.groups = new_target, [], {}
-        for i in self.indices:
+        for i in self._used:
             self._file(new_target.element(i))
         return True
 
-    def presentation(self, label):
-        return ReplayPresentation(self.fragments[1:], label)
+    def presentation(self):
+        return ReplayPresentation(self.fragments[1:])
 
 
 def _drive(name, opponent, seed, start, cap, play):
@@ -140,7 +143,7 @@ def _drive(name, opponent, seed, start, cap, play):
         verdict = play(horizon, last)
         if verdict is not None:
             builder, kind, details, *rest = verdict
-            return builder.presentation(name), FailureCertificate(
+            return builder.presentation(), FailureCertificate(
                 kind, name, type(opponent).__name__, seed, horizon,
                 details, *rest,
             )

@@ -251,12 +251,19 @@ class _SparseGraph(CatalogStructure):
         return near, near
 
     def age_holds(self, fragment):
-        comps = graph_components(fragment)
-        kinds = [_component_path_or_cycle(fragment, c) for c in comps]
-        if None in kinds:
+        out, inn = fragment.masks()
+        if out != inn or any(
+            m >> e & 1 or m.bit_count() > 2 for e, m in enumerate(out)
+        ):
             return False
-        cycles = [len(c) for c, k in zip(comps, kinds) if k == "cycle"]
-        return self.fits(fragment.size, len(comps), cycles)
+        # a connected, loop-free symmetric graph of maximum degree 2 is a
+        # path or a cycle, and a cycle when its degree sum is twice its size
+        count, cycles = 0, []
+        for comp in _components(out, inn):
+            count, size = count + 1, comp.bit_count()
+            if sum(out[e].bit_count() for e in iter_bits(comp)) == 2 * size:
+                cycles.append(size)
+        return self.fits(fragment.size, count, cycles)
 
     def fits(self, size, components, cycles):
         """Whether `size` elements in that many path or cycle components,
@@ -580,18 +587,16 @@ def strict_order_relation(fragment):
     return fragment.masks() if fragment.is_strict_order() else None
 
 
-def is_symmetric_graph(fragment):
-    """Loop-free, and every fact comes with its reverse."""
-    out, inn = fragment.masks()
-    return out == inn and not any(m >> e & 1 for e, m in enumerate(out))
-
-
 def graph_components(fragment):
     """Connected components of the undirected view, as ascending lists of
     elements, ordered by their least element."""
-    out, inn = fragment.masks()
-    unseen = (1 << fragment.size) - 1
-    comps = []
+    return [list(iter_bits(comp)) for comp in _components(*fragment.masks())]
+
+
+def _components(out, inn):
+    """The connected components of the undirected view of the successor
+    and predecessor masks, as element masks, by least element."""
+    unseen = (1 << len(out)) - 1
     while unseen:
         comp = frontier = unseen & -unseen
         while frontier:
@@ -601,22 +606,7 @@ def graph_components(fragment):
             frontier = reach & ~comp
             comp |= frontier
         unseen &= ~comp
-        comps.append(list(iter_bits(comp)))
-    return comps
-
-
-def _component_path_or_cycle(fragment, comp):
-    """Classify a component of a symmetric loop-free graph fragment:
-    'path', 'cycle' or None."""
-    degree = [fragment.row(e)[0].bit_count() for e in comp]
-    if max(degree) > 2:
-        return None
-    edges = sum(degree) // 2
-    if edges == len(comp) - 1:
-        return "path"
-    if edges == len(comp) and len(comp) >= 3 and min(degree) == 2:
-        return "cycle"
-    return None
+        yield comp
 
 
 def _is_total_chain(fragment):
@@ -689,8 +679,6 @@ def fragment_embeds(fragment, structure):
         )
     if structure.style == "order" and not fragment.is_strict_order():
         return False
-    if structure.style == "graph" and not is_symmetric_graph(fragment):
-        return False
     return structure.age_holds(fragment)
 
 
@@ -744,9 +732,8 @@ class ReplayPresentation:
     not guaranteed by construction; each stage is checked as it is first
     read, for its size and for extending the stage before it."""
 
-    def __init__(self, fragments, label="replay"):
+    def __init__(self, fragments):
         self.builder = fragments.__getitem__  # stage -> fragment
-        self.label = label
         self._fragments = []
 
     def restrict(self, s):

@@ -8,7 +8,6 @@ code into the active family or the question mark.  Steps are pure in
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections import namedtuple
 from itertools import combinations
 
@@ -306,12 +305,12 @@ class PlFromPairwiseEx(Learner):
     has emitted i, code i is emitted when, for some c < k' < k, the duel
     of i against every other member j <= k' has conjectured i more than c
     times by stage k.  The duel of members i < j is an Ex learner on the
-    family (member i, member j), so its codes 0 and 1 stand for i and j."""
+    family (member i, member j), so its codes 0 and 1 stand for i and j:
+    `ExMinMaxLearner` for the two infinite chains, which have equal
+    existential theories, and `ExMinEmbedLearner` for any other pair."""
 
     def __init__(self, family):
         super().__init__(family)
-        chains = sorted(m.key() for m in family) == ["omega", "omega_star"]
-        duel = ExMinMaxLearner if chains else ExMinEmbedLearner
         members = family.members
         # (i, j) -> (duel index, state slot of the counts of code i)
         self.slots = {}
@@ -319,7 +318,10 @@ class PlFromPairwiseEx(Learner):
         for i, j in combinations(range(len(members)), 2):
             t = len(self.duels)
             self.slots[i, j], self.slots[j, i] = (t, 1), (t, 2)
-            self.duels.append(duel(Family((members[i], members[j]))))
+            two = Family((members[i], members[j]))
+            chains = {m.key() for m in two} == {"omega", "omega_star"}
+            duel = ExMinMaxLearner if chains else ExMinEmbedLearner
+            self.duels.append(duel(two))
 
     def initial_state(self):
         # per duel its state and, per code, its cumulative count after
@@ -357,25 +359,21 @@ class PlFromPairwiseEx(Learner):
 
 #: a strict order's summary: the masks of the linked elements, the
 #: minimal and the maximal ones, those comparable to every other linked
-#: one and those with several strict predecessors, and the height levels
-#: (levels[k]: the elements whose longest chain has k + 1 elements), or
-#: None once dropped
+#: one and those with several strict predecessors
 OrderSummary = namedtuple(
-    "OrderSummary", "linked minimal maximal comparable several_pred levels"
+    "OrderSummary", "linked minimal maximal comparable several_pred"
 )
 #: the empty fragment and its summary, which every stream extends
-_EMPTY = (FiniteFragment(0), OrderSummary(0, 0, 0, 0, 0, ()))
+_EMPTY = (FiniteFragment(0), OrderSummary(0, 0, 0, 0, 0))
 
 
 def _add_element(summary, e, succ, pred):
     """The summary once element e joins with these successors and
-    predecessors among the earlier elements, the order staying strict.  An
-    e comparable to every linked element is a level of its own, between
-    the levels below and above it; any other linked e drops the levels."""
+    predecessors among the earlier elements, the order staying strict."""
     near = succ | pred
     if not near:
         return summary
-    linked, minimal, maximal, comparable, several, levels = summary
+    linked, minimal, maximal, comparable, several = summary
     bit, new = 1 << e, near & ~linked
     several |= succ & linked & ~minimal | (bit if pred & (pred - 1) else 0)
     # an element linked only now has e as its one neighbour
@@ -384,15 +382,8 @@ def _add_element(summary, e, succ, pred):
     if new:
         comparable = 0 if linked or new & (new - 1) else new
     comparable = comparable & near | (0 if linked & ~near else bit)
-    if not linked:
-        levels = (pred, bit) if pred else (bit, succ)
-    elif near != linked:
-        levels = None
-    elif levels is not None:
-        k = bisect_left(levels, True, key=lambda level: bool(level & succ))
-        levels = levels[:k] + (bit,) + levels[k:]
     return OrderSummary(
-        linked | near | bit, minimal, maximal, comparable, several, levels
+        linked | near | bit, minimal, maximal, comparable, several
     )
 
 
@@ -416,32 +407,34 @@ def _order_summary(carried, fragment):
 
 def _chain_ends(carried):
     """Length of the longest chain, and the endpoints of the comparable
-    part (least/greatest under the strict order, least index on ties);
-    and `carried` with its levels rebuilt if they were dropped."""
+    part (least/greatest under the strict order, least index on ties)."""
     fragment, summary = carried
     if summary is None or not summary.linked:
-        return (0, None, None), carried
-    if summary.levels is None:
-        pred = {e: fragment.row(e)[1] for e in iter_bits(summary.linked)}
-        # since the relation is transitively closed, the longest chain
-        # ending at e is one longer than the longest ending at a
-        # predecessor, and predecessors have fewer predecessors
-        levels = []
-        for e in sorted(pred, key=lambda e: pred[e].bit_count()):
-            k = len(levels)
-            while k and not pred[e] & levels[k - 1]:
-                k -= 1
-            if k == len(levels):
-                levels.append(0)
-            levels[k] |= 1 << e
-        summary = summary._replace(levels=tuple(levels))
+        return 0, None, None
+    linked = summary.linked
     lo, hi = ((m & -m).bit_length() - 1 for m in summary[1:3])
-    return (len(summary.levels), lo, hi), (fragment, summary)
+    if summary.comparable == linked:
+        # every linked element is comparable to every other: one chain
+        return linked.bit_count(), lo, hi
+    pred = {e: fragment.row(e)[1] for e in iter_bits(linked)}
+    # since the relation is transitively closed, the longest chain ending
+    # at e is one longer than the longest ending at a predecessor, and
+    # predecessors have fewer predecessors; levels[k] holds the elements
+    # whose longest chain has k + 1 elements
+    levels = []
+    for e in sorted(pred, key=lambda e: pred[e].bit_count()):
+        k = len(levels)
+        while k and not pred[e] & levels[k - 1]:
+            k -= 1
+        if k == len(levels):
+            levels.append(0)
+        levels[k] |= 1 << e
+    return len(levels), lo, hi
 
 
 def _longest_chain(fragment):
     """`_chain_ends` of the fragment, summarized from scratch."""
-    return _chain_ends(_order_summary(_EMPTY, fragment))[0]
+    return _chain_ends(_order_summary(_EMPTY, fragment))
 
 
 class PlFstarLearner(Learner):
@@ -466,7 +459,8 @@ class PlFstarLearner(Learner):
 
     def step(self, state, fragment):
         prev_n, count_min, count_max, carried = state
-        (n, lo, hi), carried = _chain_ends(_order_summary(carried, fragment))
+        carried = _order_summary(carried, fragment)
+        n, lo, hi = _chain_ends(carried)
         count_min = dict(count_min)
         count_max = dict(count_max)
         if lo is not None:

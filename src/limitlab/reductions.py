@@ -9,7 +9,7 @@ Cantor pairing, column m row r at position pair(m, r).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import compress, count
+from itertools import combinations, compress, count
 from operator import ne
 
 from .pairing import pair, unpair, triple
@@ -166,18 +166,11 @@ class GammaErange:
         return out
 
 
-class GammaErangeToE3:
+class GammaErangeToE3(GammaErange):
     """Column pair(i, j) flips 0 to 1 at the stage the (i, j) formula
     first holds; comparable or diagonal pairs stay all-0."""
 
     tag = "E3"
-
-    def __init__(self, family):
-        self.family = family
-        self.watch = StreamWatch(_pair_witnesses(family))
-
-    def initial(self):
-        return (self.watch.initial(), 0)
 
     def step(self, state, fragment):
         watched, emitted = state
@@ -292,41 +285,27 @@ def verify_reduction(operator, family, horizon=100, seeds=(1, 2, 3)):
         )
     if rel == "Erange":
         ranges = [operator.declared_range(i) for i in range(len(members))]
-    prefixes = {}
-    for i, m in enumerate(members):
-        for seed in seeds:
-            prefixes[(i, seed)] = run_operator(
-                operator, Presentation(m, seed), horizon
-            )
+    runs = [
+        (i, seed, run_operator(operator, Presentation(m, seed), horizon))
+        for i, m in enumerate(members) for seed in seeds
+    ]
     cells = []
     ok = True
-    for i in range(len(members)):
-        for si in range(len(seeds)):
-            for j in range(i, len(members)):
-                for sj in range(len(seeds)):
-                    if j == i and sj <= si:
-                        continue
-                    pa = prefixes[(i, seeds[si])]
-                    pb = prefixes[(j, seeds[sj])]
-                    kwargs = {}
-                    if rel == "Erange":
-                        kwargs = {
-                            "closed_range_a": ranges[i],
-                            "closed_range_b": ranges[j],
-                        }
-                    verdict = check_prefix(rel, pa, pb, **kwargs)
-                    if i == j:
-                        passed = verdict.kind != "DefinitelyDistinct"
-                    else:
-                        passed = _separation_evidence(rel, verdict)
-                    ok = ok and passed
-                    cells.append(
-                        {
-                            "pair": [i, j],
-                            "seeds": [seeds[si], seeds[sj]],
-                            "verdict": verdict.kind,
-                            "position": verdict.position,
-                            "passed": passed,
-                        }
-                    )
+    for (i, si, pa), (j, sj, pb) in combinations(runs, 2):
+        closed = (ranges[i], ranges[j]) if rel == "Erange" else ()
+        verdict = check_prefix(rel, pa, pb, *closed)
+        if i == j:
+            passed = verdict.kind != "DefinitelyDistinct"
+        else:
+            passed = _separation_evidence(rel, verdict)
+        ok = ok and passed
+        cells.append(
+            {
+                "pair": [i, j],
+                "seeds": [si, sj],
+                "verdict": verdict.kind,
+                "position": verdict.position,
+                "passed": passed,
+            }
+        )
     return {"relation": rel, "passed": ok, "cells": cells}

@@ -61,9 +61,6 @@ class FormulaWitness:
     def __str__(self):
         return " | ".join("embeds(%s)" % l for l in self.labels)
 
-    def to_json(self):
-        return str(self)
-
 
 def embeds(expr):
     """`embeds("chain(4)")`: the statement that the named finite structure

@@ -37,7 +37,8 @@ class FiniteFragment:
     of older rows and every read masks to the fragment's size, so no
     read ever sees a bit at or above its own size, and a fragment's facts
     never change after it is built.  The mask of elements in some fact
-    is carried along extensions, and the hash is computed once.
+    is set as the facts are added and carried along extensions, and the
+    hash is computed once.
 
     Whether the facts form a strict order is a threshold along a chain:
     true up to some size, false from the next one on.  The fragments of a
@@ -55,7 +56,7 @@ class FiniteFragment:
         self._in = [0] * size if _in is None else _in
         self._order = [0, False]  # the chain's order record, see above
         self._fold = None  # the chain's fold record while one is pending
-        self._linked = None  # linked_mask(), once known
+        self._linked = 0  # the elements in some fact, set as facts are added
         self._hash = None  # __hash__(), once known
 
     @classmethod
@@ -72,6 +73,7 @@ class FiniteFragment:
                 )
             out[a] |= 1 << b
             inn[b] |= 1 << a
+            frag._linked |= 1 << a | 1 << b
         return frag
 
     def extended(self, succ, pred):
@@ -86,13 +88,10 @@ class FiniteFragment:
         both = succ | pred
         if not 0 <= both < 2 << e or (succ ^ pred) >> e:
             raise ValueError("masks need bits 0..%d, a self-loop in both" % e)
-        linked = self._linked
-        if linked is None:
-            linked = self.linked_mask()
         out.append(succ)
         inn.append(pred)
         child = FiniteFragment(e + 1, out, inn)
-        child._linked = linked | both | 1 << e if both else linked
+        child._linked = self._linked | both | 1 << e if both else self._linked
         child._order = self._order
         # with no record pending, all e elements are in the older rows
         child._fold = [e] if self._fold is None else self._fold
@@ -164,16 +163,8 @@ class FiniteFragment:
         return self._out[e] & full, self._in[e] & full
 
     def linked_mask(self):
-        """The bitmask of the elements in at least one fact; computed once
-        per fragment, and carried along extensions."""
-        if self._linked is None:
-            # a fact R(a, b) is bit b of a's row and bit a of b's; only a
-            # fragment not built by extension gets here, and it owns its
-            # masks, so they have no bits above its size
-            linked = 0
-            for row in self._out + self._in:
-                linked |= row
-            self._linked = linked
+        """The bitmask of the elements in at least one fact; set as the
+        facts are added, and carried along extensions."""
         return self._linked
 
     def linked(self):
@@ -268,6 +259,7 @@ class FiniteFragment:
                     j = relabel[b]
                     out[i] |= 1 << j
                     inn[j] |= 1 << i
+                frag._linked |= 1 << i | out[i]
         if self.size <= self._order[0]:
             # a restriction of a strict order is one
             frag._order = [frag.size, False]

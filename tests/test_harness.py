@@ -403,6 +403,37 @@ class TestCli:
             assert captured.err.count("\n") == 1
             assert named in captured.err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["classify", "tilde(cycle(3))"],
+            ["classify", "du(omega"],
+            ["classify", "du(omega)"],
+            ["run", "tilde(poset_p(1)),tilde(poset_p(2))", "ex_poset", "Ex"],
+        ],
+        ids=["tilde_of_graph", "unbalanced", "du_one_side", "no_infinite"],
+    )
+    def test_bad_structure_or_family_exit_code(self, argv, capsys):
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+
+    def test_matrix_and_report_fail_exit_code(self, tmp_path, capsys):
+        # a Co cell of ex_minmax emits the truth on both members
+        config = tmp_path / "cells.json"
+        cell = {"family": "omega_pair", "learner": "ex_minmax",
+                "criterion": "Co", "horizon": 64, "tail": 16, "window": 8}
+        config.write_text(
+            json.dumps({"cells": [cell, dict(cell, criterion="Ex")]})
+        )
+        log = tmp_path / "runs.jsonl"
+        assert cli.main(["matrix", str(config), "--out", str(log)]) == 1
+        assert "FAIL (CorrectCodeEmitted)" in capsys.readouterr().out
+        assert cli.main(["report", str(log)]) == 1
+        assert "FAIL=2 PASS=2" in capsys.readouterr().out
+
     def test_classify_command(self, capsys):
         assert cli.main(["classify", "cycles"]) == 0
         data = json.loads(capsys.readouterr().out)
