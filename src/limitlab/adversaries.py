@@ -22,6 +22,7 @@ from .catalog import (
     canonical_fragment,
     fragment_embeds,
     parse_structure,
+    saturated_fragment,
 )
 from .sigma1 import sigma1_leq
 from .learners import QUESTION, ConfigurationError, ladder_codes
@@ -103,20 +104,19 @@ class StreamBuilder(TokenChain):
         """Re-root the current fragment inside a new target; True on
         success, False when no embedding is found at a saturated bound."""
         frag = self.fragments[-1]
-        top = 2 * frag.size + new_target.param() + 8
-        size = new_target.size()
-        if size is not None:
-            top = min(top, size)
-        # canonical restrictions are nested, so the saturated one decides
-        mapping = embed_map(frag, canonical_fragment(new_target, top))
+        mapping = embed_map(frag, saturated_fragment(
+            new_target, 2 * frag.size + new_target.param() + 8
+        ))
         if mapping is None:
             return False
         self._used = dict.fromkeys(mapping[e] for e in range(frag.size))
         self._low = 0
-        # the same elements, named by the new target's tokens
-        self.target, self.tokens, self.groups = new_target, [], {}
-        for i in self._used:
-            self._file(new_target.element(i))
+        # the same elements, named by the new target's tokens and filed
+        # again; the fragments stay, so the masks are not needed
+        self.target, self.groups = new_target, {}
+        self.tokens = [new_target.element(i) for i in self._used]
+        for j, tok in enumerate(self.tokens):
+            new_target.admit(self.groups, tok, j)
         return True
 
     def presentation(self):

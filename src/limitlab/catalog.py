@@ -48,25 +48,21 @@ class CatalogStructure:
     def related(self, x, y):
         raise NotImplementedError
 
-    def file(self, groups, tok, j):
-        """Record in a chain's groups, its own record for relation_masks,
-        that its position j holds tok.  By default groups maps position to
-        token, and isolated structures record nothing."""
-        if self.style != "any":
-            groups[j] = tok
-
-    def relation_masks(self, tokens, groups, tok):
-        """tok's successor and predecessor masks against the earlier
-        tokens: bit j is related(tok, tokens[j]), resp. related(tokens[j],
-        tok).  groups is what file recorded about the earlier tokens, and
-        the default asks related about each of those."""
-        if not groups:
+    def admit(self, groups, tok, j):
+        """tok's successor and predecessor masks against the tokens at a
+        chain's positions 0..j-1: bit i is related(tok, token i), resp.
+        related(token i, tok); then record in groups, the chain's own
+        record for this hook, that position j holds tok.  By default
+        groups maps position to token and the masks ask related about
+        each of those, and an isolated structure records nothing."""
+        if self.style == "any":
             return 0, 0
-        succ, pred = bytearray(len(tokens)), bytearray(len(tokens))
-        for j, other in groups.items():
-            succ[j] = self.related(tok, other)
-            pred[j] = self.related(other, tok)
-        # bit j of each mask is byte j of its flags
+        succ, pred = bytearray(j), bytearray(j)
+        for i, other in groups.items():
+            succ[i] = self.related(tok, other)
+            pred[i] = self.related(other, tok)
+        groups[j] = tok
+        # bit i of each mask is byte i of its flags
         return tuple(
             int(f[::-1].translate(_DIGITS) or b"0", 2) for f in (succ, pred)
         )
@@ -75,13 +71,9 @@ class CatalogStructure:
         """Whether a nonempty fragment of this structure's style (see
         fragment_embeds) embeds as an induced substructure.  By default it
         is asked of a saturated canonical restriction."""
-        size = self.size()
-        bound = 2 * fragment.size + 8
-        if size is not None:
-            if fragment.size > size:
-                return False
-            bound = min(bound, size)
-        return embed_finite(fragment, canonical_fragment(self, bound))
+        return embed_finite(
+            fragment, saturated_fragment(self, 2 * fragment.size + 8)
+        )
 
     def absorbs_isolated(self):
         """Whether the age stays closed under adding an element in no
@@ -156,25 +148,25 @@ class _Ranks:
         self.tokens, self.below = [], [0]
 
     def add(self, tok, j):
+        """File tok at chain position j, and return the positions of the
+        earlier tokens below it, and above it."""
         # O(log n + the tokens above tok): streams mostly reveal a new
         # token near the top, so it seldom touches more than a few masks
         i = bisect.bisect(self.tokens, tok)
         self.tokens.insert(i, tok)
         below, bit = self.below, 1 << j
-        below.insert(i + 1, below[i])
+        lower = below[i]
+        higher = below[-1] ^ lower
+        below.insert(i + 1, lower)
         for k in range(i + 1, len(below)):
             below[k] |= bit
-
-    def split(self, tok):
-        """The positions of the filed tokens below tok, and above it."""
-        below = self.below[bisect.bisect(self.tokens, tok)]
-        return below, self.below[-1] ^ below
+        return lower, higher
 
 
 class _LinearOrder(CatalogStructure):
     """A linear order on numeric tokens, by value (reversed when reverse
-    is set).  A chain files its tokens in a _Ranks, so relation_masks is
-    one binary search, not a related call per earlier token.  Its age is
+    is set).  A chain files its tokens in a _Ranks, so admit is one
+    binary search, not a related call per earlier token.  Its age is
     the total chains that fit."""
 
     reverse = False
@@ -182,15 +174,10 @@ class _LinearOrder(CatalogStructure):
     def related(self, x, y):
         return x > y if self.reverse else x < y
 
-    def file(self, groups, tok, j):
+    def admit(self, groups, tok, j):
         if not groups:
             groups[0] = _Ranks()
-        groups[0].add(tok, j)
-
-    def relation_masks(self, tokens, groups, tok):
-        if not groups:
-            return 0, 0
-        below, above = groups[0].split(tok)
+        below, above = groups[0].add(tok, j)
         return (below, above) if self.reverse else (above, below)
 
     def age_holds(self, fragment):
@@ -233,21 +220,19 @@ class FiniteChain(_Numbered, _LinearOrder):
 
 class _SparseGraph(CatalogStructure):
     """A graph in which each token has at most two neighbours, named by
-    neighbours(tok): a chain files each token's position under the token,
-    and relation_masks looks the revealed neighbours up.  A fragment in its
+    neighbours(tok): admit looks the revealed neighbours up, and a chain
+    files each token's position under the token.  A fragment in its
     age has only paths and cycles as components, and fits decides whether
     those do."""
 
     style = "graph"
 
-    def file(self, groups, tok, j):
-        groups[tok] = j
-
-    def relation_masks(self, tokens, groups, tok):
+    def admit(self, groups, tok, j):
         near = 0
         for t in self.neighbours(tok):
             if t in groups:
                 near |= 1 << groups[t]
+        groups[tok] = j
         return near, near
 
     def age_holds(self, fragment):
@@ -439,16 +424,12 @@ class Tilde(CatalogStructure):
         return False
 
     # the fresh elements are related to nothing, so the inner structure's
-    # hooks serve its own tokens, a fresh one is filed nowhere, and the
+    # hook serves its own tokens, a fresh one is filed nowhere, and the
     # fresh ones take a fragment's isolated points
 
-    def file(self, groups, tok, j):
+    def admit(self, groups, tok, j):
         if tok[0] == "x":
-            self.inner.file(groups, tok[1], j)
-
-    def relation_masks(self, tokens, groups, tok):
-        if tok[0] == "x":
-            return self.inner.relation_masks(tokens, groups, tok[1])
+            return self.inner.admit(groups, tok[1], j)
         return 0, 0
 
     def age_holds(self, fragment):
@@ -501,14 +482,11 @@ class DisjointUnion(CatalogStructure):
     def related(self, x, y):
         return x[0] == y[0] and self._side(x).related(x[1], y[1])
 
-    # each side's hooks serve its own tokens, on a record of their own
-
-    def file(self, groups, tok, j):
-        self._side(tok).file(groups.setdefault(tok[0], {}), tok[1], j)
-
-    def relation_masks(self, tokens, groups, tok):
-        side, record = self._side(tok), groups.get(tok[0], {})
-        return side.relation_masks(tokens, record, tok[1])
+    def admit(self, groups, tok, j):
+        # each side's hook serves its own tokens, on a record of its own
+        return self._side(tok).admit(
+            groups.setdefault(tok[0], {}), tok[1], j
+        )
 
     def age_holds(self, fragment):
         # an infinite isolated side takes the isolated points
@@ -629,21 +607,17 @@ class TokenChain:
     def __init__(self, target):
         self.target = target
         self.tokens = []
-        self.groups = {}  # what target.file records, for relation_masks
+        self.groups = {}  # what target.admit records about the tokens
         self.fragments = [FiniteFragment(0)]
 
     def push(self, tok):
         """Reveal tok as the next element and return the extended fragment;
-        the target's relation_masks relate it to every earlier token."""
-        succ, pred = self.target.relation_masks(self.tokens, self.groups, tok)
+        the target's admit relates it to every earlier token."""
+        succ, pred = self.target.admit(self.groups, tok, len(self.tokens))
         frag = self.fragments[-1].extended(succ, pred)
-        self._file(tok)
+        self.tokens.append(tok)
         self.fragments.append(frag)
         return frag
-
-    def _file(self, tok):
-        self.target.file(self.groups, tok, len(self.tokens))
-        self.tokens.append(tok)
 
 
 def canonical_fragment(structure, n):
@@ -663,6 +637,15 @@ def canonical_fragment(structure, n):
 
 
 _canonical_chains = {}  # structure key -> TokenChain of its canonical order
+
+
+def saturated_fragment(structure, n):
+    """The canonical fragment on n elements, or on all the elements of a
+    finite structure that has fewer: canonical restrictions are nested,
+    so a prefix deep enough for a question, or the whole structure,
+    decides it."""
+    size = structure.size()
+    return canonical_fragment(structure, n if size is None else min(n, size))
 
 
 def fragment_embeds(fragment, structure):

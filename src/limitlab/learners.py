@@ -312,7 +312,7 @@ class PlFromPairwiseEx(Learner):
     def __init__(self, family):
         super().__init__(family)
         members = family.members
-        # (i, j) -> (duel index, state slot of the counts of code i)
+        # (i, j) -> (duel index, state slot of the stage mask of code i)
         self.slots = {}
         self.duels = []
         for i, j in combinations(range(len(members)), 2):
@@ -324,18 +324,20 @@ class PlFromPairwiseEx(Learner):
             self.duels.append(duel(two))
 
     def initial_state(self):
-        # per duel its state and, per code, its cumulative count after
-        # each stage; this learner's own count per code
-        duels = tuple((d.initial_state(), (), ()) for d in self.duels)
-        return duels, (0,) * len(self.family)
+        # per duel its state and, per code, the mask of the stages at
+        # which it conjectured that code; this learner's own count per
+        # code; the number of stages run
+        duels = tuple((d.initial_state(), 0, 0) for d in self.duels)
+        return duels, (0,) * len(self.family), 0
 
     def step(self, state, fragment):
-        duels, own = state
+        duels, own, stages = state
+        bit = 1 << stages
         stepped = []
         for duel, (duel_state, first, second) in zip(self.duels, duels):
             duel_state, h = duel.step(duel_state, fragment)
-            first += ((first[-1] if first else 0) + (h == 0),)
-            second += ((second[-1] if second else 0) + (h == 1),)
+            first |= bit if h == 0 else 0
+            second |= bit if h == 1 else 0
             stepped.append((duel_state, first, second))
         n = len(self.family)
         i, k = unpair(fragment.size - 1)
@@ -345,16 +347,17 @@ class PlFromPairwiseEx(Learner):
             # a larger k' adds competitors and reads the same stage k, so
             # k' = c + 1 is the one to test; a stream that skips sizes can
             # put k beyond the stages run, and the last one stands in
-            counts = (
+            upto = (2 << min(k, stages)) - 1
+            masks = (
                 stepped[t][slot] for t, slot in
                 (self.slots[i, j] for j in range(min(c + 2, n)) if j != i)
             )
             if n == 1 or c + 1 < k and all(
-                c < seq[min(k, len(seq) - 1)] for seq in counts
+                c < (mask & upto).bit_count() for mask in masks
             ):
                 hyp = i
                 own = own[:i] + (c + 1,) + own[i + 1:]
-        return (tuple(stepped), own), hyp
+        return (tuple(stepped), own, stages + 1), hyp
 
 
 #: a strict order's summary: the masks of the linked elements, the

@@ -18,6 +18,7 @@ from .catalog import (
     canonical_fragment,
     fragment_embeds,
     parse_structure,
+    saturated_fragment,
 )
 
 WITNESS_SIZE_BOUND = 8
@@ -188,10 +189,6 @@ class StreamWatch:
         return None, (last, held, left, inside)
 
 
-def _saturation_bound(a, b):
-    return 2 * (a.param() + b.param()) + 8
-
-
 def sigma1_leq(a, b, max_size=None):
     """Existential-theory inclusion, decided as age inclusion.
 
@@ -204,11 +201,8 @@ def sigma1_leq(a, b, max_size=None):
     if not isinstance(a, CatalogStructure) or not isinstance(b, CatalogStructure):
         raise UnsupportedOracleError("catalog structures required")
     if max_size is None:
-        n = _saturation_bound(a, b)
-        size = a.size()
-        if size is not None:
-            n = min(n, size)
-        return fragment_embeds(canonical_fragment(a, n), b)
+        n = 2 * (a.param() + b.param()) + 8
+        return fragment_embeds(saturated_fragment(a, n), b)
     embeds = _verdicts_of(b)
     return all(embeds(sub) for sub in age_fragments(a, max_size))
 
@@ -244,11 +238,8 @@ def age_fragments(a, max_size):
     age = _ages.get(key)
     if age is not None:
         return age
-    n = 2 * max_size + a.param() + 4
-    size = a.size()
-    if size is not None:
-        n = min(n, size)
-    prefix = canonical_fragment(a, n)
+    prefix = saturated_fragment(a, 2 * max_size + a.param() + 4)
+    n = prefix.size
     succ, _ = prefix.masks()
     age = []
     seen = set()
@@ -278,10 +269,7 @@ def _witness_candidates(a, bound):
     out = _candidates.get(key)
     if out is not None:
         return out
-    top = 2 * bound + 4
-    size = a.size()
-    if size is not None:
-        top = min(top, size)
+    top = saturated_fragment(a, 2 * bound + 4).size
     out = []
     seen = set()
     induced = {}  # element mask -> its fragment, or None outside 1..bound

@@ -12,6 +12,7 @@ from limitlab.catalog import (
     canonical_fragment,
     fragment_embeds,
     parse_structure,
+    saturated_fragment,
 )
 
 from _oracles import brute_embeds_structure, distinct_substructures
@@ -71,6 +72,12 @@ class TestCanonicalFragments:
     def test_finite_structure_caps(self):
         s = parse_structure("chain(3)")
         assert canonical_fragment(s, 3).size == 3
+        with pytest.raises(ValueError, match="fewer than 5 elements"):
+            canonical_fragment(s, 5)
+        # the saturated prefix stops at the whole finite structure
+        assert saturated_fragment(s, 5) is canonical_fragment(s, 3)
+        omega = parse_structure("omega")
+        assert saturated_fragment(omega, 5) is canonical_fragment(omega, 5)
 
 
 class TestPresentations:
@@ -183,16 +190,13 @@ def _tuples_from_has(frag):
 
 class _CheckedPush:
     """Checks every push: the target's hook gives the masks of the
-    default related loop, and the new fragment reads them back."""
+    default related loop, which the new fragment reads back."""
 
     def push(self, tok):
         e = len(self.tokens)
         masks = _related_masks(self.target, self.tokens, tok)
-        assert self.target.relation_masks(self.tokens, self.groups, tok) == (
-            masks
-        ), (self.target.key(), e, tok)
         frag = super().push(tok)
-        assert frag.row(e) == masks
+        assert frag.row(e) == masks, (self.target.key(), e, tok)
         assert frag.tuples() == _tuples_from_has(frag)
         return frag
 
@@ -310,6 +314,8 @@ class TestFamily:
         )
         assert fam.code_of(parse_structure("omega_star")) == 1
         assert len(fam) == 2
+        with pytest.raises(ValueError, match="zeta is not in the family"):
+            fam.code_of(parse_structure("zeta"))
 
     def test_rejects_duplicates(self):
         with pytest.raises(ValueError):

@@ -100,6 +100,14 @@ class TestCheck:
         v = H.check(spec("Dec"), [0, 1, 0, 0, 0, 0], 0, FAM)
         assert v.status == "FAIL"
         assert v.certificate.kind == "AbandonReturn"
+        # a "?" abandons nothing, and is skipped between an abandonment
+        # and the return
+        v = H.check(spec("Dec"), [0, "?", 0, 0, 0, 0], 0, FAM)
+        assert v.status == "PASS"
+        v = H.check(spec("Dec"), [0, 1, "?", 0, 0, 0], 0, FAM)
+        assert v.status == "FAIL"
+        assert v.certificate.kind == "AbandonReturn"
+        assert v.certificate.details == {"code": 0, "stages": [1, 3]}
 
     def test_dec_clean_run_passes(self):
         v = H.check(spec("Dec"), [1, 0, 0, 0, 0, 0], 0, FAM)
@@ -361,6 +369,8 @@ class TestCli:
         assert "adv_vs_fin" in captured.err
 
     def test_every_duel_opponent_of_wrong_kind_exit_code(self, capsys):
+        with pytest.raises(KeyError, match="unknown adversary"):
+            H.run_duel("nope", "fin")
         for adversary, (family_name, kind, _) in H.DUELS.items():
             for other_kind, registry in H.OPPONENTS.items():
                 if other_kind == kind:

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from limitlab.catalog import (
     Family,
     Presentation,
+    UnsupportedOracleError,
     _nonisolated_part,
     canonical_fragment,
     fragment_embeds,
@@ -18,6 +19,7 @@ from limitlab.catalog import (
 from limitlab.structures import FiniteFragment
 from limitlab.sigma1 import (
     WITNESS_SIZE_BOUND,
+    FormulaWitness,
     Sigma1Classification,
     StreamWatch,
     age_fragments,
@@ -110,6 +112,11 @@ class TestFormulas:
     def test_parse_round_trip(self):
         phi = embeds("chain(4)") | embeds("cycle(3)")
         assert str(phi) == "embeds(chain(4)) | embeds(cycle(3))"
+        # a disjunct without a label is named by its size
+        unnamed = FormulaWitness((FiniteFragment(2),)) | embeds("chain(3)")
+        assert str(unnamed) == "embeds(fragment[2]) | embeds(chain(3))"
+        with pytest.raises(ValueError, match="at least one disjunct"):
+            FormulaWitness(())
 
     def test_embeds_requires_finite(self):
         with pytest.raises(ValueError):
@@ -121,6 +128,11 @@ class TestFormulas:
         assert sat_catalog(phi, S("cyc_comp(4)"))
         assert sat_catalog(phi, S("du(cycle(3),iso_inf)"))
         assert not sat_catalog(phi, S("du(cycle(4),iso_inf)"))
+        # the oracles answer about catalog structures only
+        with pytest.raises(UnsupportedOracleError):
+            sat_catalog(phi, "cyc_comp(4)")
+        with pytest.raises(UnsupportedOracleError):
+            sigma1_leq(S("cycle(3)"), "cyc_comp(4)")
 
     def test_fragment_truth_monotone(self):
         phi = embeds("chain(3)")

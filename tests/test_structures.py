@@ -86,6 +86,10 @@ class TestFragmentLaws:
         sub = f.induced([0, 2, 3])
         assert sub.size == 3
         assert sub.tuple_set() == {(0, (0, 1)), (0, (1, 2))}
+        with pytest.raises(ValueError, match="repeated element"):
+            f.induced([0, 2, 0])
+        with pytest.raises(ValueError, match="out of domain"):
+            f.induced([0, 4])
 
     def test_extended_rejects_tuple_inside_old_domain(self):
         # the masks name facts with the new element 2 only: a bit beyond
@@ -95,6 +99,13 @@ class TestFragmentLaws:
             f.extended(1 << 3, 0)
         with pytest.raises(ValueError):
             f.extended(0, 1 << 2)
+        # a fact outside the domain, and a second extension of f once
+        # the chain has grown past it, are refused too
+        with pytest.raises(ValueError, match="no such fact"):
+            FiniteFragment.from_tuples(2, [(0, (0, 2))])
+        f.extended(0, 0)
+        with pytest.raises(ValueError, match="newest fragment"):
+            f.extended(0, 0)
 
     def test_restricted_drops_outside_tuples(self):
         f = FiniteFragment.from_tuples(3, [(0, (0, 1)), (0, (1, 2))])
@@ -136,6 +147,8 @@ class TestEmbedding:
                 if m is not None:
                     hits += 1
                     assert e in m.values()
+            # no element of g lies at or beyond its size
+            assert embed_map(f, g, required=g.size) is None
         assert hits > 0
 
     def test_required_complete(self):
