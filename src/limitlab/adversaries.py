@@ -57,6 +57,25 @@ class FailureCertificate:
         }
 
 
+# the token classes the adversaries draw from, one predicate object each,
+# so that a builder keeps one cursor per class (see add_least_unused): the
+# two sides of a disjoint union, and a padded chain's inner chain and pads
+def _left_token(tok):
+    return tok[0] == "l"
+
+
+def _right_token(tok):
+    return tok[0] == "r"
+
+
+def _inner_token(tok):
+    return tok[0] == "x"
+
+
+def _padding_token(tok):
+    return tok[0] != "x"
+
+
 class StreamBuilder(TokenChain):
     """Builds a monotone fragment stream as a growing induced piece of a
     target structure, with the ability to re-root the piece inside a new
@@ -65,7 +84,9 @@ class StreamBuilder(TokenChain):
     def __init__(self, target):
         super().__init__(target)
         self._used = {}  # keys: the revealed canonical indices, in order
-        self._low = 0  # every canonical index below it is revealed
+        # predicate -> an index below which every canonical index is
+        # revealed or has a token the predicate rejects
+        self._cursors = {}
 
     @property
     def indices(self):
@@ -81,14 +102,16 @@ class StreamBuilder(TokenChain):
 
     def add_least_unused(self, predicate=None):
         """Reveal the least unrevealed canonical element whose token meets
-        the predicate, and return the new fragment."""
-        while self._low in self._used:
-            self._low += 1
-        idx = self._low
+        the predicate, and return the new fragment.  The scan resumes from
+        the predicate's cursor, so each index is looked at once per
+        predicate object until `retarget`: pass the same object for the
+        same token class."""
+        idx = self._cursors.get(predicate, 0)
         while idx in self._used or not (
             predicate is None or predicate(self._token(idx))
         ):
             idx += 1
+        self._cursors[predicate] = idx + 1
         return self.add_index(idx)
 
     def _token(self, idx):
@@ -110,7 +133,7 @@ class StreamBuilder(TokenChain):
         if mapping is None:
             return False
         self._used = dict.fromkeys(mapping[e] for e in range(frag.size))
-        self._low = 0
+        self._cursors = {}
         # the same elements, named by the new target's tokens and filed
         # again; the fragments stay, so the masks are not needed
         self.target, self.groups = new_target, {}
@@ -188,10 +211,10 @@ def adv_vs_ex_rays(learner, seed=0, start=START_HORIZON, cap=HORIZON_CAP):
             if grow and s >= 2:
                 expansionary.append(s)
             if grow:
-                frag = builder.add_least_unused(lambda t: t[0] == "l")
+                frag = builder.add_least_unused(_left_token)
                 ray_len += 1
             else:
-                frag = builder.add_least_unused(lambda t: t[0] == "r")
+                frag = builder.add_least_unused(_right_token)
             if s < 40 and not audit_shape(frag, list(family)):
                 audit_ok = False
             state, hyp = learner.step(state, frag)
@@ -445,7 +468,7 @@ def adv_vs_e3_operator_fstar(
                 # grows once per fresh disagreement, padding fills the rest
                 want_chain = chain_count < len(disagreements) + 1
                 frag = builder.add_least_unused(
-                    lambda t: (t[0] == "x") == want_chain
+                    _inner_token if want_chain else _padding_token
                 )
                 if want_chain:
                     chain_count += 1

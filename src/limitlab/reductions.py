@@ -9,6 +9,7 @@ Cantor pairing, column m row r at position pair(m, r).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations, compress, count
 from operator import ne
 
@@ -35,7 +36,13 @@ class OutputPrefix:
         return tuple(out)
 
     def range_set(self):
-        return set(self.values)
+        """The set of values, computed on the first call and kept: a
+        prefix is compared with every other run of `verify_reduction`."""
+        return self._range
+
+    @cached_property
+    def _range(self):
+        return frozenset(self.values)
 
 
 @dataclass(frozen=True)
@@ -210,27 +217,34 @@ def check_prefix(rel, a, b, closed_range_a=None, closed_range_b=None):
         return PrefixVerdict("ConsistentSoFar", payload={"agreed": 0})
     if rel == "E3":
         # both sides reach row r of column m iff pair(m, r) < k, so only
-        # the differing positions of the common prefix are decoded
+        # the differing positions of the common prefix are decoded: the
+        # ascending positions walk the diagonals w = m + r, and diagonal
+        # w starts at base = pair(w, 0) with row 0
         k = min(len(a), len(b))
         cols = {}
         if a.values[:k] != b.values[:k]:
+            w = base = 0
             for q in compress(count(), map(ne, a.values, b.values)):
-                m, r = unpair(q)
-                col = cols.setdefault(m, {"mismatches": 0})
+                while q > base + w:
+                    w += 1
+                    base += w
+                r = q - base
+                col = cols.setdefault(w - r, {"mismatches": 0})
                 col["mismatches"] += 1
                 col["last_mismatch"] = r
             cols = {m: cols[m] for m in sorted(cols)}
         return PrefixVerdict("ConsistentSoFar", payload={"columns": cols})
     if rel == "Erange":
         ra, rb = a.range_set(), b.range_set()
-        if closed_range_b is not None:
-            for p in range(len(a)):
-                if a.values[p] not in closed_range_b:
-                    return PrefixVerdict("DefinitelyDistinct", p)
-        if closed_range_a is not None:
-            for p in range(len(b)):
-                if b.values[p] not in closed_range_a:
-                    return PrefixVerdict("DefinitelyDistinct", p)
+        # a side is scanned for its first value outside the other side's
+        # closed range only when its range set says there is one
+        for mine, values, closed in (
+            (ra, a.values, closed_range_b), (rb, b.values, closed_range_a)
+        ):
+            if closed is not None and not mine <= closed:
+                return PrefixVerdict("DefinitelyDistinct", next(
+                    p for p, x in enumerate(values) if x not in closed
+                ))
         if (
             closed_range_a is not None
             and closed_range_b is not None
@@ -239,7 +253,7 @@ def check_prefix(rel, a, b, closed_range_a=None, closed_range_b=None):
             return PrefixVerdict("EquivalentByRule")
         return PrefixVerdict(
             "ConsistentSoFar",
-            payload={"delta": sorted((ra - rb) | (rb - ra))},
+            payload={"delta": sorted(ra ^ rb)},
         )
     raise ValueError("unknown relation tag: %r" % rel)
 

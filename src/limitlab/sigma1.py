@@ -110,6 +110,10 @@ class StreamWatch:
     witness per member), so each distinct disjunct is searched at most once
     per stage, as a one-disjunct formula.  A disjunct that held belongs
     only to formulas that hold, so only the pending ones are searched.
+    The searches through a new element are rooted `embed_map` calls, and
+    each disjunct keeps their search plans, one per root, from its first
+    rooted search on (not from the watch's set-up) for as long as the
+    disjunct lives; a fresh record's unrooted searches keep none.
 
     The members found to hold the last fragment are carried too.  An
     extension by an element in no fact keeps those whose age absorbs

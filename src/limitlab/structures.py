@@ -46,9 +46,16 @@ class FiniteFragment:
     whether the next size is known not to be], and `is_strict_order`
     resumes from that size, so each element of a chain is checked at most
     once, whichever fragment is asked first.
+
+    A fragment searched as the pattern of a rooted `embed_map` keeps that
+    search's plans, one per root, built by its first rooted search.  They
+    read only its facts within its domain, which never change, so they
+    never go stale; every new fragment starts with none.
     """
 
-    __slots__ = ("size", "_out", "_in", "_order", "_fold", "_linked", "_hash")
+    __slots__ = (
+        "size", "_out", "_in", "_order", "_fold", "_linked", "_hash", "_plans"
+    )
 
     def __init__(self, size, _out=None, _in=None):
         self.size = size
@@ -58,6 +65,7 @@ class FiniteFragment:
         self._fold = None  # the chain's fold record while one is pending
         self._linked = 0  # the elements in some fact, set as facts are added
         self._hash = None  # __hash__(), once known
+        self._plans = None  # embed_map's rooted search plans, once built
 
     @classmethod
     def from_tuples(cls, size, tuples):
@@ -295,8 +303,15 @@ def embed_map(f, g, required=None):
     of g are considered (used to search monotone properties incrementally:
     a copy absent yesterday must pass through today's new element).
 
-    Plain backtracking; candidates are tried most-constrained-first.
-    Correctness is the contract, the sizes this is used on stay small.
+    Plain backtracking along a search plan (see `_search_plans`): f's
+    elements in a fixed placement order, candidates most-constrained-first.
+    A rooted search tries each element of f as the preimage of `required`,
+    and keeps the plans of all roots on f, built on the first rooted
+    search, because a stream re-searches the same pattern at every stage;
+    f's facts never change, so the plans never go stale.  An unrooted
+    search plans for the call and keeps nothing, so a one-off large
+    pattern (a whole stream, say) leaves nothing behind.  Correctness is
+    the contract, the sizes this is used on stay small.
     """
     if f.size > g.size:
         return None
@@ -304,106 +319,123 @@ def embed_map(f, g, required=None):
         f._settle()
     if g._fold is not None:
         g._settle()
-    f_out, f_in, f_full = f._out, f._in, (1 << f.size) - 1
-    # u's neighbours in f, and the number of facts mentioning u, which an
-    # image's out- plus in-degree must reach
-    near = [(f_out[u] | f_in[u]) & f_full for u in range(f.size)]
-    degree = [
-        (f_out[u] & f_full).bit_count() + (f_in[u] & f_full).bit_count()
-        - (f_out[u] >> u & 1) for u in range(f.size)
-    ]
-    ranked = sorted(range(f.size), key=lambda e: -degree[e])
     if required is None:
-        return _embed_map_fixed(f, g, {}, near, degree, ranked)
+        return _embed_map_fixed(f, g, {}, _search_plans(f, (None,))[0])
     if required >= g.size:
         return None
-    # the checks the search makes first on u -> required, before a plan
+    plans = f._plans
+    if plans is None:
+        plans = f._plans = _search_plans(f, range(f.size))
+    # the checks the root's step would make on u -> required, made once
+    # per root here
     g_full = (1 << g.size) - 1
     go, gi = g._out[required], g._in[required]
     loop = go >> required & 1
     room = (go & g_full).bit_count() + (gi & g_full).bit_count()
-    for u in range(f.size):
-        if f_out[u] >> u & 1 != loop or degree[u] > room:
+    for plan in plans:
+        u, need, u_loop = plan[0][:3]
+        if u_loop != loop or need > room:
             continue
-        m = _embed_map_fixed(f, g, {u: required}, near, degree, ranked)
+        m = _embed_map_fixed(f, g, {u: required}, plan)
         if m is not None:
             return m
     return None
 
 
-def _embed_map_fixed(f, g, fixed, near, degree, ranked):
-    f_out, f_in, g_out, g_in = f._out, f._in, g._out, g._in
+def _search_plans(f, roots):
+    """One search plan of f per root (an element of f placed first, or
+    None): a tuple with one step per position of the placement order,
+    (u, degree, self-loop bit, out row, in row, earlier neighbours) for
+    the element u placed there.  The degree is the number of facts
+    mentioning u, which an image's out- plus in-degree must reach; the
+    rows are u's masks within f's domain, and the earlier neighbours are
+    those of u placed before it.  The order is the root, then at each
+    position the highest-degree element next to one already placed, or
+    else the highest-degree one, so partial checks fire early.  Each plan
+    holds O(|f|) values."""
+    full = (1 << f.size) - 1
+    rows = [(f._out[u] & full, f._in[u] & full) for u in range(f.size)]
+    near = [o | i for o, i in rows]
+    degree = [
+        o.bit_count() + i.bit_count() - (o >> u & 1)
+        for u, (o, i) in enumerate(rows)
+    ]
+    ranked = sorted(range(f.size), key=lambda e: -degree[e])
+    plans = []
+    for root in roots:
+        order = [] if root is None else [root]
+        remaining = [e for e in ranked if e != root]
+        placed = 0 if root is None else 1 << root
+        while remaining:
+            nxt = next((e for e in remaining if near[e] & placed), remaining[0])
+            remaining.remove(nxt)
+            order.append(nxt)
+            placed |= 1 << nxt
+        steps, placed = [], 0
+        for u in order:
+            o, i = rows[u]
+            steps.append((u, degree[u], o >> u & 1, o, i, near[u] & placed))
+            placed |= 1 << u
+        plans.append(tuple(steps))
+    return tuple(plans)
+
+
+def _embed_map_fixed(f, g, fixed, plan):
+    """The first embedding along `plan` that extends `fixed`, or None.
+    `fixed` is empty, or maps the plan's root to an element of g that
+    passed embed_map's self-loop and degree checks for that root."""
+    image = [0] * f.size  # image[u]: the image of u, once u is placed
+    used, start = 0, 0
+    for u, v in fixed.items():
+        image[u], used, start = v, 1 << v, 1
     g_full = (1 << g.size) - 1
+    if not _search(plan, start, g._out, g._in, g_full, image, used):
+        return None
+    return {step[0]: image[step[0]] for step in plan}
 
-    # the fixed elements first, then by constraint, then by connectivity
-    # to already placed elements so partial checks fire early
-    order = list(fixed)
-    remaining = [e for e in ranked if e not in fixed]
-    placed = sum(1 << u for u in fixed)
-    while remaining:
-        nxt = next((e for e in remaining if near[e] & placed), remaining[0])
-        remaining.remove(nxt)
-        order.append(nxt)
-        placed |= 1 << nxt
 
-    assignment = {}
-    # bitmasks of the assigned elements of f and of their images in g
-    done = used = 0
-
-    def consistent(u, v):
-        # u's facts with the assigned elements must match v's facts with
-        # their images bit for bit, and v may have no other fact with a
-        # used element
-        fo, fi, go, gi = f_out[u], f_in[u], g_out[v], g_in[v]
-        if fo >> u & 1 != go >> v & 1:
-            return False
-        nb = near[u] & done
-        for a in iter_bits(nb):
-            w = assignment[a]
-            if fo >> a & 1 != go >> w & 1 or fi >> a & 1 != gi >> w & 1:
-                return False
-        return nb.bit_count() == ((go | gi) & used).bit_count()
-
-    def search(pos):
-        nonlocal done, used
-        if pos == len(order):
+def _search(plan, pos, g_out, g_in, g_full, image, used):
+    """Place plan[pos:] given the images of plan[:pos] in `image` and
+    their mask `used`; True once all are placed."""
+    if pos == len(plan):
+        return True
+    u, need, loop, fo, fi, before = plan[pos]
+    # the image lies next to the image of every placed neighbour, which
+    # keeps the search local on large targets
+    cands = g_full & ~used
+    m = before
+    while m:
+        low = m & -m
+        w = image[low.bit_length() - 1]
+        cands &= g_out[w] | g_in[w]
+        m ^= low
+    n_before = before.bit_count()
+    while cands:
+        low = cands & -cands
+        v = low.bit_length() - 1
+        cands ^= low
+        go, gi = g_out[v], g_in[v]
+        if need and (go & g_full).bit_count() + (gi & g_full).bit_count() < need:
+            continue
+        # v's facts with the images of u's earlier neighbours must match
+        # u's bit for bit, and v may have no other fact with a used
+        # element
+        if go >> v & 1 != loop or n_before != ((go | gi) & used).bit_count():
+            continue
+        m = before
+        while m:
+            low = m & -m
+            a = low.bit_length() - 1
+            w = image[a]
+            if (fo >> a ^ go >> w) & 1 or (fi >> a ^ gi >> w) & 1:
+                break
+            m ^= low
+        if m:
+            continue
+        image[u] = v
+        if _search(plan, pos + 1, g_out, g_in, g_full, image, used | 1 << v):
             return True
-        u = order[pos]
-        need, pinned = degree[u], near[u] & done
-        if u in fixed:
-            cands = [fixed[u]] if fixed[u] < g.size else []
-        elif pinned:
-            # the image lies next to the image of every placed neighbour,
-            # which keeps the search local on large targets
-            cands = g_full & ~used
-            for a in iter_bits(pinned):
-                cands &= g_out[assignment[a]] | g_in[assignment[a]]
-            cands = iter_bits(cands)
-        else:
-            cands = range(g.size)
-        for v in cands:
-            if used >> v & 1:
-                continue
-            if need:
-                go, gi = g_out[v], g_in[v]
-                if not (go or gi) or (go & g_full).bit_count() + (
-                    gi & g_full
-                ).bit_count() < need:
-                    continue
-            if consistent(u, v):
-                assignment[u] = v
-                done |= 1 << u
-                used |= 1 << v
-                if search(pos + 1):
-                    return True
-                del assignment[u]
-                done ^= 1 << u
-                used ^= 1 << v
-        return False
-
-    found = search(0)
-    search = None  # it closes over its own name: break that cycle
-    return dict(assignment) if found else None
+    return False
 
 
 def embed_finite(f, g):

@@ -49,6 +49,22 @@ class TestCheckPrefix:
         assert v.payload == {"delta": []}
         assert not _separation_evidence("Erange", v)
 
+    def test_erange_distinct_at_first_value_outside(self):
+        # the first value outside the other side's closed range sets the
+        # position, on either side, wherever it lies
+        a = OutputPrefix((0, 3, 0, 3))
+        b = OutputPrefix((0, 3, 0, 5, 3, 5))
+        v = check_prefix("Erange", a, b, closed_range_a={0, 3},
+                         closed_range_b={0, 3, 5})
+        assert (v.kind, v.position) == ("DefinitelyDistinct", 3)
+        v = check_prefix("Erange", b, a, closed_range_a={0, 3, 5},
+                         closed_range_b={0, 3})
+        assert (v.kind, v.position) == ("DefinitelyDistinct", 3)
+        # a side that stays inside is not scanned for a position
+        v = check_prefix("Erange", a, b, closed_range_a={0, 3, 5},
+                         closed_range_b={0, 3, 5})
+        assert v.kind == "EquivalentByRule"
+
     def test_erange_equal_ranges_equivalent(self):
         a = OutputPrefix((0, 1))
         b = OutputPrefix((1, 0, 1))

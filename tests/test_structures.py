@@ -205,6 +205,61 @@ class TestEmbedding:
             assert f.has(0, (u, u)) == loop
             assert len(facts) <= room
 
+    @settings(max_examples=200, deadline=None)
+    @given(grown_views(5), grown_views(9), st.data())
+    def test_kept_plans_match_a_fresh_copy(self, f_views, g_views, data):
+        """Two pattern views of one chain, searched rooted at each new
+        element of a growing stream and rooted or unrooted against other
+        targets, before and after their chain grows and folds new bits
+        into the rows they share: every result, map included, is the
+        search of a fresh copy.  A pattern's plans are built by its first
+        rooted search that gets that far, and no later search builds or
+        keeps any."""
+        patterns = [data.draw(st.sampled_from(f_views)) for _ in range(2)]
+        rng = random.Random(data.draw(st.integers(0, 2**32)))
+        others = [random_fragment(rng, rng.randint(0, 6)) for _ in range(2)]
+        kept_builds = []
+        real = structures._search_plans
+
+        def counted(f, roots):
+            roots = list(roots)
+            if roots != [None]:
+                kept_builds.append(f)
+            return real(f, roots)
+
+        def search(f, g, required):
+            fresh = f.induced(range(f.size))
+            kept, built = f._plans, len(kept_builds)
+            got = embed_map(f, g, required=required)
+            assert got == embed_map(fresh, g, required=required)
+            builds = kept_builds[built:]
+            if required is None:
+                assert not builds
+                assert f._plans is kept and fresh._plans is None
+            elif kept is not None:
+                assert f._plans is kept
+            assert all(b is f or b is fresh for b in builds)
+            assert sum(b is f for b in builds) <= (kept is None)
+
+        def search_all():
+            for g in g_views:
+                for f in patterns:
+                    search(f, g, g.size - 1)
+            for g in others + g_views[:3]:
+                required = rng.choice([None, *range(g.size)])
+                for f in patterns:
+                    search(f, g, required)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(structures, "_search_plans", counted)
+            search_all()
+            top = f_views[-1]
+            for e in range(top.size, top.size + data.draw(st.integers(1, 2))):
+                below = st.integers(0, (1 << e) - 1)
+                top = top.extended(data.draw(below), data.draw(below))
+            top.masks()  # folds the new bits into the shared rows
+            search_all()
+
     def test_search_leaves_no_reference_cycle(self):
         """Each call's recursive search is freed by reference counting,
         not left for the cyclic collector."""
