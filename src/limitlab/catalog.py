@@ -682,17 +682,8 @@ class Presentation(TokenChain):
         super().__init__(target)
         self.seed = seed
         self._rng = random.Random("%s|%d" % (target.key(), seed))
-        self._buffer = []
-        self._next_canonical = 0
-        self._exhausted = False
-
-    def _refill(self):
-        while len(self._buffer) < _SCHEDULE_WINDOW and not self._exhausted:
-            try:
-                self._buffer.append(self.target.element(self._next_canonical))
-                self._next_canonical += 1
-            except IndexError:
-                self._exhausted = True
+        self._source = target._enumerate()  # the canonical enumeration
+        self._buffer = []  # its least unrevealed tokens, in order
 
     def restrict(self, s):
         size = self.target.size()
@@ -701,11 +692,14 @@ class Presentation(TokenChain):
                 "%s has only %d elements" % (self.target.key(), size)
             )
         while len(self.tokens) <= s:
-            self._refill()
+            buffer = self._buffer
+            buffer.extend(
+                itertools.islice(self._source, _SCHEDULE_WINDOW - len(buffer))
+            )
             if len(self.tokens) % 2 == 0:
-                tok = self._buffer.pop(0)
+                tok = buffer.pop(0)
             else:
-                tok = self._buffer.pop(self._rng.randrange(len(self._buffer)))
+                tok = buffer.pop(self._rng.randrange(len(buffer)))
             self.push(tok)
         return self.fragments[s + 1]
 

@@ -132,6 +132,8 @@ def _cmd_matrix(args):
     with open(args.config) as fh:
         config = json.load(fh)
     cells = config["cells"] if isinstance(config, dict) else config
+    if not isinstance(cells, list):
+        raise ValueError("the matrix cells are a list, not %r" % (cells,))
     rows = H.run_matrix(cells)
     if args.out:
         with open(args.out, "w") as fh:

@@ -280,32 +280,56 @@ def run_cell(family, learner, spec, member_code, seed):
     return verdict
 
 
-CELL_KEYS = (
-    "family", "learner", "criterion", "member", "seeds", "horizon", "tail",
-    "window", "budget",
-)
+# each matrix cell key and the type of its value (seeds: a list of ints)
+CELL_KEYS = {
+    "family": str, "learner": str, "criterion": str, "member": int,
+    "seeds": list, "horizon": int, "tail": int, "window": int, "budget": int,
+}
+
+
+def _is_a(value, kind):
+    """isinstance, except that a bool is not an int and a list holds
+    ints."""
+    if kind is list:
+        return isinstance(value, list) and all(_is_a(v, int) for v in value)
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
+def _check_cell(cell):
+    """Raise ValueError unless `cell` is a dict of known keys, each value
+    of its type, with a family, a criterion and a registered learner."""
+    if not isinstance(cell, dict):
+        raise ValueError("a matrix cell is an object, not %r" % (cell,))
+    unknown = sorted(set(cell) - CELL_KEYS.keys())
+    if unknown:
+        raise ValueError(
+            "unknown matrix cell key %r; the keys are %s"
+            % (unknown[0], ", ".join(CELL_KEYS))
+        )
+    named = dict.fromkeys(("family", "learner", "criterion"))
+    for key, value in (named | cell).items():
+        kind = CELL_KEYS[key]
+        if not _is_a(value, kind):
+            kind = "list of ints" if kind is list else kind.__name__
+            raise ValueError(
+                "matrix cell key %r needs a value of type %s, not %r"
+                % (key, kind, value)
+            )
+    if cell["learner"] not in LEARNERS:
+        raise ValueError(
+            "unknown learner %r; the learners are %s"
+            % (cell["learner"], ", ".join(sorted(LEARNERS)))
+        )
 
 
 def run_matrix(cells):
     """cells: iterable of dicts with keys family, learner, criterion and
-    optional member, seeds, horizon, tail, window, budget; any other key,
-    and an unknown learner, is a usage error, raised before a cell runs."""
-    cells = list(cells)
+    optional member, seeds, horizon, tail, window, budget.  Every cell is
+    checked (`_check_cell`), and its family and criterion built, before
+    a cell runs, so a malformed cell is a usage error."""
+    built = []
     for cell in cells:
-        unknown = sorted(set(cell) - set(CELL_KEYS))
-        if unknown:
-            raise ValueError(
-                "unknown matrix cell key %r; the keys are %s"
-                % (unknown[0], ", ".join(CELL_KEYS))
-            )
-        if cell.get("learner") not in LEARNERS:
-            raise ValueError(
-                "unknown learner %r; the learners are %s"
-                % (cell.get("learner"), ", ".join(sorted(LEARNERS)))
-            )
-    rows = []
-    for cell in cells:
-        family = get_family(cell["family"])
+        _check_cell(cell)
         spec = CriterionSpec(
             cell["criterion"],
             horizon=cell.get("horizon", DEFAULT_HORIZON),
@@ -313,6 +337,9 @@ def run_matrix(cells):
             window=cell.get("window", DEFAULT_WINDOW),
             budget=cell.get("budget"),
         )
+        built.append((cell, get_family(cell["family"]), spec))
+    rows = []
+    for cell, family, spec in built:
         try:
             learner = LEARNERS[cell["learner"]](family)
         except ConfigurationError as exc:

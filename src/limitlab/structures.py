@@ -108,8 +108,11 @@ class FiniteFragment:
     def _settle(self):
         """Fold every element of the chain not yet folded into the older
         rows: bit x of R(j, x) goes into j's successors, of R(x, j) into
-        j's predecessors.  An unfolded row has no bit above its element."""
+        j's predecessors; nothing when no record is pending.  An unfolded
+        row has no bit above its element."""
         fold, out, inn = self._fold, self._out, self._in
+        if fold is None:
+            return
         top = len(out)
         for x in range(fold[0], top):
             bit = 1 << x
@@ -149,8 +152,7 @@ class FiniteFragment:
         return facts
 
     def fact_count(self):
-        if self._fold is not None:
-            self._settle()
+        self._settle()
         full = (1 << self.size) - 1
         return sum((m & full).bit_count() for m in self._out[: self.size])
 
@@ -165,7 +167,7 @@ class FiniteFragment:
     def row(self, e):
         """Element e's successor and predecessor masks within the domain;
         the newest element's row needs no folding."""
-        if self._fold is not None and e != self.size - 1:
+        if e != self.size - 1:
             self._settle()
         full = (1 << self.size) - 1
         return self._out[e] & full, self._in[e] & full
@@ -182,8 +184,7 @@ class FiniteFragment:
     def masks(self):
         """Per-element successor and predecessor bitmasks over this
         fragment's domain, as two lists indexed by element."""
-        if self._fold is not None:
-            self._settle()
+        self._settle()
         n, full = self.size, (1 << self.size) - 1
         out, inn = self._out[:n], self._in[:n]
         return [m & full for m in out], [m & full for m in inn]
@@ -206,8 +207,7 @@ class FiniteFragment:
         x's predecessors and successors among 0..x-1, x keeps it one when
         it has no self-loop, P is down-closed, S up-closed, and every
         element of P lies below all of S (so P and S are disjoint)."""
-        if self._fold is not None:
-            self._settle()
+        self._settle()
         out, inn = self._out, self._in
         for x in range(old, self.size):
             below = (1 << x) - 1
@@ -230,10 +230,8 @@ class FiniteFragment:
         if self.size < n:
             return False
         if mine is not theirs:
-            if self._fold is not None:
-                self._settle()
-            if other._fold is not None:
-                other._settle()
+            self._settle()
+            other._settle()
             full = (1 << n) - 1
             for e in range(n):
                 if (mine[e] ^ theirs[e]) & full:
@@ -256,8 +254,7 @@ class FiniteFragment:
             if not 0 <= e < self.size:
                 raise ValueError("element %r out of domain" % (e,))
             chosen |= 1 << e
-        if self._fold is not None:
-            self._settle()
+        self._settle()
         frag = FiniteFragment(len(elems))
         out, inn = frag._out, frag._in
         for i, e in enumerate(elems):
@@ -282,8 +279,7 @@ class FiniteFragment:
 
     def __hash__(self):
         if self._hash is None:
-            if self._fold is not None:
-                self._settle()
+            self._settle()
             full = (1 << self.size) - 1  # the size is the tuple's length
             self._hash = hash(tuple(m & full for m in self._out[: self.size]))
         return self._hash
@@ -315,12 +311,14 @@ def embed_map(f, g, required=None):
     """
     if f.size > g.size:
         return None
-    if f._fold is not None:
-        f._settle()
-    if g._fold is not None:
-        g._settle()
+    f._settle()
+    g._settle()
+    g_out, g_in, g_full = g._out, g._in, (1 << g.size) - 1
+    image = [0] * f.size  # image[u]: the image of u, once u is placed
     if required is None:
-        return _embed_map_fixed(f, g, {}, _search_plans(f, (None,))[0])
+        plan = _search_plans(f, (None,))[0]
+        found = _search(plan, 0, g_out, g_in, g_full, image, 0)
+        return {step[0]: image[step[0]] for step in plan} if found else None
     if required >= g.size:
         return None
     plans = f._plans
@@ -328,17 +326,16 @@ def embed_map(f, g, required=None):
         plans = f._plans = _search_plans(f, range(f.size))
     # the checks the root's step would make on u -> required, made once
     # per root here
-    g_full = (1 << g.size) - 1
-    go, gi = g._out[required], g._in[required]
+    go, gi = g_out[required], g_in[required]
     loop = go >> required & 1
     room = (go & g_full).bit_count() + (gi & g_full).bit_count()
     for plan in plans:
         u, need, u_loop = plan[0][:3]
         if u_loop != loop or need > room:
             continue
-        m = _embed_map_fixed(f, g, {u: required}, plan)
-        if m is not None:
-            return m
+        image[u] = required
+        if _search(plan, 1, g_out, g_in, g_full, image, 1 << required):
+            return {step[0]: image[step[0]] for step in plan}
     return None
 
 
@@ -380,20 +377,6 @@ def _search_plans(f, roots):
     return tuple(plans)
 
 
-def _embed_map_fixed(f, g, fixed, plan):
-    """The first embedding along `plan` that extends `fixed`, or None.
-    `fixed` is empty, or maps the plan's root to an element of g that
-    passed embed_map's self-loop and degree checks for that root."""
-    image = [0] * f.size  # image[u]: the image of u, once u is placed
-    used, start = 0, 0
-    for u, v in fixed.items():
-        image[u], used, start = v, 1 << v, 1
-    g_full = (1 << g.size) - 1
-    if not _search(plan, start, g._out, g._in, g_full, image, used):
-        return None
-    return {step[0]: image[step[0]] for step in plan}
-
-
 def _search(plan, pos, g_out, g_in, g_full, image, used):
     """Place plan[pos:] given the images of plan[:pos] in `image` and
     their mask `used`; True once all are placed."""
@@ -401,15 +384,20 @@ def _search(plan, pos, g_out, g_in, g_full, image, used):
         return True
     u, need, loop, fo, fi, before = plan[pos]
     # the image lies next to the image of every placed neighbour, which
-    # keeps the search local on large targets
-    cands = g_full & ~used
+    # keeps the search local on large targets; its facts with the used
+    # elements are exactly the images of u's facts with the placed ones
+    cands, want_out, want_in = g_full & ~used, 0, 0
     m = before
     while m:
         low = m & -m
-        w = image[low.bit_length() - 1]
+        a = low.bit_length() - 1
+        w = image[a]
         cands &= g_out[w] | g_in[w]
+        if fo >> a & 1:
+            want_out |= 1 << w
+        if fi >> a & 1:
+            want_in |= 1 << w
         m ^= low
-    n_before = before.bit_count()
     while cands:
         low = cands & -cands
         v = low.bit_length() - 1
@@ -417,23 +405,10 @@ def _search(plan, pos, g_out, g_in, g_full, image, used):
         go, gi = g_out[v], g_in[v]
         if need and (go & g_full).bit_count() + (gi & g_full).bit_count() < need:
             continue
-        # v's facts with the images of u's earlier neighbours must match
-        # u's bit for bit, and v may have no other fact with a used
-        # element
-        if go >> v & 1 != loop or n_before != ((go | gi) & used).bit_count():
-            continue
-        m = before
-        while m:
-            low = m & -m
-            a = low.bit_length() - 1
-            w = image[a]
-            if (fo >> a ^ go >> w) & 1 or (fi >> a ^ gi >> w) & 1:
-                break
-            m ^= low
-        if m:
+        if go >> v & 1 != loop or go & used != want_out or gi & used != want_in:
             continue
         image[u] = v
-        if _search(plan, pos + 1, g_out, g_in, g_full, image, used | 1 << v):
+        if _search(plan, pos + 1, g_out, g_in, g_full, image, used | low):
             return True
     return False
 

@@ -241,6 +241,8 @@ class TestRelationMasks:
             builder = _CheckedStreamBuilder(s)
             for idx in order:
                 builder.add_index(idx)
+            with pytest.raises(ValueError, match="already revealed"):
+                builder.add_index(order[0])
 
 
 class TestAgeDeciders:

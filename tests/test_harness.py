@@ -397,15 +397,27 @@ class TestCli:
     def test_matrix_unknown_cell_key_exit_code(
         self, tmp_path, capsys, monkeypatch
     ):
-        # the bad key, or the unknown learner, is rejected before the
+        # a bad key, value type, learner, family or criterion, or a
+        # cell or cell list of the wrong type, is rejected before the
         # valid first cell runs; a learner typo is not a SKIPPED cell
         monkeypatch.setattr(H, "run_cell", None)
         config = tmp_path / "cells.json"
         cell = {"family": "omega_pair", "learner": "ex_minmax",
                 "criterion": "Ex", "horizon": 128, "tail": 16, "window": 8}
-        for bad, named in ((dict(cell, members=[0]), "'members'"),
-                           (dict(cell, learner="nope"), "'nope'")):
-            config.write_text(json.dumps({"cells": [cell, bad]}))
+        cases = [({"cells": [cell, bad]}, named) for bad, named in (
+            (dict(cell, members=[0]), "'members'"),
+            (dict(cell, learner="nope"), "'nope'"),
+            (dict(cell, criterion="Nope"), "'Nope'"),
+            (dict(cell, family="nope"), "'nope'"),
+            (dict(cell, horizon="x"), "'horizon'"),
+            (dict(cell, tail=True), "'tail'"),
+            (dict(cell, seeds=5), "'seeds'"),
+            (dict(cell, member="a"), "'member'"),
+            (dict(cell, learner=["x"]), "'learner'"),
+            (1, "1"),
+        )] + [([1], "1"), ({"cells": 5}, "5")]
+        for cells, named in cases:
+            config.write_text(json.dumps(cells))
             assert cli.main(["matrix", str(config)]) == 2
             captured = capsys.readouterr()
             assert captured.out == ""

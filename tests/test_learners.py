@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from limitlab.catalog import (
     Family,
     Presentation,
+    ReplayPresentation,
     canonical_fragment,
     parse_structure,
     strict_order_relation,
@@ -20,6 +21,7 @@ from limitlab.learners import (
     ExPosetLearner,
     IdToCoLearner,
     PlFstarLearner,
+    WitnessInconsistencyError,
     _EMPTY,
     _chain_ends,
     _longest_chain,
@@ -103,6 +105,15 @@ class TestFin:
             committed = [h for h in transcript if h != QUESTION]
             assert committed
             assert set(committed) == {code}
+        # a replayed stream whose last element closes a triangle and an
+        # induced 3-path at once makes both separating formulas hold
+        f1 = FiniteFragment(0).extended(0, 0)
+        f2 = f1.extended(1, 1)
+        f3 = f2.extended(0, 0)
+        f4 = f3.extended(0b111, 0b111)
+        replay = ReplayPresentation([f1, f2, f3, f4])
+        with pytest.raises(WitnessInconsistencyError):
+            run(learner, replay, 4)
 
     def test_refuses_comparable_family(self):
         with pytest.raises(ConfigurationError):

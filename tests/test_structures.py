@@ -7,7 +7,12 @@ from hypothesis import given, settings, strategies as st
 
 from limitlab import harness as H, structures
 from limitlab.learners import run
-from limitlab.catalog import Presentation, canonical_fragment, parse_structure
+from limitlab.catalog import (
+    Presentation,
+    canonical_fragment,
+    parse_structure,
+    saturated_fragment,
+)
 from limitlab.pairing import pair, unpair, triple, untriple
 from limitlab.structures import (
     FiniteFragment,
@@ -136,6 +141,18 @@ class TestEmbedding:
                     if a != b:
                         assert f.has(0, (a, b)) == g.has(0, (m[a], m[b]))
 
+    def test_long_stream_into_its_saturated_fragment(self):
+        """The unrooted search a retargeted stream builder runs: 201
+        stages of tilde(omega) into the 600-element saturated fragment,
+        a long chain inside a padded one, where each candidate is tested
+        by its two masked rows rather than one neighbour at a time."""
+        target = parse_structure("tilde(omega)")
+        f = Presentation(target, 1).restrict(200)
+        g = saturated_fragment(target, 600)
+        m = embed_map(f, g)
+        assert m is not None
+        assert induced_copy(f, g, tuple(m[u] for u in range(f.size)))
+
     def test_required_element_in_image(self):
         rng = random.Random(5)
         hits = 0
@@ -183,14 +200,15 @@ class TestEmbedding:
         # required's out-degree plus in-degree, a self-loop in both
         room = sum(args.count(required) for _, args in g_facts)
         roots = []
-        real = structures._embed_map_fixed
+        real = structures._search
 
-        def plan(f_, g_, fixed, *rest):
-            roots.extend(fixed)
-            return real(f_, g_, fixed, *rest)
+        def search(plan, pos, *rest):
+            if pos == 1:
+                roots.append(plan[0][0])
+            return real(plan, pos, *rest)
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(structures, "_embed_map_fixed", plan)
+            mp.setattr(structures, "_search", search)
             m = embed_map(f, g, required=required)
         brute = any(
             required in mapping and induced_copy(f, g, mapping)
