@@ -325,8 +325,8 @@ def _check_cell(cell):
 def run_matrix(cells):
     """cells: iterable of dicts with keys family, learner, criterion and
     optional member, seeds, horizon, tail, window, budget.  Every cell is
-    checked (`_check_cell`), and its family and criterion built, before
-    a cell runs, so a malformed cell is a usage error."""
+    checked (`_check_cell`), and its family, member and criterion built,
+    before a cell runs, so a malformed cell is a usage error."""
     built = []
     for cell in cells:
         _check_cell(cell)
@@ -337,7 +337,10 @@ def run_matrix(cells):
             window=cell.get("window", DEFAULT_WINDOW),
             budget=cell.get("budget"),
         )
-        built.append((cell, get_family(cell["family"]), spec))
+        family = get_family(cell["family"])
+        if "member" in cell:
+            member_of(family, cell["member"])
+        built.append((cell, family, spec))
     rows = []
     for cell, family, spec in built:
         try:

@@ -10,12 +10,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import combinations, compress, count
+from itertools import combinations, compress, count, zip_longest
 from operator import ne
 
 from .pairing import pair, unpair, triple
 from .sigma1 import StreamWatch, classify_family, sat_catalog
 from .learners import QUESTION, ConfigurationError, FinLearner
+
+
+_GAP = object()  # a position beyond an E3 prefix, equal to no value
 
 
 @dataclass(frozen=True)
@@ -26,14 +29,32 @@ class OutputPrefix:
         return len(self.values)
 
     def column(self, m):
-        # pair(m, r + 1) - pair(m, r) = m + r + 2
-        out = []
-        q, r = pair(m, 0), 0
-        while q < len(self.values):
-            out.append(self.values[q])
-            q += m + r + 2
-            r += 1
-        return tuple(out)
+        cols = self.columns()
+        return cols[m] if m < len(cols) else ()
+
+    def columns(self):
+        """Every E3 column with a row in the prefix, as tuples, computed
+        on the first call and kept like the range set."""
+        return self._columns
+
+    @cached_property
+    def _columns(self):
+        # diagonal w holds column m at row w - m, in descending m, so a
+        # reversed diagonal lists columns 0..w; a partial last diagonal is
+        # filled in front up to its missing columns, and each column then
+        # reads one entry of every diagonal from its own on
+        values, diagonals, base, w = self.values, [], 0, 0
+        while base < len(values):
+            diagonal = values[base:base + w + 1][::-1]
+            diagonals.append((_GAP,) * (w + 1 - len(diagonal)) + diagonal)
+            base, w = base + w + 1, w + 1
+        cols = [col[m:] for m, col in enumerate(
+            zip_longest(*diagonals, fillvalue=_GAP)
+        )]
+        if cols and cols[0][-1] is _GAP:
+            # the partial last diagonal misses its low columns' last rows
+            cols = [c[:-1] if c[-1] is _GAP else c for c in cols]
+        return cols
 
     def range_set(self):
         """The set of values, computed on the first call and kept: a
@@ -141,6 +162,7 @@ class GammaErange:
     def __init__(self, family):
         self.family = family
         self.watch = StreamWatch(_pair_witnesses(family))
+        self.codes = {key: pair(*key) for key in self.watch.formulas}
 
     def initial(self):
         return (self.watch.initial(), 0)
@@ -148,7 +170,7 @@ class GammaErange:
     def step(self, state, fragment):
         watched, emitted = state
         watched = self.watch.advance(watched, fragment)
-        held = [(pair(i, j), t) for (i, j), t in watched[1].items()]
+        held = [(self.codes[key], t) for key, t in watched[1].items()]
         # every flat position below (size, 0, 0) has stage coordinate below
         # the size, so its value is already settled; they fill diagonals
         # d = s + pair(i, j) of the pairing, where index b is stage d - b
@@ -167,9 +189,9 @@ class GammaErange:
     def declared_range(self, code):
         member = self.family.members[code]
         out = {0}
-        for (i, j), w in self.watch.formulas.items():
+        for key, w in self.watch.formulas.items():
             if sat_catalog(w, member):
-                out.add(pair(i, j))
+                out.add(self.codes[key])
         return out
 
 
@@ -182,7 +204,7 @@ class GammaErangeToE3(GammaErange):
     def step(self, state, fragment):
         watched, emitted = state
         watched = self.watch.advance(watched, fragment)
-        held = [(pair(i, j), t) for (i, j), t in watched[1].items()]
+        held = [(self.codes[key], t) for key, t in watched[1].items()]
         # every flat position below pair(0, size) has a row below the size,
         # so its value is already settled; [pair(0, d), pair(0, d + 1)) is
         # column 0 at row d, then column m at row d + 1 - m for
@@ -216,23 +238,17 @@ def check_prefix(rel, a, b, closed_range_a=None, closed_range_b=None):
             return PrefixVerdict("EquivalentByRule")
         return PrefixVerdict("ConsistentSoFar", payload={"agreed": 0})
     if rel == "E3":
-        # both sides reach row r of column m iff pair(m, r) < k, so only
-        # the differing positions of the common prefix are decoded: the
-        # ascending positions walk the diagonals w = m + r, and diagonal
-        # w starts at base = pair(w, 0) with row 0
-        k = min(len(a), len(b))
-        cols = {}
-        if a.values[:k] != b.values[:k]:
-            w = base = 0
-            for q in compress(count(), map(ne, a.values, b.values)):
-                while q > base + w:
-                    w += 1
-                    base += w
-                r = q - base
-                col = cols.setdefault(w - r, {"mismatches": 0})
-                col["mismatches"] += 1
-                col["last_mismatch"] = r
-            cols = {m: cols[m] for m in sorted(cols)}
+        # both sides reach row r of column m iff pair(m, r) < min(len(a),
+        # len(b)), so the rows they share are a column's common prefix
+        ac, bc, cols = a.columns(), b.columns(), {}
+        for m in compress(count(), map(ne, ac, bc)):
+            ca, cb = ac[m], bc[m]
+            n = sum(map(ne, ca, cb))
+            if n:
+                r = min(len(ca), len(cb)) - 1
+                while ca[r] == cb[r]:
+                    r -= 1
+                cols[m] = {"mismatches": n, "last_mismatch": r}
         return PrefixVerdict("ConsistentSoFar", payload={"columns": cols})
     if rel == "Erange":
         ra, rb = a.range_set(), b.range_set()

@@ -48,9 +48,10 @@ class FiniteFragment:
     once, whichever fragment is asked first.
 
     A fragment searched as the pattern of a rooted `embed_map` keeps that
-    search's plans, one per root, built by its first rooted search.  They
-    read only its facts within its domain, which never change, so they
-    never go stale; every new fragment starts with none.
+    search's plans, one per automorphism orbit of its elements, built by
+    its first rooted search.  They read only its facts within its domain,
+    which never change, so they never go stale; every new fragment starts
+    with none.
     """
 
     __slots__ = (
@@ -301,10 +302,11 @@ def embed_map(f, g, required=None):
 
     Plain backtracking along a search plan (see `_search_plans`): f's
     elements in a fixed placement order, candidates most-constrained-first.
-    A rooted search tries each element of f as the preimage of `required`,
-    and keeps the plans of all roots on f, built on the first rooted
-    search, because a stream re-searches the same pattern at every stage;
-    f's facts never change, so the plans never go stale.  An unrooted
+    A rooted search tries the first element of each automorphism orbit of
+    f as the preimage of `required` (see `_orbit_plans`), and keeps their
+    plans on f, built on the first rooted search, because a stream
+    re-searches the same pattern at every stage; f's facts never change,
+    so the plans never go stale.  An unrooted
     search plans for the call and keeps nothing, so a one-off large
     pattern (a whole stream, say) leaves nothing behind.  Correctness is
     the contract, the sizes this is used on stay small.
@@ -323,7 +325,7 @@ def embed_map(f, g, required=None):
         return None
     plans = f._plans
     if plans is None:
-        plans = f._plans = _search_plans(f, range(f.size))
+        plans = f._plans = _orbit_plans(f)
     # the checks the root's step would make on u -> required, made once
     # per root here
     go, gi = g_out[required], g_in[required]
@@ -337,6 +339,30 @@ def embed_map(f, g, required=None):
         if _search(plan, 1, g_out, g_in, g_full, image, 1 << required):
             return {step[0]: image[step[0]] for step in plan}
     return None
+
+
+def _orbit_plans(f):
+    """The rooted plans of f, one per automorphism orbit of its elements:
+    the plan of each orbit's first root, in element order.  Roots u < v
+    share an orbit iff f embeds into itself with u -> v, searched along
+    u's plan, and are tested only when their out- and in-degrees match.
+    An automorphism taking u to v turns an embedding with v -> r into one
+    with u -> r, so either both roots succeed or neither does, and the
+    first root that succeeds, and with it the map, is the same as when
+    every root is tried."""
+    full, image, kept = (1 << f.size) - 1, [0] * f.size, []
+    for plan in _search_plans(f, range(f.size)):
+        v, _, _, o, i = plan[0][:5]
+        shape = (o.bit_count(), i.bit_count())
+        for u_shape, u_plan in kept:
+            image[u_plan[0][0]] = v
+            if u_shape == shape and _search(
+                u_plan, 1, f._out, f._in, full, image, 1 << v
+            ):
+                break
+        else:
+            kept.append((shape, plan))
+    return tuple(plan for _, plan in kept)
 
 
 def _search_plans(f, roots):

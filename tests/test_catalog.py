@@ -56,6 +56,18 @@ class TestParser:
         with pytest.raises((ConstructionError, ValueError)):
             parse_structure(bad)
 
+    def test_repr_and_hash_follow_the_key(self):
+        # a structure reads as its key, and equal keys hash alike, so
+        # two parses of one key are one set entry
+        a, b = parse_structure("du(ray(2),iso_inf)"), parse_structure(
+            "du(ray(2),iso_inf)"
+        )
+        assert a is not b
+        assert repr(a) == "du(ray(2),iso_inf)"
+        assert hash(a) == hash(b)
+        assert len({a, b}) == 1
+        assert {a, parse_structure("omega")} == {b, parse_structure("omega")}
+
     def test_du_rejects_mixed_styles(self):
         with pytest.raises((ConstructionError, ValueError)):
             parse_structure("du(omega,cycle(3))")

@@ -397,10 +397,11 @@ class TestCli:
     def test_matrix_unknown_cell_key_exit_code(
         self, tmp_path, capsys, monkeypatch
     ):
-        # a bad key, value type, learner, family or criterion, or a
-        # cell or cell list of the wrong type, is rejected before the
-        # valid first cell runs; a learner typo is not a SKIPPED cell
-        monkeypatch.setattr(H, "run_cell", None)
+        # a bad key, value type, learner, family, member or criterion,
+        # or a cell or cell list of the wrong type, is rejected before
+        # the valid first cell runs; a learner typo is not a SKIPPED cell
+        ran = []
+        monkeypatch.setattr(H, "run_cell", lambda *args: ran.append(args))
         config = tmp_path / "cells.json"
         cell = {"family": "omega_pair", "learner": "ex_minmax",
                 "criterion": "Ex", "horizon": 128, "tail": 16, "window": 8}
@@ -413,6 +414,7 @@ class TestCli:
             (dict(cell, tail=True), "'tail'"),
             (dict(cell, seeds=5), "'seeds'"),
             (dict(cell, member="a"), "'member'"),
+            (dict(cell, member=5), "member 5 out of range"),
             (dict(cell, learner=["x"]), "'learner'"),
             (1, "1"),
         )] + [([1], "1"), ({"cells": 5}, "5")]
@@ -424,6 +426,7 @@ class TestCli:
             assert captured.err.startswith("error: ")
             assert captured.err.count("\n") == 1
             assert named in captured.err
+            assert not ran
 
     @pytest.mark.parametrize(
         "argv",

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -96,6 +98,24 @@ class TestCheckPrefix:
         cols = v.payload["columns"]
         assert list(cols) == list(expected)
         assert all(list(cols[m]) == list(expected[m]) for m in expected)
+
+    def test_columns_are_decoded_once(self):
+        """At every length, partial last diagonals included, the kept
+        columns are the pairing's columns read position by position, and
+        `column` reads them."""
+        for k in range(81):
+            prefix = OutputPrefix(tuple(range(k)))  # each value its position
+            expected, m = [], 0
+            while pair(m, 0) < k:
+                rows = itertools.takewhile(
+                    lambda r: pair(m, r) < k, itertools.count()
+                )
+                expected.append(tuple(pair(m, r) for r in rows))
+                m += 1
+            cols = prefix.columns()
+            assert cols == expected
+            assert [prefix.column(m) for m in range(m + 1)] == expected + [()]
+            assert prefix.columns() is cols
 
     def test_unknown_relation(self):
         # no registered operator targets Id, E0 or Eset

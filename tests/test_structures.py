@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from limitlab import harness as H, structures
+from limitlab import harness as H, sigma1, structures
 from limitlab.learners import run
 from limitlab.catalog import (
     Presentation,
@@ -14,6 +14,7 @@ from limitlab.catalog import (
     saturated_fragment,
 )
 from limitlab.pairing import pair, unpair, triple, untriple
+from limitlab.sigma1 import StreamWatch, embeds
 from limitlab.structures import (
     FiniteFragment,
     embed_finite,
@@ -45,6 +46,77 @@ def grown_views(draw, max_size):
         frag = frag.extended(draw(below) | loop, draw(below) | loop)
         views.append(frag)
     return views
+
+
+@st.composite
+def orbit_patterns(draw):
+    """A fresh pattern of up to 6 elements: a cycle, a chain with isolated
+    points, a strict order, a graph or any relation, self-loops allowed
+    in the last two."""
+    kind = draw(st.sampled_from(["cycle", "chain", "order", "graph", "any"]))
+    if kind == "cycle":
+        n = draw(st.integers(3, 6))
+        cycle = canonical_fragment(parse_structure("cycle(%d)" % n), n)
+        return cycle.induced(range(n))
+    n = draw(st.integers(1, 6))
+    bits = draw(st.integers(0, (1 << n * n) - 1))
+    pairs = itertools.product(range(n), repeat=2)
+    facts = {(a, b) for a, b in pairs if bits >> a * n + b & 1}
+    if kind == "chain":
+        chain = draw(st.permutations(range(n)))[: draw(st.integers(0, n))]
+        facts = set(itertools.combinations(chain, 2))
+    elif kind == "order":
+        rank = draw(st.permutations(range(n)))
+        facts = {(a, b) for a, b in facts if rank[a] < rank[b]}
+        for c in range(n):  # close transitively through each middle c
+            below = [a for a, x in facts if x == c]
+            facts |= {(a, b) for a in below for y, b in facts if y == c}
+    elif kind == "graph":
+        facts |= {(b, a) for a, b in facts}
+    return FiniteFragment.from_tuples(n, [(0, p) for p in sorted(facts)])
+
+
+def grown_around(f, data):
+    """Every view of an extension chain holding a copy of f among up to 3
+    more elements, all in a drawn order, with random facts elsewhere."""
+    extra = data.draw(st.integers(0, 3))
+    size = f.size + extra
+    where = data.draw(st.permutations(range(size)))[: f.size]
+    back = {x: u for u, x in enumerate(where)}
+    bits = data.draw(st.integers(0, (1 << size * size) - 1))
+
+    def related(x, y):
+        if x in back and y in back:
+            return f.has(0, (back[x], back[y]))
+        return bits >> (x * size + y) & 1 == 1
+
+    frag, views = FiniteFragment(0), []
+    for e in range(size):
+        succ = sum(1 << j for j in range(e + 1) if related(e, j))
+        pred = sum(1 << j for j in range(e + 1) if related(j, e))
+        frag = frag.extended(succ, pred)
+        views.append(frag)
+    return views
+
+
+def every_root(f, g, required):
+    """The rooted search that tries each root's plan in element order,
+    after the per-root self-loop and degree check."""
+    g.masks()
+    g_out, g_in, g_full = g._out, g._in, (1 << g.size) - 1
+    go, gi = g_out[required] & g_full, g_in[required] & g_full
+    for plan in structures._search_plans(f, range(f.size)):
+        u, need, loop = plan[0][:3]
+        room = go.bit_count() + gi.bit_count()
+        if loop != go >> required & 1 or need > room:
+            continue
+        image = [0] * f.size
+        image[u] = required
+        if structures._search(
+            plan, 1, g_out, g_in, g_full, image, 1 << required
+        ):
+            return {step[0]: image[step[0]] for step in plan}
+    return None
 
 
 class TestPairing:
@@ -111,6 +183,12 @@ class TestFragmentLaws:
         f.extended(0, 0)
         with pytest.raises(ValueError, match="newest fragment"):
             f.extended(0, 0)
+
+    def test_repr_lists_the_facts(self):
+        f = FiniteFragment.from_tuples(3, [(0, (1, 2)), (0, (0, 1))])
+        assert repr(f) == (
+            "FiniteFragment(size=3, tuples=[(0, (0, 1)), (0, (1, 2))])"
+        )
 
     def test_restricted_drops_outside_tuples(self):
         f = FiniteFragment.from_tuples(3, [(0, (0, 1)), (0, (1, 2))])
@@ -203,7 +281,7 @@ class TestEmbedding:
         real = structures._search
 
         def search(plan, pos, *rest):
-            if pos == 1:
+            if pos == 1 and rest[0] is g._out:
                 roots.append(plan[0][0])
             return real(plan, pos, *rest)
 
@@ -277,6 +355,94 @@ class TestEmbedding:
                 top = top.extended(data.draw(below), data.draw(below))
             top.masks()  # folds the new bits into the shared rows
             search_all()
+
+    @settings(max_examples=150, deadline=None)
+    @given(orbit_patterns(), st.data())
+    def test_rooted_search_keeps_one_plan_per_orbit(self, f, data):
+        """A rooted search at each new element of a grown target returns
+        the map, insertion order included, of trying every root's plan in
+        element order; the pattern keeps the plan of each automorphism
+        orbit's first element, and tests two roots for one orbit only when
+        their out- and in-degrees match."""
+        n, facts = f.size, f.tuples()
+        shape = [
+            (sum(a == u for _, (a, b) in facts),
+             sum(b == u for _, (a, b) in facts))
+            for u in range(n)
+        ]
+        perms = itertools.permutations(range(n))
+        autos = [p for p in perms if induced_copy(f, f, p)]
+        firsts = [u for u in range(n) if all(p[u] >= u for p in autos)]
+        target = grown_around(f, data)
+        orbit_tests = []
+        real = structures._search
+
+        def search(plan, pos, g_out, g_in, g_full, image, used):
+            if g_out is f._out:
+                orbit_tests.append((plan[0][0], image[plan[0][0]]))
+            return real(plan, pos, g_out, g_in, g_full, image, used)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(structures, "_search", search)
+            for g in target:
+                got = embed_map(f, g, required=g.size - 1)
+                assert repr(got) == repr(every_root(f, g, g.size - 1))
+        assert [plan[0][0] for plan in f._plans] == firsts
+        assert f._plans == tuple(
+            structures._search_plans(f, [u])[0] for u in firsts
+        )
+        assert all(shape[u] == shape[v] for u, v in orbit_tests)
+
+    def test_cycle_root_tried_once_per_rooted_call(self):
+        """cycle(5) never occurs in cyc_comp(5), and a stream watch's
+        rooted search through each new element tries one root of the
+        cycle, whose elements form one orbit, instead of all five."""
+        stream = Presentation(parse_structure("cyc_comp(5)"), 1)
+        watch = StreamWatch({0: embeds("cycle(5)")})
+        calls, tries = [], []
+        real_map, real_search = sigma1.embed_map, structures._search
+
+        def rooted(f, g, required=None):
+            if required is not None:
+                calls.append(len(tries))
+            return real_map(f, g, required=required)
+
+        def search(plan, pos, g_out, *rest):
+            if pos == 1 and g_out is stream.restrict(1)._out:
+                tries.append(plan[0][0])
+            return real_search(plan, pos, g_out, *rest)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sigma1, "embed_map", rooted)
+            mp.setattr(structures, "_search", search)
+            state = watch.initial()
+            for s in range(1, 49):
+                state = watch.advance(state, stream.restrict(s))
+        assert state[1] == {} and tries
+        assert len(calls) == 47
+        assert all(b - a <= 1 for a, b in zip(calls, calls[1:] + [len(tries)]))
+
+    def test_orbit_tests_only_between_equal_degrees(self):
+        """Planning a padded chain's rooted searches tests two elements for
+        one orbit only when both their out- and in-degrees match: the top
+        of the chain and an isolated point share an out-degree."""
+        canonical = canonical_fragment(parse_structure("tilde(chain(4))"), 8)
+        f = canonical.induced(range(8))
+        out, inn = f.masks()
+        degrees = [(o.bit_count(), i.bit_count()) for o, i in zip(out, inn)]
+        tests = []
+        real = structures._search
+
+        def search(plan, pos, g_out, g_in, g_full, image, used):
+            if g_out is f._out:
+                tests.append((plan[0][0], image[plan[0][0]]))
+            return real(plan, pos, g_out, g_in, g_full, image, used)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(structures, "_search", search)
+            embed_map(f, canonical, required=0)
+        assert tests and f._plans is not None
+        assert all(degrees[u] == degrees[v] for u, v in tests)
 
     def test_search_leaves_no_reference_cycle(self):
         """Each call's recursive search is freed by reference counting,
