@@ -21,7 +21,9 @@ from .catalog import (
     audit_shape,
     canonical_fragment,
     fragment_embeds,
+    left_side,
     parse_structure,
+    right_side,
     saturated_fragment,
 )
 from .sigma1 import sigma1_leq
@@ -31,6 +33,7 @@ from .reductions import outputs
 
 START_HORIZON = 512
 HORIZON_CAP = 2 ** 14
+AUDITED = 40  # the stages a stream's shape audit covers
 
 
 @dataclass(frozen=True)
@@ -57,32 +60,15 @@ class FailureCertificate:
         }
 
 
-# the token classes the adversaries draw from, one predicate object each,
-# so that a builder keeps one cursor per class (see add_least_unused): the
-# two sides of a disjoint union, and a padded chain's inner chain and pads
-def _left_token(tok):
-    return tok[0] == "l"
-
-
-def _right_token(tok):
-    return tok[0] == "r"
-
-
-def _inner_token(tok):
-    return tok[0] == "x"
-
-
-def _padding_token(tok):
-    return tok[0] != "x"
-
-
 class StreamBuilder(TokenChain):
     """Builds a monotone fragment stream as a growing induced piece of a
     target structure, with the ability to re-root the piece inside a new
-    target whenever it embeds there."""
+    target whenever it embeds there.  When shapes are given, audit_ok says
+    whether each of the first AUDITED fragments embeds into one of them."""
 
-    def __init__(self, target):
+    def __init__(self, target, shapes=()):
         super().__init__(target)
+        self.shapes, self.audit_ok = shapes, True
         self._used = {}  # keys: the revealed canonical indices, in order
         # predicate -> an index below which every canonical index is
         # revealed or has a token the predicate rejects
@@ -98,6 +84,10 @@ class StreamBuilder(TokenChain):
             raise ValueError("canonical element %d already revealed" % idx)
         frag = self.push(self._token(idx))
         self._used[idx] = None
+        if self.shapes and frag.size <= AUDITED and not audit_shape(
+            frag, self.shapes
+        ):
+            self.audit_ok = False
         return frag
 
     def add_least_unused(self, predicate=None):
@@ -196,12 +186,13 @@ def adv_vs_ex_rays(learner, seed=0, start=START_HORIZON, cap=HORIZON_CAP):
             )
 
     def play(horizon, last):
-        builder = StreamBuilder(parse_structure("du(ray,iso_inf)"))
+        builder = StreamBuilder(
+            parse_structure("du(ray,iso_inf)"), tuple(family)
+        )
         state = learner.initial_state()
         transcript = []
         expansionary = []
         ray_len = 0
-        audit_ok = True
         for s in range(horizon):
             # the ray grows at stages 0 and 1, and at an even stage when
             # the hypothesis two stages back was the current finite ray
@@ -211,25 +202,23 @@ def adv_vs_ex_rays(learner, seed=0, start=START_HORIZON, cap=HORIZON_CAP):
             if grow and s >= 2:
                 expansionary.append(s)
             if grow:
-                frag = builder.add_least_unused(_left_token)
+                frag = builder.add_least_unused(left_side)
                 ray_len += 1
             else:
-                frag = builder.add_least_unused(_right_token)
-            if s < 40 and not audit_shape(frag, list(family)):
-                audit_ok = False
+                frag = builder.add_least_unused(right_side)
             state, hyp = learner.step(state, frag)
             transcript.append(hyp)
         if len(expansionary) >= 10:
             return builder, "InfinitelyManyMindChanges", {
                 "expansionary_stages": expansionary[-10:],
                 "ray_length": ray_len,
-            }, _excerpt(transcript, expansionary[-3:]), audit_ok
+            }, _excerpt(transcript, expansionary[-3:]), builder.audit_ok
         if not expansionary or expansionary[-1] < horizon // 2:
             return builder, "StuckWrong", {
                 "final_hypothesis": transcript[-1],
                 "truth_code": ray_code.get(ray_len),
                 "truth": "du(ray(%d),iso_inf)" % ray_len,
-            }, _excerpt(transcript), audit_ok
+            }, _excerpt(transcript), builder.audit_ok
         if last:
             return builder, "Inconclusive", {}
 
@@ -244,17 +233,14 @@ def adv_vs_nus_poset(learner, seed=0, start=START_HORIZON, cap=HORIZON_CAP):
     p0 = family.members[codes[0]]
 
     def play(horizon, last):
-        builder = StreamBuilder(p0)
+        builder = StreamBuilder(p0, (p0,))
         state = learner.initial_state()
         transcript = []
         phase = 0
         detour_code = None
         stages = {}
-        audit_ok = True
         for s in range(horizon):
             frag = builder.add_least_unused()
-            if s < 40 and not fragment_embeds(frag, p0):
-                audit_ok = False
             state, hyp = learner.step(state, frag)
             transcript.append(hyp)
             if phase == 0 and hyp == codes[0]:
@@ -282,7 +268,7 @@ def adv_vs_nus_poset(learner, seed=0, start=START_HORIZON, cap=HORIZON_CAP):
                     "code": codes[0], "stages": stages
                 }, _excerpt(
                     transcript, [stages["first"], stages["detour"], s]
-                ), audit_ok
+                ), builder.audit_ok
         # an unfinished wait: if the hypothesis has settled on something
         # other than the code the wait is for, the learner is stranded on
         # the stream's limit
@@ -294,7 +280,7 @@ def adv_vs_nus_poset(learner, seed=0, start=START_HORIZON, cap=HORIZON_CAP):
                 "final_hypothesis": transcript[-1],
                 "truth_code": truth,
                 "stages": stages,
-            }, _excerpt(transcript, list(stages.values())), audit_ok
+            }, _excerpt(transcript, list(stages.values())), builder.audit_ok
         if last:
             return builder, "Inconclusive", {"phase": phase}
 
@@ -457,23 +443,20 @@ def adv_vs_e3_operator_fstar(
             ref_out = outputs(operator, (
                 canonical_fragment(target, s + 1) for s in range(horizon)
             ))
-            builder = StreamBuilder(target)
+            builder = StreamBuilder(target, (target,))
             state, out = operator.initial(), []
             disagreements = []
             checked = 0
-            audit_ok = True
             chain_count = 0
             for s in range(horizon):
-                # inner-chain tokens are tagged "x", padding "p"; the chain
-                # grows once per fresh disagreement, padding fills the rest
+                # the chain (the right side) grows once per fresh
+                # disagreement, padding (the left side) fills the rest
                 want_chain = chain_count < len(disagreements) + 1
                 frag = builder.add_least_unused(
-                    _inner_token if want_chain else _padding_token
+                    right_side if want_chain else left_side
                 )
                 if want_chain:
                     chain_count += 1
-                if s < 40 and not fragment_embeds(frag, target):
-                    audit_ok = False
                 state, new = operator.step(state, frag)
                 out.extend(new)
                 r = checked
@@ -490,7 +473,7 @@ def adv_vs_e3_operator_fstar(
                         "branch": branch_key,
                         "column": 0,
                         "disagreement_rows": disagreements[:needed],
-                    }, (), audit_ok
+                    }, (), builder.audit_ok
             if last and branch_key == "tilde(omega_star)":
                 # no disagreement accumulated on either branch, and no
                 # stream witnesses that: the certificate comes with none

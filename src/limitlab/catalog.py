@@ -220,10 +220,10 @@ class FiniteChain(_Numbered, _LinearOrder):
 
 class _SparseGraph(CatalogStructure):
     """A graph in which each token has at most two neighbours, named by
-    neighbours(tok): admit looks the revealed neighbours up, and a chain
-    files each token's position under the token.  A fragment in its
-    age has only paths and cycles as components, and fits decides whether
-    those do."""
+    neighbours(tok), which is the relation: admit looks the revealed
+    neighbours up, and a chain files each token's position under it.  A
+    fragment in its age has only paths and cycles as components, and fits
+    decides whether those do."""
 
     style = "graph"
 
@@ -234,6 +234,9 @@ class _SparseGraph(CatalogStructure):
                 near |= 1 << groups[t]
         groups[tok] = j
         return near, near
+
+    def related(self, x, y):
+        return y in self.neighbours(x)
 
     def age_holds(self, fragment):
         out, inn = fragment.masks()
@@ -261,9 +264,6 @@ class Ray(_SparseGraph):
 
     name = "ray"
 
-    def related(self, x, y):
-        return abs(x - y) == 1
-
     def neighbours(self, tok):
         return tok - 1, tok + 1
 
@@ -280,10 +280,6 @@ class FiniteRay(_Numbered, Ray):
 
 class Cycle(_Numbered, _SparseGraph):
     name, least = "cycle", 3
-
-    def related(self, x, y):
-        d = abs(x - y)
-        return d == 1 or d == self.n - 1
 
     def neighbours(self, tok):
         return (tok + 1) % self.n, (tok - 1) % self.n
@@ -369,13 +365,6 @@ class CycleComplement(_Numbered, _SparseGraph):
     def size(self):
         return None
 
-    def related(self, x, y):
-        (m, p), (m2, q) = x, y
-        if m != m2:
-            return False
-        d = abs(p - q)
-        return d == 1 or d == m - 1
-
     def neighbours(self, tok):
         m, p = tok
         return (m, (p + 1) % m), (m, (p - 1) % m)
@@ -386,60 +375,10 @@ class CycleComplement(_Numbered, _SparseGraph):
         return len(set(cycles)) == len(cycles) and self.n not in cycles
 
 
-class Tilde(CatalogStructure):
-    """A partial order plus infinitely many pairwise incomparable fresh
-    elements; odd enumeration slots carry the inner structure."""
-
-    def __init__(self, inner):
-        if inner.style == "graph":
-            raise ValueError("tilde applies to partial orders")
-        self.inner = inner
-
-    def _enumerate(self):
-        inner_iter = self.inner._enumerate()
-        pad = 0
-        j = 0
-        while True:
-            took = False
-            if j % 2 == 1:
-                try:
-                    yield ("x", next(inner_iter))
-                    took = True
-                except StopIteration:
-                    pass
-            if not took:
-                yield ("p", pad)
-                pad += 1
-            j += 1
-
-    def key(self):
-        return "tilde(%s)" % self.inner.key()
-
-    def param(self):
-        return self.inner.param()
-
-    def related(self, x, y):
-        if x[0] == "x" and y[0] == "x":
-            return self.inner.related(x[1], y[1])
-        return False
-
-    # the fresh elements are related to nothing, so the inner structure's
-    # hook serves its own tokens, a fresh one is filed nowhere, and the
-    # fresh ones take a fragment's isolated points
-
-    def admit(self, groups, tok, j):
-        if tok[0] == "x":
-            return self.inner.admit(groups, tok[1], j)
-        return 0, 0
-
-    def age_holds(self, fragment):
-        return fragment_embeds(_nonisolated_part(fragment), self.inner)
-
-    def absorbs_isolated(self):
-        return True
-
-
 class DisjointUnion(CatalogStructure):
+    """The union of two structures side by side, no fact across them; a
+    token is ("l", left token) or ("r", right token)."""
+
     def __init__(self, left, right):
         styles = {left.style, right.style} - {"any"}
         if len(styles) > 1:
@@ -449,20 +388,13 @@ class DisjointUnion(CatalogStructure):
         self.style = styles.pop() if styles else "any"
 
     def _enumerate(self):
-        iters = [self.left._enumerate(), self.right._enumerate()]
-        tags = ["l", "r"]
-        alive = [True, True]
-        j = 0
-        while any(alive):
-            side = j % 2
-            for attempt in (side, 1 - side):
-                if alive[attempt]:
-                    try:
-                        yield (tags[attempt], next(iters[attempt]))
-                        break
-                    except StopIteration:
-                        alive[attempt] = False
-            j += 1
+        # the sides alternate, left first; once one ends the other goes on
+        return (
+            tok for both in itertools.zip_longest(
+                zip(itertools.repeat("l"), self.left._enumerate()),
+                zip(itertools.repeat("r"), self.right._enumerate()),
+            ) for tok in both if tok is not None
+        )
 
     def key(self):
         return "du(%s,%s)" % (self.left.key(), self.right.key())
@@ -476,17 +408,19 @@ class DisjointUnion(CatalogStructure):
     def param(self):
         return max(self.left.param(), self.right.param())
 
-    def _side(self, tok):
-        return self.left if tok[0] == "l" else self.right
-
     def related(self, x, y):
-        return x[0] == y[0] and self._side(x).related(x[1], y[1])
+        return x[0] == y[0] and (
+            self.left if x[0] == "l" else self.right
+        ).related(x[1], y[1])
 
     def admit(self, groups, tok, j):
-        # each side's hook serves its own tokens, on a record of its own
-        return self._side(tok).admit(
-            groups.setdefault(tok[0], {}), tok[1], j
-        )
+        # each side's hook serves its own tokens, on a record of its own,
+        # made once (setdefault would build an empty dict per token)
+        tag, t = tok
+        record = groups.get(tag)
+        if record is None:
+            record = groups[tag] = {}
+        return (self.left if tag == "l" else self.right).admit(record, t, j)
 
     def age_holds(self, fragment):
         # an infinite isolated side takes the isolated points
@@ -498,6 +432,33 @@ class DisjointUnion(CatalogStructure):
 
     def absorbs_isolated(self):
         return self.left.absorbs_isolated() or self.right.absorbs_isolated()
+
+
+# the two sides of a union's tokens, one predicate object each, so that a
+# stream keeps one cursor per side (see StreamBuilder.add_least_unused)
+def left_side(tok):
+    return tok[0] == "l"
+
+
+def right_side(tok):
+    return tok[0] == "r"
+
+
+class Tilde(DisjointUnion):
+    """A partial order X padded with infinitely many isolated points: the
+    union du(iso_inf, X), keyed tilde(X), whose saturation bounds are X's."""
+
+    def __init__(self, inner):
+        if inner.style == "graph":
+            raise ValueError("tilde applies to partial orders")
+        super().__init__(IsolatedInfinite(), inner)
+        self.style = "order"
+
+    def key(self):
+        return "tilde(%s)" % self.right.key()
+
+    def param(self):
+        return self.right.param()
 
 
 # ---------------------------------------------------------------------------
@@ -563,12 +524,6 @@ def strict_order_relation(fragment):
     fragment (see FiniteFragment.masks), or None if the fragment is not
     one (irreflexive, antisymmetric, transitive)."""
     return fragment.masks() if fragment.is_strict_order() else None
-
-
-def graph_components(fragment):
-    """Connected components of the undirected view, as ascending lists of
-    elements, ordered by their least element."""
-    return [list(iter_bits(comp)) for comp in _components(*fragment.masks())]
 
 
 def _components(out, inn):

@@ -42,6 +42,8 @@ class CriterionSpec:
             raise ValueError("need 0 < tail <= horizon")
         if self.kind == "AlphaFin" and self.budget is None:
             raise ValueError("AlphaFin needs a mind-change budget")
+        if self.budget is not None and self.budget < 0:
+            raise ValueError("need budget >= 0")
 
 
 @dataclass(frozen=True)

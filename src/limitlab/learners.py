@@ -435,11 +435,6 @@ def _chain_ends(carried):
     return len(levels), lo, hi
 
 
-def _longest_chain(fragment):
-    """`_chain_ends` of the fragment, summarized from scratch."""
-    return _chain_ends(_order_summary(_EMPTY, fragment))
-
-
 class PlFstarLearner(Learner):
     """For the padded chains plus the two padded infinite chains: tracks
     the longest chain; while it is stable a finite code is conjectured,

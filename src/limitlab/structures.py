@@ -239,10 +239,6 @@ class FiniteFragment:
                     return False
         return True
 
-    def restricted(self, k):
-        """The induced fragment on domain {0..k-1}."""
-        return self.induced(range(k))
-
     def induced(self, elements):
         """Induced substructure on a subset of the domain, relabelled
         0..k-1 in the given iteration order; built from the masks."""

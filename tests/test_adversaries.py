@@ -59,6 +59,14 @@ class TestExRaysAdversary:
         assert cert.kind in ("InfinitelyManyMindChanges", "StuckWrong")
         assert cert.shape_audit_ok
 
+    def test_shape_audit_flags_a_ray_beyond_the_family(self):
+        # the stream's ray outgrows the one member within 40 stages
+        fam = H.get_family("du(ray(2),iso_inf)")
+        pres, cert = adv_vs_ex_rays(
+            H.LEARNERS["ex_min_embed"](fam), start=16, cap=64
+        )
+        assert cert.shape_audit_ok is False
+
     def test_silent_learner_stuck(self):
         fam = H.get_family("rays")
         pres, cert = adv_vs_ex_rays(ConstantLearner(fam, QUESTION))
@@ -177,11 +185,11 @@ class ChainParityOperator:
         return None
 
     def step(self, state, fragment):
-        from limitlab.learners import _longest_chain
+        from limitlab.learners import _EMPTY, _chain_ends, _order_summary
         from limitlab.pairing import pair
 
         emitted = 0 if state is None else state
-        length = _longest_chain(fragment)[0]
+        length = _chain_ends(_order_summary(_EMPTY, fragment))[0]
         top = pair(0, fragment.size)
         new = tuple(length % 2 for _ in range(emitted, top))
         return top, new
@@ -214,8 +222,8 @@ class TestStreamBuilder:
         # pads never run out, so each predicate always has a least index
         predicates = [
             None,
-            lambda t: t[0] == "p",
-            lambda t: t[0] == "p" or t[1] % 2 == 0,
+            lambda t: t[0] == "l",
+            lambda t: t[0] == "l" or t[1] % 2 == 0,
         ]
         builder = StreamBuilder(targets[0])
         for _ in range(24):

@@ -78,7 +78,7 @@ class TestCanonicalFragments:
         s = parse_structure("tilde(chain(3))")
         f5 = canonical_fragment(s, 5)
         f9 = canonical_fragment(s, 9)
-        assert f9.restricted(5).tuple_set() == f5.tuple_set()
+        assert f9.induced(range(5)).tuple_set() == f5.tuple_set()
         assert canonical_fragment(s, 9).tuple_set() == f9.tuple_set()
 
     def test_finite_structure_caps(self):
@@ -255,6 +255,45 @@ class TestRelationMasks:
                 builder.add_index(idx)
             with pytest.raises(ValueError, match="already revealed"):
                 builder.add_index(order[0])
+
+
+#: each sparse graph's relation by its name, stated apart from the
+#: catalog's neighbours
+DISTANCE_RULES = {
+    "ray": lambda s, x, y: abs(x - y) == 1,
+    "cycle": lambda s, x, y: abs(x - y) in (1, s.n - 1),
+    "cyc_comp": lambda s, x, y: x[0] == y[0]
+    and abs(x[1] - y[1]) in (1, x[0] - 1),
+}
+
+
+class TestTokens:
+    @pytest.mark.parametrize(
+        "key", ["ray", "ray(5)", "cycle(3)", "cycle(6)", "cyc_comp(3)",
+                "cyc_comp(5)"],
+    )
+    def test_sparse_relation_is_distance_one(self, key):
+        s = parse_structure(key)
+        rule = DISTANCE_RULES[s.name]
+        n = 40 if s.size() is None else min(40, s.size())
+        tokens = [s.element(i) for i in range(n)]
+        for x in tokens:
+            for y in tokens:
+                assert s.related(x, y) == rule(s, x, y), (x, y)
+
+    @pytest.mark.parametrize(
+        "key, tokens",
+        [
+            # pads in the even slots, the chain in the odd ones, then pads
+            ("tilde(chain(3))", [("l", 0), ("r", 0), ("l", 1), ("r", 1),
+                                 ("l", 2), ("r", 2), ("l", 3), ("l", 4)]),
+            ("du(chain(2),omega)", [("l", 0), ("r", 0), ("l", 1), ("r", 1),
+                                    ("r", 2), ("r", 3)]),
+        ],
+    )
+    def test_union_alternates_until_a_side_ends(self, key, tokens):
+        s = parse_structure(key)
+        assert [s.element(i) for i in range(len(tokens))] == tokens
 
 
 class TestAgeDeciders:

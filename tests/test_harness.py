@@ -264,8 +264,10 @@ class TestCli:
             ["--horizon", "100", "--tail", "200", "--window", "10"],
             ["--horizon", "100", "--tail", "0", "--window", "10"],
             ["--member", "5"],
+            ["--budget", "-1"],
         ],
-        ids=["tail_over_horizon", "tail_below_one", "member_out_of_range"],
+        ids=["tail_over_horizon", "tail_below_one", "member_out_of_range",
+             "budget_below_zero"],
     )
     def test_bad_run_input_exit_code(self, extra, capsys):
         assert cli.main(["run", "omega_pair", "ex_minmax", "Ex"] + extra) == 2
@@ -397,9 +399,10 @@ class TestCli:
     def test_matrix_unknown_cell_key_exit_code(
         self, tmp_path, capsys, monkeypatch
     ):
-        # a bad key, value type, learner, family, member or criterion,
-        # or a cell or cell list of the wrong type, is rejected before
-        # the valid first cell runs; a learner typo is not a SKIPPED cell
+        # a bad key, value type, learner, family, member, criterion or
+        # budget, or a cell or cell list of the wrong type, is rejected
+        # before the valid first cell runs; a learner typo is not a
+        # SKIPPED cell
         ran = []
         monkeypatch.setattr(H, "run_cell", lambda *args: ran.append(args))
         config = tmp_path / "cells.json"
@@ -416,6 +419,7 @@ class TestCli:
             (dict(cell, member="a"), "'member'"),
             (dict(cell, member=5), "member 5 out of range"),
             (dict(cell, learner=["x"]), "'learner'"),
+            (dict(cell, criterion="AlphaFin", budget=-3), "budget >= 0"),
             (1, "1"),
         )] + [([1], "1"), ({"cells": 5}, "5")]
         for cells, named in cases:

@@ -9,6 +9,7 @@ from limitlab.catalog import (
     Presentation,
     ReplayPresentation,
     canonical_fragment,
+    fragment_embeds,
     parse_structure,
     strict_order_relation,
 )
@@ -24,7 +25,6 @@ from limitlab.learners import (
     WitnessInconsistencyError,
     _EMPTY,
     _chain_ends,
-    _longest_chain,
     _order_summary,
     run,
     run_on_stream,
@@ -143,6 +143,23 @@ class TestNus:
             if code in transcript:
                 first = transcript.index(code)
                 assert all(h == code for h in transcript[first:])
+
+
+    def test_keeps_its_conjecture_when_no_member_holds(self):
+        # a 5-chain leaves the age of both padded chains; from then on no
+        # code fits and the last conjecture stands
+        fam = H.get_family("tilde_chains")
+        pres = Presentation(S("tilde(chain(5))"), 1)
+        stream = [pres.restrict(s) for s in range(60)]
+        transcript = run_on_stream(H.LEARNERS["nus"](fam), stream)
+        outside = [
+            s for s, frag in enumerate(stream)
+            if not any(fragment_embeds(frag, m) for m in fam)
+        ]
+        assert len(outside) == 52
+        for s in outside:
+            assert transcript[s] == transcript[s - 1]
+        assert transcript[-1] == 1
 
 
 class TestDecisive:
@@ -504,7 +521,7 @@ def check_summary_stream(stream):
         assert bool(root) == reference_root(fragment)
         ends = _chain_ends(carried)
         assert ends == reference_longest_chain(fragment)
-        assert ends == _longest_chain(fragment)
+        assert ends == _chain_ends(_order_summary(_EMPTY, fragment))
         if summary is None:
             seen.add("no order")
             continue

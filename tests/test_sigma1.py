@@ -10,13 +10,13 @@ from limitlab.catalog import (
     Family,
     Presentation,
     UnsupportedOracleError,
+    _components,
     _nonisolated_part,
     canonical_fragment,
     fragment_embeds,
-    graph_components,
     parse_structure,
 )
-from limitlab.structures import FiniteFragment
+from limitlab.structures import FiniteFragment, iter_bits
 from limitlab.sigma1 import (
     WITNESS_SIZE_BOUND,
     FormulaWitness,
@@ -311,7 +311,7 @@ def _watch_presentation(source, seed):
 def _continues(frag, prev):
     """frag equals prev or adds one element to it, compared fact by fact."""
     return frag.size - prev.size in (0, 1) and (
-        frag.restricted(prev.size).tuple_set() == prev.tuple_set()
+        frag.induced(range(prev.size)).tuple_set() == prev.tuple_set()
     )
 
 
@@ -536,8 +536,8 @@ def reference_candidates(a, bound):
         prefix = canonical_fragment(a, m)
         add(prefix)
         add(_nonisolated_part(prefix))
-        for comp in graph_components(prefix):
-            add(prefix.induced(comp))
+        for comp in _components(*prefix.masks()):
+            add(prefix.induced(iter_bits(comp)))
     out.sort(key=lambda f: (f.size, f.fact_count()))
     return out
 

@@ -156,7 +156,7 @@ class TestFragmentLaws:
         g = f.extended(0, 0b011)  # 0 and 1 below the new element 2
         assert g.extends(f)
         assert not f.extends(g)
-        assert g.restricted(2).tuple_set() == f.tuple_set()
+        assert g.induced(range(2)).tuple_set() == f.tuple_set()
 
     def test_induced_relabels(self):
         f = FiniteFragment.from_tuples(4, [(0, (0, 2)), (0, (2, 3))])
@@ -192,7 +192,7 @@ class TestFragmentLaws:
 
     def test_restricted_drops_outside_tuples(self):
         f = FiniteFragment.from_tuples(3, [(0, (0, 1)), (0, (1, 2))])
-        assert f.restricted(2).tuple_set() == {(0, (0, 1))}
+        assert f.induced(range(2)).tuple_set() == {(0, (0, 1))}
 
 
 class TestEmbedding:
