@@ -143,13 +143,29 @@ def _cmd_matrix(args):
     return H.matrix_exit_code(rows)
 
 
+def _report_row(path, number, line):
+    """A runs-log line as a row; ValueError, naming the line, unless it
+    holds the cell and verdict strings that `render_table` reads."""
+    try:
+        row = json.loads(line)
+        cell, verdict = row["cell"], row["verdict"]
+        names = [cell[k] for k in ("family", "learner", "criterion")]
+        if all(isinstance(v, str) for v in names + [verdict["status"]]):
+            return row
+    except (ValueError, TypeError, KeyError):
+        pass
+    raise ValueError(
+        "%s line %d is not a matrix row: its cell needs family, learner "
+        "and criterion strings, its verdict a status string" % (path, number)
+    )
+
+
 def _cmd_report(args):
-    rows = []
     with open(args.runs) as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                rows.append(json.loads(line))
+        rows = [
+            _report_row(args.runs, number, line)
+            for number, line in enumerate(fh, 1) if line.strip()
+        ]
     print(H.render_table(rows))
     counts = {}
     for row in rows:

@@ -1,10 +1,11 @@
 """Finite-horizon criterion checkers, registries and the experiment
 matrix.
 
-Limit statements get finite surrogates: "eventually" becomes tail
-stability, "infinitely often" becomes window recurrence over the final
-half, "finitely often" becomes a plateau over the final half.  Verdicts
-that a timeout alone cannot justify come back INCONCLUSIVE, never FAIL.
+A criterion is its `CHECKS` row: safety scans, whose FAIL no longer
+transcript undoes, then a horizon surrogate, whose FAIL a longer run may
+undo.  The surrogates read "eventually" as tail stability, "infinitely
+often" as window recurrence over the final half, and "finitely often" as
+a plateau over the final half.
 """
 
 from __future__ import annotations
@@ -21,8 +22,6 @@ from .learners import QUESTION, ConfigurationError
 DEFAULT_HORIZON = 512
 DEFAULT_TAIL = 64
 DEFAULT_WINDOW = 50
-
-CRITERIA = ("Ex", "Fin", "AlphaFin", "Co", "PL", "NUs", "Dec")
 
 
 @dataclass(frozen=True)
@@ -66,7 +65,7 @@ class Verdict:
         }
 
 
-def _fail(kind, spec, details, excerpt=()):
+def _fail(spec, kind, details, excerpt=()):
     return Verdict(
         "FAIL",
         FailureCertificate(
@@ -76,135 +75,116 @@ def _fail(kind, spec, details, excerpt=()):
     )
 
 
-def _mind_changes(transcript):
-    changes = 0
-    prev = None
-    for h in transcript:
-        if h != QUESTION:
-            if prev is not None and h != prev:
-                changes += 1
-            prev = h
-    return changes
+def _ex(spec, transcript, truth, family):
+    tail = transcript[-spec.tail:]
+    if all(h == truth for h in tail):
+        return None
+    if all(h == tail[0] for h in tail):
+        return (
+            "StuckWrong", {"final_hypothesis": tail[0], "truth_code": truth},
+            [(spec.horizon - 1, tail[-1])],
+        )
+    return (
+        "InfinitelyManyMindChanges",
+        {"tail_values": sorted(set(map(str, tail))), "truth_code": truth},
+    )
 
 
-def _abandon_return(transcript):
-    """The first (code, abandon stage, return stage) pattern, or None."""
-    last_non_q = None
+def _fin(spec, transcript, truth, family):
+    distinct = sorted(set(h for h in transcript if h != QUESTION))
+    if len(distinct) > 1:
+        return "CommitRevised", {"values": distinct, "truth_code": truth}
+    if distinct and distinct[0] != truth:
+        details = {"final_hypothesis": distinct[0], "truth_code": truth}
+        return "StuckWrong", details
+
+
+def _never_commits(spec, transcript, truth, family):
+    if all(h == QUESTION for h in transcript):
+        return "NeverCommits", {"truth_code": truth}
+
+
+def _over_budget(spec, transcript, truth, family):
+    values = [h for h in transcript if h != QUESTION]
+    changes = sum(1 for a, b in zip(values, values[1:]) if b != a)
+    if changes > spec.budget:
+        details = {"changes": changes, "budget": spec.budget}
+        return "MindChangeBudgetExceeded", details
+
+
+def _truth_emitted(spec, transcript, truth, family):
+    if truth in transcript:
+        details = {"code": truth, "stage": transcript.index(truth)}
+        return "CorrectCodeEmitted", details
+
+
+def _missing_codes(spec, transcript, truth, family):
+    seen = set(transcript) | {truth}
+    missing = [c for c in range(len(family)) if c not in seen]
+    if missing:
+        return "MissingCode", {"codes": missing}
+
+
+def _pl(spec, transcript, truth, family):
+    half = spec.horizon // 2
+    for start in range(half, spec.horizon - spec.window + 1):
+        if truth not in transcript[start:start + spec.window]:
+            details = {"window_start": start, "truth_code": truth}
+            return "RecurrenceGap", details
+    late = set(h for h in transcript[half:] if h != QUESTION and h != truth)
+    if late:
+        return "WrongCodeRecurs", {"codes": sorted(late)}
+
+
+def _abandoned_truth(spec, transcript, truth, family):
+    if truth in transcript:
+        first = transcript.index(truth)
+        for s in range(first, spec.horizon):
+            if transcript[s] != truth:
+                return "AbandonedTruth", {"first": first, "abandoned_at": s}
+
+
+def _abandon_return(spec, transcript, truth, family):
+    """The first code conjectured again after another code replaced it."""
+    last = QUESTION
     abandoned = {}
     for s, h in enumerate(transcript):
         if h == QUESTION:
             continue
         if h in abandoned:
-            return (h, abandoned[h], s)
-        if last_non_q is not None and h != last_non_q[1]:
-            abandoned[last_non_q[1]] = s
-        last_non_q = (s, h)
-    return None
+            return "AbandonReturn", {"code": h, "stages": [abandoned[h], s]}
+        if last != QUESTION and h != last:
+            abandoned[last] = s
+        last = h
 
 
-def _check_ex(spec, transcript, truth):
-    tail = transcript[spec.horizon - spec.tail: spec.horizon]
-    if all(h == truth for h in tail):
-        return Verdict("PASS")
-    if all(h == tail[0] for h in tail):
-        return _fail(
-            "StuckWrong", spec,
-            {"final_hypothesis": tail[0], "truth_code": truth},
-            [(spec.horizon - 1, tail[-1])],
-        )
-    return _fail(
-        "InfinitelyManyMindChanges", spec,
-        {"tail_values": sorted(set(map(str, tail))), "truth_code": truth},
-    )
+# each criterion's safety scans, then its horizon surrogate; a scan reads
+# the transcript cut to the horizon and returns None or its FAIL as
+# (kind, details[, excerpt])
+CHECKS = {
+    "Ex": (_ex,),
+    "Fin": (_fin, _never_commits),
+    "AlphaFin": (_over_budget, _ex),
+    "Co": (_truth_emitted, _missing_codes),
+    "PL": (_pl,),
+    "NUs": (_abandoned_truth, _ex),
+    "Dec": (_abandon_return, _ex),
+}
+CRITERIA = tuple(CHECKS)
 
 
 def check(spec, transcript, truth, family):
-    """Score a transcript against a criterion; total on any transcript of
-    at least horizon length.  A checker error propagates: it is a bug, not
-    an INCONCLUSIVE result."""
+    """The first FAIL of the criterion's `CHECKS` row, else PASS; total on
+    any transcript of at least horizon length.  A checker error
+    propagates: it is a bug, not an INCONCLUSIVE result."""
     if len(transcript) < spec.horizon:
-        return Verdict(
-            "INCONCLUSIVE",
-            reason="transcript shorter than horizon",
-        )
+        return Verdict("INCONCLUSIVE", reason="transcript shorter than horizon")
     transcript = list(transcript[: spec.horizon])
-    if spec.kind == "Ex":
-        return _check_ex(spec, transcript, truth)
-    if spec.kind == "Fin":
-        values = [h for h in transcript if h != QUESTION]
-        distinct = sorted(set(values))
-        if not values:
-            return _fail("NeverCommits", spec, {"truth_code": truth})
-        if len(distinct) > 1:
-            return _fail(
-                "CommitRevised", spec,
-                {"values": distinct, "truth_code": truth},
-            )
-        if values[0] != truth:
-            return _fail(
-                "StuckWrong", spec,
-                {"final_hypothesis": values[0], "truth_code": truth},
-            )
-        return Verdict("PASS")
-    if spec.kind == "AlphaFin":
-        changes = _mind_changes(transcript)
-        if changes > spec.budget:
-            return _fail(
-                "MindChangeBudgetExceeded", spec,
-                {"changes": changes, "budget": spec.budget},
-            )
-        return _check_ex(spec, transcript, truth)
-    if spec.kind == "Co":
-        present = set(h for h in transcript if h != QUESTION)
-        if truth in present:
-            return _fail(
-                "CorrectCodeEmitted", spec,
-                {"code": truth, "stage": transcript.index(truth)},
-            )
-        missing = [
-            c for c in range(len(family))
-            if c != truth and c not in present
-        ]
-        if missing:
-            return _fail("MissingCode", spec, {"codes": missing})
-        return Verdict("PASS")
-    if spec.kind == "PL":
-        half = spec.horizon // 2
-        for start in range(half, spec.horizon - spec.window + 1):
-            if truth not in transcript[start:start + spec.window]:
-                return _fail(
-                    "RecurrenceGap", spec,
-                    {"window_start": start, "truth_code": truth},
-                )
-        late = [
-            h for h in transcript[half:]
-            if h != QUESTION and h != truth
-        ]
-        if late:
-            return _fail(
-                "WrongCodeRecurs", spec,
-                {"codes": sorted(set(late))},
-            )
-        return Verdict("PASS")
-    if spec.kind == "NUs":
-        if truth in transcript:
-            first = transcript.index(truth)
-            for s in range(first, spec.horizon):
-                if transcript[s] != truth:
-                    return _fail(
-                        "AbandonedTruth", spec,
-                        {"first": first, "abandoned_at": s},
-                    )
-        return _check_ex(spec, transcript, truth)
-    if spec.kind == "Dec":
-        pattern = _abandon_return(transcript)
-        if pattern is not None:
-            code, left, right = pattern
-            return _fail(
-                "AbandonReturn", spec,
-                {"code": code, "stages": [left, right]},
-            )
-        return _check_ex(spec, transcript, truth)
+    for scan in CHECKS[spec.kind]:
+        found = scan(spec, transcript, truth, family)
+        if found is not None:
+            return _fail(spec, *found)
+    return Verdict("PASS")
 
 
 # ---------------------------------------------------------------------------

@@ -349,7 +349,7 @@ class Sigma1Classification:
     is_partial_order: bool
     is_antichain: bool
     strong: str  # "yes" | "no" | "inconclusive"
-    solid: str  # "yes" | "no" | "inconclusive" | "n/a"
+    solid: str  # "yes" | "inconclusive" | "n/a"
     leq: tuple = ()
     witnesses: dict = field(default_factory=dict)
     strong_witnesses: dict = field(default_factory=dict)

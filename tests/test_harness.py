@@ -1,10 +1,15 @@
 import json
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from limitlab import cli
 from limitlab import harness as H
+from limitlab import learners as L
 from limitlab import sigma1
+from limitlab.catalog import Presentation
 from limitlab.learners import QUESTION
 
 
@@ -141,10 +146,10 @@ class TestCheck:
     def test_checker_error_propagates(self, monkeypatch):
         # a checker bug is not a result: check must not turn it into an
         # INCONCLUSIVE verdict
-        def broken(spec, transcript, truth):
+        def broken(spec, transcript, truth, family):
             raise RuntimeError("checker bug")
 
-        monkeypatch.setattr(H, "_check_ex", broken)
+        monkeypatch.setitem(H.CHECKS, "Ex", (broken,))
         with pytest.raises(RuntimeError, match="checker bug"):
             H.check(spec("Ex"), [0] * 6, 0, FAM)
 
@@ -206,6 +211,24 @@ class TestRegistries:
         assert counts == {"classify": 1, "embeds": searched}
 
 
+# each surrogate kind: a spec, a transcript that fails it with that kind
+# (truth 0), and an extension to twice the horizon that passes
+SURROGATE_FAILS = {
+    "StuckWrong": (spec("Ex", horizon=4, tail=2), [1] * 4, [0] * 4),
+    "InfinitelyManyMindChanges": (
+        spec("Ex", horizon=4, tail=2), [0, 1, 0, 1], [0] * 4
+    ),
+    "NeverCommits": (spec("Fin", horizon=4), [QUESTION] * 4, [0] * 4),
+    "MissingCode": (spec("Co", horizon=4), [QUESTION] * 4, [1] * 4),
+    "RecurrenceGap": (
+        spec("PL", horizon=8), [0] * 4 + [QUESTION] * 4, [0] * 8
+    ),
+    "WrongCodeRecurs": (
+        spec("PL", horizon=8), [0, 0, 0, 0, 1, 0, 0, 0], [0] * 8
+    ),
+}
+
+
 class TestMonotoneEvidence:
     def test_stuck_wrong_persists_at_doubled_horizon(self):
         base = spec("Ex", horizon=8, tail=4, window=2)
@@ -216,6 +239,107 @@ class TestMonotoneEvidence:
             H.check(doubled, transcript, 0, FAM).certificate.kind
             == "StuckWrong"
         )
+
+    def test_safety_fail_is_final(self):
+        # a FAIL from a scan before the last of its CHECKS row stands on
+        # every extension to twice the horizon; only Fin's StuckWrong may
+        # turn into CommitRevised
+        seen = set()
+
+        @settings(max_examples=300, deadline=None, derandomize=True)
+        @given(st.data())
+        def extension_keeps_the_fail(data):
+            kind = data.draw(st.sampled_from(H.CRITERIA))
+            h = data.draw(st.integers(2, 12))
+            base = spec(
+                kind, horizon=h, tail=data.draw(st.integers(1, h)),
+                window=data.draw(st.integers(1, h - 1)),
+                budget=data.draw(st.integers(0, 3)),
+            )
+            codes = st.lists(
+                st.sampled_from([QUESTION, 0, 1, 2, 3]), min_size=h,
+                max_size=h,
+            )
+            transcript, truth = data.draw(codes), data.draw(st.integers(0, 1))
+            scan = _failing_scan(base, transcript, truth)
+            safety = range(len(H.CHECKS[kind]) - 1)
+            assume(scan in safety)
+            found = H.check(base, transcript, truth, FAM).certificate.kind
+            seen.add((kind, found))
+            longer = transcript + data.draw(codes)
+            doubled = replace(base, horizon=2 * h)
+            assert _failing_scan(doubled, longer, truth) in safety
+            later = H.check(doubled, longer, truth, FAM).certificate.kind
+            assert later == found or (kind, found, later) == (
+                "Fin", "StuckWrong", "CommitRevised"
+            )
+
+        extension_keeps_the_fail()
+        assert seen == {
+            ("Fin", "CommitRevised"), ("Fin", "StuckWrong"),
+            ("AlphaFin", "MindChangeBudgetExceeded"),
+            ("Co", "CorrectCodeEmitted"), ("NUs", "AbandonedTruth"),
+            ("Dec", "AbandonReturn"),
+        }
+
+    @pytest.mark.parametrize("kind", SURROGATE_FAILS)
+    def test_surrogate_fail_can_be_undone(self, kind):
+        # the last scan of a CHECKS row reads a limit at the horizon, so
+        # a longer run may PASS where the shorter one failed
+        base, transcript, extension = SURROGATE_FAILS[kind]
+        assert H.check(base, transcript, 0, FAM).certificate.kind == kind
+        last = len(H.CHECKS[base.kind]) - 1
+        assert _failing_scan(base, transcript, 0) == last
+        doubled = replace(base, horizon=2 * base.horizon)
+        longer = transcript + extension
+        assert H.check(doubled, longer, 0, FAM).status == "PASS"
+
+    def test_bench_matrix_fails_at_doubled_horizons(self):
+        # every bench matrix cell at h, 2h and 4h (tail and window scaled)
+        # on seeds 1-3: each FAIL comes from the surrogate of its row, and
+        # only these rows do not PASS at every horizon
+        config = Path(__file__).parent.parent / "bench/config/matrix.json"
+        kinds = {}
+        for cell in json.loads(config.read_text())["cells"]:
+            family = H.get_family(cell["family"])
+            learner = H.LEARNERS[cell["learner"]](family)
+            for code in range(len(family)):
+                for seed in (1, 2, 3):
+                    presentation = Presentation(family.members[code], seed)
+                    transcript = L.run(
+                        learner, presentation, 4 * cell["horizon"]
+                    )
+                    row = []
+                    for k in (1, 2, 4):
+                        at = H.CriterionSpec(
+                            cell["criterion"], horizon=k * cell["horizon"],
+                            tail=k * cell["tail"], window=k * cell["window"],
+                        )
+                        v = H.check(at, transcript, code, family)
+                        if v.status == "FAIL":
+                            assert _failing_scan(
+                                at, transcript, code, family
+                            ) == len(H.CHECKS[at.kind]) - 1
+                        row.append(v.certificate.kind if v.certificate
+                                   else v.status)
+                    if row != ["PASS"] * 3:
+                        kinds[cell["id"], code, seed] = tuple(row)
+        missing = ("MissingCode", "MissingCode", "PASS")
+        assert kinds == {
+            **{("co", m, s): missing for m in range(4) for s in (1, 2, 3)},
+            ("co", 3, 3): ("MissingCode", "PASS", "PASS"),
+            **{("dec_ex_poset", 1, s): ("StuckWrong",) * 3 for s in (1, 2, 3)},
+        }
+
+
+def _failing_scan(spec, transcript, truth, family=FAM):
+    """The position in its CHECKS row of the scan that fails the
+    transcript at the spec's horizon, or None when it passes."""
+    cut = list(transcript[: spec.horizon])
+    for position, scan in enumerate(H.CHECKS[spec.kind]):
+        if scan(spec, cut, truth, family) is not None:
+            return position
+    return None
 
 
 def _duel_error_lists_builders(capsys, argv, kind, family_name):
@@ -462,6 +586,32 @@ class TestCli:
         assert "FAIL (CorrectCodeEmitted)" in capsys.readouterr().out
         assert cli.main(["report", str(log)]) == 1
         assert "FAIL=2 PASS=2" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "row",
+        [
+            [1],
+            "x",
+            {"cell": {"family": "omega_pair", "learner": "ex_minmax",
+                      "criterion": "Ex"},
+             "member": 0, "seed": 1, "verdict": "PASS"},
+            {"cell": 5, "member": 0, "seed": 1,
+             "verdict": {"status": "PASS"}},
+        ],
+        ids=["list", "string", "verdict_string", "cell_int"],
+    )
+    def test_report_malformed_row_exit_code(self, row, tmp_path, capsys):
+        # the bad row is the second line; a usage error, not a failed cell
+        good = {"cell": {"family": "omega_pair", "learner": "ex_minmax",
+                         "criterion": "Ex"},
+                "member": 0, "seed": 1, "verdict": {"status": "PASS"}}
+        log = tmp_path / "runs.jsonl"
+        log.write_text(json.dumps(good) + "\n" + json.dumps(row) + "\n")
+        assert cli.main(["report", str(log)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: %s line 2 " % log)
+        assert captured.err.count("\n") == 1
 
     def test_classify_command(self, capsys):
         assert cli.main(["classify", "cycles"]) == 0
