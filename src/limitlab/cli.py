@@ -145,18 +145,27 @@ def _cmd_matrix(args):
 
 def _report_row(path, number, line):
     """A runs-log line as a row; ValueError, naming the line, unless it
-    holds the cell and verdict strings that `render_table` reads."""
+    holds what `render_table` reads: the cell's name strings, member and
+    seed ints or nulls, a status string and a certificate with a kind."""
     try:
         row = json.loads(line)
         cell, verdict = row["cell"], row["verdict"]
         names = [cell[k] for k in ("family", "learner", "criterion")]
-        if all(isinstance(v, str) for v in names + [verdict["status"]]):
+        numbers = [row["member"], row["seed"]]
+        certificate = verdict.get("certificate")
+        if (
+            all(isinstance(v, str) for v in names + [verdict["status"]])
+            and all(v is None or H._is_a(v, int) for v in numbers)
+            and (certificate is None or isinstance(certificate["kind"], str))
+        ):
             return row
-    except (ValueError, TypeError, KeyError):
+    except (ValueError, TypeError, KeyError, AttributeError):
         pass
     raise ValueError(
         "%s line %d is not a matrix row: its cell needs family, learner "
-        "and criterion strings, its verdict a status string" % (path, number)
+        "and criterion strings, its member and seed ints or nulls, its "
+        "verdict a status string and a certificate that is null or has a "
+        "kind string" % (path, number)
     )
 
 

@@ -90,8 +90,18 @@ def _ex(spec, transcript, truth, family):
     )
 
 
+def _distinct(values):
+    """The distinct values by ==, never hashed: sorted when all are ints,
+    else in order of appearance, so no two types are ordered."""
+    out = []
+    for v in values:
+        if v not in out:
+            out.append(v)
+    return sorted(out) if all(isinstance(v, int) for v in out) else out
+
+
 def _fin(spec, transcript, truth, family):
-    distinct = sorted(set(h for h in transcript if h != QUESTION))
+    distinct = _distinct(h for h in transcript if h != QUESTION)
     if len(distinct) > 1:
         return "CommitRevised", {"values": distinct, "truth_code": truth}
     if distinct and distinct[0] != truth:
@@ -119,7 +129,7 @@ def _truth_emitted(spec, transcript, truth, family):
 
 
 def _missing_codes(spec, transcript, truth, family):
-    seen = set(transcript) | {truth}
+    seen = transcript + [truth]
     missing = [c for c in range(len(family)) if c not in seen]
     if missing:
         return "MissingCode", {"codes": missing}
@@ -131,9 +141,9 @@ def _pl(spec, transcript, truth, family):
         if truth not in transcript[start:start + spec.window]:
             details = {"window_start": start, "truth_code": truth}
             return "RecurrenceGap", details
-    late = set(h for h in transcript[half:] if h != QUESTION and h != truth)
+    late = [h for h in transcript[half:] if h != QUESTION and h != truth]
     if late:
-        return "WrongCodeRecurs", {"codes": sorted(late)}
+        return "WrongCodeRecurs", {"codes": _distinct(late)}
 
 
 def _abandoned_truth(spec, transcript, truth, family):
@@ -146,15 +156,15 @@ def _abandoned_truth(spec, transcript, truth, family):
 
 def _abandon_return(spec, transcript, truth, family):
     """The first code conjectured again after another code replaced it."""
-    last = QUESTION
-    abandoned = {}
+    last, abandoned = QUESTION, []  # (code replaced, stage), never hashed
     for s, h in enumerate(transcript):
         if h == QUESTION:
             continue
-        if h in abandoned:
-            return "AbandonReturn", {"code": h, "stages": [abandoned[h], s]}
+        for code, at in abandoned:
+            if code == h:
+                return "AbandonReturn", {"code": h, "stages": [at, s]}
         if last != QUESTION and h != last:
-            abandoned[last] = s
+            abandoned.append((last, s))
         last = h
 
 
@@ -424,7 +434,7 @@ def _verdict_summary(v):
     if isinstance(v, Verdict):
         v = v.to_json()
     extra = ""
-    if v["status"] == "FAIL" and v["certificate"]:
+    if v["status"] == "FAIL" and v.get("certificate"):
         extra = " (%s)" % v["certificate"]["kind"]
     elif v.get("reason"):
         extra = " (%s)" % v["reason"]

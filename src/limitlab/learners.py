@@ -149,18 +149,10 @@ class CoLearner(Learner):
         super().__init__(family)
         classification = classify_family(family)
         pairwise = classification.witnesses
-        if (
-            not classification.is_antichain
-            or classification.inconclusive_pairs
-        ):
-            n = len(family)
-            i, j = next(
-                (i, j) for i in range(n) for j in range(n)
-                if i != j and (i, j) not in pairwise
-            )
+        if classification.missing_pairs:
             raise ConfigurationError(
                 "missing witness for pair (%d,%d): comparable theories or "
-                "exhausted search" % (i, j)
+                "exhausted search" % classification.missing_pairs[0]
             )
         # code j is refuted once some member i's (i, j) witness holds
         refuters = {}

@@ -9,7 +9,7 @@ extension, and truth in a catalog structure reduces to age membership.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .structures import embed_map, iter_bits
 from .catalog import (
@@ -336,32 +336,70 @@ def leq_matrix(family):
 
 @dataclass(frozen=True)
 class Sigma1Classification:
-    """A family's theory order: the leq matrix, the witnesses that separate
-    its members, and the flags derived from them.
+    """A family's theory order as the evidence found for it: the leq
+    matrix and the witness formulas.  Flags and level are read off it.
 
-    `solid_witnesses` maps each member to a formula true in it and false
-    throughout its strict lower cone, or is None when a search exhausted.
-    One classification is shared by every reader of its family, so none
-    may mutate it.
+    `witnesses[(i, j)]` holds in member i and fails in member j;
+    `strong_witnesses[i]` fails in every other member, and is searched
+    only on an antichain, in member order up to the first exhausted
+    search; `solid_witnesses[i]` fails throughout i's strict lower cone,
+    and the dict is None when a search exhausted.  One classification is
+    shared by every reader of its family, so none may mutate it.
     """
 
-    level: str
-    is_partial_order: bool
-    is_antichain: bool
-    strong: str  # "yes" | "no" | "inconclusive"
-    solid: str  # "yes" | "inconclusive" | "n/a"
-    leq: tuple = ()
-    witnesses: dict = field(default_factory=dict)
-    strong_witnesses: dict = field(default_factory=dict)
-    inconclusive_pairs: tuple = ()
-    solid_witnesses: dict | None = None
+    leq: tuple
+    witnesses: dict
+    strong_witnesses: dict
+    solid_witnesses: dict | None
 
-    def __post_init__(self):
-        # the implication chain must hold on every output
-        if self.is_antichain and not self.is_partial_order:
-            raise ValueError("an antichain must be a partial order")
-        if self.level == "StrongAntichain" and not self.is_antichain:
-            raise ValueError("a strong antichain must be an antichain")
+    def _pairs(self):
+        n = len(self.leq)
+        return [(i, j) for i in range(n) for j in range(n) if i != j]
+
+    @property
+    def is_partial_order(self):
+        leq = self.leq
+        return not any(leq[i][j] and leq[j][i] for i, j in self._pairs())
+
+    @property
+    def is_antichain(self):
+        return not any(self.leq[i][j] for i, j in self._pairs())
+
+    @property
+    def missing_pairs(self):
+        """Every ordered pair without a witness, in (i, j) order."""
+        return [p for p in self._pairs() if p not in self.witnesses]
+
+    @property
+    def inconclusive_pairs(self):
+        """The pairs whose witness search exhausted, in (i, j) order."""
+        leq = self.leq
+        return tuple((i, j) for i, j in self.missing_pairs if not leq[i][j])
+
+    @property
+    def strong(self):
+        if not self.is_antichain:
+            return "no"
+        whole = len(self.strong_witnesses) == len(self.leq)
+        return "yes" if whole else "inconclusive"
+
+    @property
+    def solid(self):
+        if not self.is_partial_order:
+            return "n/a"
+        return "inconclusive" if self.solid_witnesses is None else "yes"
+
+    @property
+    def level(self):
+        if not self.is_partial_order:
+            return "NotPartialOrder"
+        if self.strong == "yes":
+            return "StrongAntichain"
+        if self.is_antichain:
+            return "Antichain"
+        if self.solid == "yes":
+            return "SolidPartialOrder"
+        return "PartialOrder"
 
     def to_json(self):
         return {
@@ -382,13 +420,10 @@ class Sigma1Classification:
 
 
 def classify_family(family, bound=WITNESS_SIZE_BOUND):
-    """The pairwise theory-inclusion digraph plus the antichain / strong
-    antichain / partial order / solid flags.
-
-    Definite verdicts come from the exact inclusion oracle; witness
-    searches that exhaust the size bound report "inconclusive", never a
-    negative claim.  Computed once per (member keys, bound); the
-    classification is shared.
+    """The family's theory-inclusion matrix and the witnesses found for
+    it within the size bound.  Definite verdicts come from the exact
+    inclusion oracle; an exhausted search reads "inconclusive", never a
+    negative claim.  Computed once per (member keys, bound), and shared.
     """
     members = list(family)
     key = (tuple(m.key() for m in members), bound)
@@ -406,76 +441,32 @@ def _classify(members, bound):
     def separate(i, others):
         return _find_separating_witness(members[i], candidates[i], others)
 
-    distinct = all(
-        not (leq[i][j] and leq[j][i]) for i in range(n) for j in range(n)
-        if i != j
-    )
-    antichain = distinct and all(
-        not leq[i][j] for i in range(n) for j in range(n) if i != j
-    )
-
     witnesses = {}
-    inconclusive_pairs = []
     for i in range(n):
         for j in range(n):
             if i != j and not leq[i][j]:
                 w = separate(i, [members[j]])
                 if w is not None:
                     witnesses[(i, j)] = w
-                else:
-                    inconclusive_pairs.append((i, j))
 
     strong_witnesses = {}
-    if not antichain:
-        strong = "no"
-    else:
-        strong = "yes"
+    if not any(leq[i][j] for i in range(n) for j in range(n) if i != j):
         for i in range(n):
             w = separate(i, [members[j] for j in range(n) if j != i])
             if w is None:
-                strong = "inconclusive"
                 break
             strong_witnesses[i] = w
 
     solid_witnesses = {}
     for i in range(n):
-        cone = [
-            members[j]
-            for j in range(n)
-            if j != i and leq[j][i] and not leq[i][j]
-        ]
+        cone = [b for j, b in enumerate(members)
+                if j != i and leq[j][i] and not leq[i][j]]
         w = separate(i, cone)
         if w is None:
             solid_witnesses = None
             break
         solid_witnesses[i] = w
-    if not distinct:
-        solid = "n/a"
-    elif solid_witnesses is None:
-        solid = "inconclusive"
-    else:
-        solid = "yes"
-
-    if not distinct:
-        level = "NotPartialOrder"
-    elif strong == "yes":
-        level = "StrongAntichain"
-    elif antichain:
-        level = "Antichain"
-    elif solid == "yes":
-        level = "SolidPartialOrder"
-    else:
-        level = "PartialOrder"
 
     return Sigma1Classification(
-        level=level,
-        is_partial_order=distinct,
-        is_antichain=antichain,
-        strong=strong,
-        solid=solid,
-        leq=leq,
-        witnesses=witnesses,
-        strong_witnesses=strong_witnesses,
-        inconclusive_pairs=tuple(inconclusive_pairs),
-        solid_witnesses=solid_witnesses,
+        leq, witnesses, strong_witnesses, solid_witnesses
     )

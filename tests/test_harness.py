@@ -123,9 +123,22 @@ class TestCheck:
         assert v.status == "INCONCLUSIVE"
 
     def test_totality_on_garbage(self):
-        for transcript in ([None] * 6, [object()] * 6, [0.5, {}, (), "x", 0, 0]):
-            v = H.check(spec("Ex"), transcript, 0, FAM)
-            assert v.status in ("PASS", "FAIL", "INCONCLUSIVE")
+        # no scan hashes a hypothesis or orders two types, and a truth
+        # outside the family is read as a code like any other
+        garbage = ([None] * 6, [object()] * 6, [0.5, {}, (), "x", 0, 0],
+                   [0, "x", 1, "?", 1, 1])
+        for kind in H.CRITERIA:
+            for transcript in garbage:
+                for truth in (0, 7):
+                    v = H.check(spec(kind, budget=1), transcript, truth, FAM)
+                    assert v.status in ("PASS", "FAIL")
+
+    def test_totality_on_garbage_late_in_pl(self):
+        # the wrong codes of the final half mix a string and an int
+        transcript = [0, 0, 0, 0, 0, "x", 0, 1]
+        v = H.check(spec("PL", horizon=8, window=2), transcript, 0, FAM)
+        assert v.certificate.kind == "WrongCodeRecurs"
+        assert v.certificate.details == {"codes": ["x", 1]}
 
     @pytest.mark.parametrize("kind", H.CRITERIA)
     def test_every_criterion_is_checked(self, kind):
@@ -597,8 +610,17 @@ class TestCli:
              "member": 0, "seed": 1, "verdict": "PASS"},
             {"cell": 5, "member": 0, "seed": 1,
              "verdict": {"status": "PASS"}},
+            {"cell": {"family": "a", "learner": "b", "criterion": "Ex"},
+             "member": 0, "seed": 1,
+             "verdict": {"status": "FAIL", "certificate": 5}},
+            {"cell": {"family": "a", "learner": "b", "criterion": "Ex"},
+             "verdict": {"status": "PASS"}},
+            {"cell": {"family": "a", "learner": "b", "criterion": "Ex"},
+             "member": 0, "seed": 1,
+             "verdict": {"status": "FAIL", "certificate": {"x": 1}}},
         ],
-        ids=["list", "string", "verdict_string", "cell_int"],
+        ids=["list", "string", "verdict_string", "cell_int",
+             "certificate_int", "no_member_seed", "certificate_no_kind"],
     )
     def test_report_malformed_row_exit_code(self, row, tmp_path, capsys):
         # the bad row is the second line; a usage error, not a failed cell

@@ -2,6 +2,8 @@ import copy
 import dataclasses
 import functools
 import itertools
+import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,7 +22,6 @@ from limitlab.structures import FiniteFragment, iter_bits
 from limitlab.sigma1 import (
     WITNESS_SIZE_BOUND,
     FormulaWitness,
-    Sigma1Classification,
     StreamWatch,
     age_fragments,
     classify_family,
@@ -30,6 +31,8 @@ from limitlab.sigma1 import (
     sigma1_leq,
 )
 from limitlab import harness as H
+from limitlab import learners as L
+from limitlab import reductions as R
 from limitlab import sigma1
 
 from _oracles import brute_age_inclusion, brute_embeds_structure
@@ -156,6 +159,18 @@ class TestFormulas:
         assert sat_catalog(phi, S("tilde(chain(4))"))
 
 
+# the catalog keys that generated families draw their members from
+GENERATED_KEYS = (
+    tuple("tilde(chain(%d))" % n for n in range(2, 7))
+    + ("tilde(omega)", "tilde(omega_star)", "omega", "omega_star",
+       "du(ray,iso_inf)")
+    + tuple("du(cycle(%d),iso_inf)" % n for n in range(3, 7))
+    + tuple("du(ray(%d),iso_inf)" % n for n in range(2, 7))
+    + tuple("cyc_comp(%d)" % n for n in range(3, 7))
+    + tuple("tilde(poset_p(%d))" % k for k in range(4))
+)
+
+
 class TestClassifier:
     def test_cycles_strong_antichain(self):
         fam = Family(
@@ -276,12 +291,94 @@ class TestClassifier:
         with pytest.raises(dataclasses.FrozenInstanceError):
             first.level = "Antichain"
 
-    def test_invariants_raise_value_error(self):
-        # checked with raise, not assert, so they also hold under -O
-        with pytest.raises(ValueError):
-            Sigma1Classification("Antichain", False, True, "no", "n/a")
-        with pytest.raises(ValueError):
-            Sigma1Classification("StrongAntichain", True, False, "yes", "yes")
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        st.lists(st.sampled_from(GENERATED_KEYS), min_size=2, max_size=3,
+                 unique=True),
+        st.sampled_from((6, 8, 10)),
+    )
+    def test_derived_fields_keep_the_implication_chain(self, keys, bound):
+        # a classification holds only its evidence, so the flags read off
+        # it keep the chain on every family, registered or not
+        cls = classify_family([S(k) for k in keys], bound=bound)
+        assert not cls.is_antichain or cls.is_partial_order
+        assert cls.strong != "yes" or cls.is_antichain
+        assert (cls.level == "StrongAntichain") == (cls.strong == "yes")
+        assert (cls.solid == "n/a") == (not cls.is_partial_order)
+        assert set(cls.inconclusive_pairs) <= set(cls.missing_pairs)
+        assert [f.name for f in dataclasses.fields(cls)] == [
+            "leq", "witnesses", "strong_witnesses", "solid_witnesses"
+        ]
+
+
+# classify_family(f, bound=b).to_json() of every registered family at
+# bounds 8 and 10, keyed "family@bound"
+CLASSIFICATION_PINS = json.loads(
+    (Path(__file__).parent / "classification_pins.json").read_text()
+)
+
+
+@pytest.mark.parametrize("key", list(CLASSIFICATION_PINS))
+def test_classification_is_pinned(key):
+    name, bound = key.split("@")
+    cls = classify_family(H.get_family(name), bound=int(bound))
+    # key order too: `limitlab classify` prints this dict
+    assert json.dumps(cls.to_json()) == json.dumps(CLASSIFICATION_PINS[key])
+
+
+# what each construction's constructor says of each registered family:
+# "ok", or the text of its ConfigurationError
+PRECONDITIONS = {
+    "cyc_comp": ("family is not a verified strong antichain (inconclusive)",
+                 "ok", "ok", "ok"),
+    "cycles": ("ok", "ok", "ok", "ok"),
+    "fstar": ("family is not a verified strong antichain (no)",
+              "missing witness for pair (0,1): comparable theories or "
+              "exhausted search",
+              "ok",
+              "members 0 and 1 have equal existential theories"),
+    "omega_pair": ("family is not a verified strong antichain (no)",
+                   "missing witness for pair (0,1): comparable theories or "
+                   "exhausted search",
+                   "ok",
+                   "members 0 and 1 have equal existential theories"),
+    "padded_chains": ("family is not a verified strong antichain (no)",
+                      "missing witness for pair (0,1): comparable theories "
+                      "or exhausted search",
+                      "solid witness search exhausted",
+                      "missing witness for pair (7,6)"),
+    "posets": ("family is not a verified strong antichain (no)",
+               "missing witness for pair (0,4): comparable theories or "
+               "exhausted search",
+               "solid witness search exhausted",
+               "missing witness for pair (0,4)"),
+    "rays": ("family is not a verified strong antichain (no)",
+             "missing witness for pair (0,1): comparable theories or "
+             "exhausted search",
+             "solid witness search exhausted",
+             "missing witness for pair (7,6)"),
+    "tilde_chains": ("family is not a verified strong antichain (no)",
+                     "missing witness for pair (0,1): comparable theories "
+                     "or exhausted search",
+                     "ok", "ok"),
+}
+CONSTRUCTIONS = {
+    "fin": L.FinLearner,
+    "co": L.CoLearner,
+    "nus": L.NusLearner,
+    "gamma_erange": R.GammaErange,
+}
+
+
+@pytest.mark.parametrize("construction", list(CONSTRUCTIONS))
+@pytest.mark.parametrize("name", sorted(PRECONDITIONS))
+def test_precondition_is_pinned(name, construction):
+    try:
+        CONSTRUCTIONS[construction](H.get_family(name))
+        said = "ok"
+    except L.ConfigurationError as exc:
+        said = str(exc)
+    assert said == PRECONDITIONS[name][list(CONSTRUCTIONS).index(construction)]
 
 
 WATCH_SOURCES = tuple(
