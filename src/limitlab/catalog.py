@@ -67,13 +67,17 @@ class CatalogStructure:
             int(f[::-1].translate(_DIGITS) or b"0", 2) for f in (succ, pred)
         )
 
-    def age_holds(self, fragment):
+    def age_holds(self, fragment, part):
         """Whether a nonempty fragment of this structure's style (see
-        fragment_embeds) embeds as an induced substructure.  By default it
-        is asked of a saturated canonical restriction."""
-        return embed_finite(
-            fragment, saturated_fragment(self, 2 * fragment.size + 8)
-        )
+        fragment_embeds), restricted to the mask `part` of elements that
+        holds all its facts, embeds as an induced substructure.  By default
+        a copy of the part that fits is asked of a saturated prefix."""
+        n, size = part.bit_count(), self.size()
+        if size is not None and n > size:
+            return False
+        if n < fragment.size:
+            fragment = fragment.induced(iter_bits(part))
+        return embed_finite(fragment, saturated_fragment(self, 2 * n + 8))
 
     def absorbs_isolated(self):
         """Whether the age stays closed under adding an element in no
@@ -167,7 +171,8 @@ class _LinearOrder(CatalogStructure):
     """A linear order on numeric tokens, by value (reversed when reverse
     is set).  A chain files its tokens in a _Ranks, so admit is one
     binary search, not a related call per earlier token.  Its age is
-    the total chains that fit."""
+    the total chains that fit: a strict order whose facts relate every
+    two elements of the part."""
 
     reverse = False
 
@@ -180,10 +185,10 @@ class _LinearOrder(CatalogStructure):
         below, above = groups[0].add(tok, j)
         return (below, above) if self.reverse else (above, below)
 
-    def age_holds(self, fragment):
-        size = self.size()
-        return (size is None or fragment.size <= size) and _is_total_chain(
-            fragment
+    def age_holds(self, fragment, part):
+        n, size = part.bit_count(), self.size()
+        return (size is None or n <= size) and (
+            fragment.fact_count() == n * (n - 1) // 2
         )
 
 
@@ -223,7 +228,7 @@ class _SparseGraph(CatalogStructure):
     neighbours(tok), which is the relation: admit looks the revealed
     neighbours up, and a chain files each token's position under it.  A
     fragment in its age has only paths and cycles as components, and fits
-    decides whether those do."""
+    decides whether the part's do."""
 
     style = "graph"
 
@@ -238,7 +243,7 @@ class _SparseGraph(CatalogStructure):
     def related(self, x, y):
         return y in self.neighbours(x)
 
-    def age_holds(self, fragment):
+    def age_holds(self, fragment, part):
         out, inn = fragment.masks()
         if out != inn or any(
             m >> e & 1 or m.bit_count() > 2 for e, m in enumerate(out)
@@ -247,11 +252,11 @@ class _SparseGraph(CatalogStructure):
         # a connected, loop-free symmetric graph of maximum degree 2 is a
         # path or a cycle, and a cycle when its degree sum is twice its size
         count, cycles = 0, []
-        for comp in _components(out, inn):
+        for comp in _components(out, inn, part):
             count, size = count + 1, comp.bit_count()
             if sum(out[e].bit_count() for e in iter_bits(comp)) == 2 * size:
                 cycles.append(size)
-        return self.fits(fragment.size, count, cycles)
+        return self.fits(part.bit_count(), count, cycles)
 
     def fits(self, size, components, cycles):
         """Whether `size` elements in that many path or cycle components,
@@ -337,15 +342,17 @@ class PosetP(_Numbered):
             return i < y // 2
         return i <= (y + 1) // 2 if self.n == 0 else i <= y // 2
 
-    def age_holds(self, fragment):
+    def age_holds(self, fragment, part):
         if self.n:
-            return super().age_holds(fragment)
+            return super().age_holds(fragment, part)
         # g embeds iff the non-maximal elements are totally ordered: evens
         # form a chain, odds are maximal with prefix down-sets that can be
-        # spread arbitrarily far apart
-        succ, _ = strict_order_relation(fragment)
-        non_maximal = [e for e in range(fragment.size) if succ[e]]
-        return _is_total_chain(fragment.induced(non_maximal))
+        # spread arbitrarily far apart; an element in no fact is maximal
+        succ, pred = strict_order_relation(fragment)
+        low = sum(1 << e for e, m in enumerate(succ) if m)
+        return all(
+            (succ[e] | pred[e] | 1 << e) & low == low for e in iter_bits(low)
+        )
 
 
 class CycleComplement(_Numbered, _SparseGraph):
@@ -422,13 +429,15 @@ class DisjointUnion(CatalogStructure):
             record = groups[tag] = {}
         return (self.left if tag == "l" else self.right).admit(record, t, j)
 
-    def age_holds(self, fragment):
-        # an infinite isolated side takes the isolated points
+    def age_holds(self, fragment, part):
+        # an infinite isolated side takes the elements in no fact, and the
+        # other side, of this union's style, decides the linked ones
+        linked = fragment.linked_mask()
         if isinstance(self.right, IsolatedInfinite):
-            return fragment_embeds(_nonisolated_part(fragment), self.left)
+            return self.left.age_holds(fragment, linked)
         if isinstance(self.left, IsolatedInfinite):
-            return fragment_embeds(_nonisolated_part(fragment), self.right)
-        return super().age_holds(fragment)
+            return self.right.age_holds(fragment, linked)
+        return super().age_holds(fragment, part)
 
     def absorbs_isolated(self):
         return self.left.absorbs_isolated() or self.right.absorbs_isolated()
@@ -526,10 +535,10 @@ def strict_order_relation(fragment):
     return fragment.masks() if fragment.is_strict_order() else None
 
 
-def _components(out, inn):
+def _components(out, inn, unseen):
     """The connected components of the undirected view of the successor
-    and predecessor masks, as element masks, by least element."""
-    unseen = (1 << len(out)) - 1
+    and predecessor masks, as element masks, by least element, over the
+    elements of the mask `unseen`, which holds all their neighbours."""
     while unseen:
         comp = frontier = unseen & -unseen
         while frontier:
@@ -540,18 +549,6 @@ def _components(out, inn):
             comp |= frontier
         unseen &= ~comp
         yield comp
-
-
-def _is_total_chain(fragment):
-    n = fragment.size
-    return (
-        fragment.is_strict_order()
-        and fragment.fact_count() == n * (n - 1) // 2
-    )
-
-
-def _nonisolated_part(fragment):
-    return fragment.induced(fragment.linked())
 
 
 class TokenChain:
@@ -617,7 +614,7 @@ def fragment_embeds(fragment, structure):
         )
     if structure.style == "order" and not fragment.is_strict_order():
         return False
-    return structure.age_holds(fragment)
+    return structure.age_holds(fragment, (1 << fragment.size) - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -630,31 +627,32 @@ class Presentation(TokenChain):
 
     The schedule alternates "reveal the least unrevealed canonical element"
     (which guarantees fairness outright) with a seeded pick from the lowest
-    few unrevealed ones.
+    few unrevealed ones: a window refilled by one token after each pick.
     """
 
     def __init__(self, target, seed):
         super().__init__(target)
         self.seed = seed
+        self._size = target.size()
         self._rng = random.Random("%s|%d" % (target.key(), seed))
         self._source = target._enumerate()  # the canonical enumeration
-        self._buffer = []  # its least unrevealed tokens, in order
+        # its least unrevealed tokens, in order
+        self._buffer = list(itertools.islice(self._source, _SCHEDULE_WINDOW))
 
     def restrict(self, s):
-        size = self.target.size()
-        if size is not None and s >= size:
+        if self._size is not None and s >= self._size:
             raise ConstructionError(
-                "%s has only %d elements" % (self.target.key(), size)
+                "%s has only %d elements" % (self.target.key(), self._size)
             )
-        while len(self.tokens) <= s:
-            buffer = self._buffer
-            buffer.extend(
-                itertools.islice(self._source, _SCHEDULE_WINDOW - len(buffer))
-            )
-            if len(self.tokens) % 2 == 0:
+        tokens, buffer, source = self.tokens, self._buffer, self._source
+        while len(tokens) <= s:
+            if len(tokens) % 2 == 0:
                 tok = buffer.pop(0)
             else:
                 tok = buffer.pop(self._rng.randrange(len(buffer)))
+            nxt = next(source, None)  # no token is None
+            if nxt is not None:
+                buffer.append(nxt)
             self.push(tok)
         return self.fragments[s + 1]
 

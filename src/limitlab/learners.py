@@ -179,7 +179,12 @@ class IdToCoLearner(Learner):
     is inconsistent with its output on member i's canonical stream; each
     refuted code is emitted once, least first.  Outputs only grow: per
     member the length of the prefix found to agree is kept (None once
-    refuted), and only the positions added since are compared."""
+    refuted), and only the positions added since are compared.
+
+    A run is (operator state, output length, output tail), the tail only
+    the positions a later comparison can read: from the member's agreed
+    length on, and for the stream's run from the least agreed length of a
+    member not refuted.  A refuted member's run is no longer stepped."""
 
     def __init__(self, family, operator):
         super().__init__(family)
@@ -187,46 +192,52 @@ class IdToCoLearner(Learner):
 
     def initial_state(self):
         n = len(self.family)
-        return {
-            "mine": (self.operator.initial(), ()),
-            "refs": tuple(
-                (self.operator.initial(), ()) for _ in range(n)
-            ),
-            "agreed": (0,) * n,
-        }
+        start = (self.operator.initial(), 0, ())
+        return {"mine": start, "refs": (start,) * n, "agreed": (0,) * n}
 
-    def _advance(self, run_state, fragment):
-        op_state, out = run_state
+    def _advance(self, run, fragment):
+        op_state, end, tail = run
         op_state, new = self.operator.step(op_state, fragment)
-        return op_state, out + tuple(new) if new else out
+        return op_state, end + len(new), tail + tuple(new)
 
     def step(self, state, fragment):
         s = fragment.size - 1
         mine = self._advance(state["mine"], fragment)
-        refs = []
+        refs, agreed = list(state["refs"]), list(state["agreed"])
         for i, member in enumerate(self.family):
             size = member.size()
-            if size is not None and s + 1 > size:
-                refs.append(state["refs"][i])
-                continue
-            refs.append(
-                self._advance(
-                    state["refs"][i], canonical_fragment(member, s + 1)
+            if agreed[i] is not None and (size is None or s < size):
+                refs[i] = self._advance(
+                    refs[i], canonical_fragment(member, s + 1)
                 )
-            )
-        agreed = list(state["agreed"])
         hyp = QUESTION
         for i, done in enumerate(agreed):
             if done is None:
                 continue
-            a, b = mine[1], refs[i][1]
-            k = min(len(a), len(b))
-            if a[done:k] != b[done:k]:
+            k = min(mine[1], refs[i][1])
+            if _outputs(mine, done, k) != _outputs(refs[i], done, k):
                 hyp, agreed[i] = i, None
                 break
             agreed[i] = k
-        refs, agreed = tuple(refs), tuple(agreed)
-        return {"mine": mine, "refs": refs, "agreed": agreed}, hyp
+        live = [(i, done) for i, done in enumerate(agreed) if done is not None]
+        for i, done in live:
+            refs[i] = _from(refs[i], done)
+        mine = _from(mine, min((done for _, done in live), default=mine[1]))
+        state = {"mine": mine, "refs": tuple(refs), "agreed": tuple(agreed)}
+        return state, hyp
+
+
+def _outputs(run, start, stop):
+    """Positions start..stop-1 of a run's output, which its tail holds."""
+    _, end, tail = run
+    base = end - len(tail)
+    return tail[start - base:stop - base]
+
+
+def _from(run, start):
+    """The run with its tail cut to the positions from start on."""
+    op_state, end, _ = run
+    return op_state, end, _outputs(run, start, end)
 
 
 class NusLearner(Learner):

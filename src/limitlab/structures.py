@@ -45,7 +45,8 @@ class FiniteFragment:
     chain share one record of it, [largest size known to be an order,
     whether the next size is known not to be], and `is_strict_order`
     resumes from that size, so each element of a chain is checked at most
-    once, whichever fragment is asked first.
+    once, whichever fragment is asked first; the check folds each element
+    it checks, so it folds nothing twice.
 
     A fragment searched as the pattern of a rooted `embed_map` keeps that
     search's plans, one per automorphism orbit of its elements, built by
@@ -99,11 +100,14 @@ class FiniteFragment:
             raise ValueError("masks need bits 0..%d, a self-loop in both" % e)
         out.append(succ)
         inn.append(pred)
-        child = FiniteFragment(e + 1, out, inn)
-        child._linked = self._linked | both | 1 << e if both else self._linked
+        # every slot set once, without __init__'s defaults
+        child = FiniteFragment.__new__(FiniteFragment)
+        child.size, child._out, child._in = e + 1, out, inn
         child._order = self._order
         # with no record pending, all e elements are in the older rows
         child._fold = [e] if self._fold is None else self._fold
+        child._linked = self._linked | both | 1 << e if both else self._linked
+        child._hash = child._plans = None
         return child
 
     def _settle(self):
@@ -154,8 +158,8 @@ class FiniteFragment:
 
     def fact_count(self):
         self._settle()
-        full = (1 << self.size) - 1
-        return sum((m & full).bit_count() for m in self._out[: self.size])
+        rows = map(((1 << self.size) - 1).__and__, self._out[: self.size])
+        return sum(map(int.bit_count, rows))
 
     def tuple_set(self):
         return frozenset(self.tuples())
@@ -207,20 +211,32 @@ class FiniteFragment:
         element x that does not keep it one, or the size.  With P and S
         x's predecessors and successors among 0..x-1, x keeps it one when
         it has no self-loop, P is down-closed, S up-closed, and every
-        element of P lies below all of S (so P and S are disjoint)."""
-        self._settle()
-        out, inn = self._out, self._in
-        for x in range(old, self.size):
-            below = (1 << x) - 1
+        element of P lies below all of S (so P and S are disjoint).  The
+        check reads only bits below x, so with every earlier element folded
+        it folds x in the same walk; a return mid-walk leaves x folded in
+        part, which the next fold completes, as folds only set bits."""
+        fold, out, inn = self._fold, self._out, self._in
+        done = self.size if fold is None else fold[0]
+        for x in range(min(old, done), self.size):
+            below, bit = (1 << x) - 1, 1 << x
             pred, succ = inn[x] & below, out[x] & below
-            if out[x] >> x & 1:
+            if out[x] & bit:
                 return x
+            folding = x >= done
+            off_pred, off_succ = below ^ pred, below ^ succ
             for p in iter_bits(pred):
-                if inn[p] & below & ~pred or succ & ~out[p]:
+                if inn[p] & off_pred or out[p] & succ != succ:
                     return x
+                if folding:
+                    out[p] |= bit
             for s in iter_bits(succ):
-                if out[s] & below & ~succ:
+                if out[s] & off_succ:
                     return x
+                if folding:
+                    inn[s] |= bit
+            if folding:
+                fold[0] = x + 1
+        self._fold = None
         return self.size
 
     def extends(self, other):
@@ -326,10 +342,10 @@ def embed_map(f, g, required=None):
     # per root here
     go, gi = g_out[required], g_in[required]
     loop = go >> required & 1
-    room = (go & g_full).bit_count() + (gi & g_full).bit_count()
+    room_out, room_in = (go & g_full).bit_count(), (gi & g_full).bit_count()
     for plan in plans:
         u, need, u_loop = plan[0][:3]
-        if u_loop != loop or need > room:
+        if u_loop != loop or need and (need[0] > room_out or need[1] > room_in):
             continue
         image[u] = required
         if _search(plan, 1, g_out, g_in, g_full, image, 1 << required):
@@ -348,8 +364,7 @@ def _orbit_plans(f):
     every root is tried."""
     full, image, kept = (1 << f.size) - 1, [0] * f.size, []
     for plan in _search_plans(f, range(f.size)):
-        v, _, _, o, i = plan[0][:5]
-        shape = (o.bit_count(), i.bit_count())
+        v, shape = plan[0][:2]
         for u_shape, u_plan in kept:
             image[u_plan[0][0]] = v
             if u_shape == shape and _search(
@@ -364,14 +379,14 @@ def _orbit_plans(f):
 def _search_plans(f, roots):
     """One search plan of f per root (an element of f placed first, or
     None): a tuple with one step per position of the placement order,
-    (u, degree, self-loop bit, out row, in row, earlier neighbours) for
-    the element u placed there.  The degree is the number of facts
-    mentioning u, which an image's out- plus in-degree must reach; the
+    (u, need, self-loop bit, out row, in row, earlier neighbours) for
+    the element u placed there.  The need is u's (out-degree, in-degree),
+    which an image's must each reach, or None when u is in no fact; the
     rows are u's masks within f's domain, and the earlier neighbours are
     those of u placed before it.  The order is the root, then at each
-    position the highest-degree element next to one already placed, or
-    else the highest-degree one, so partial checks fire early.  Each plan
-    holds O(|f|) values."""
+    position the element in the most facts next to one already placed,
+    or else the one in the most facts, so partial checks fire early.
+    Each plan holds O(|f|) values."""
     full = (1 << f.size) - 1
     rows = [(f._out[u] & full, f._in[u] & full) for u in range(f.size)]
     near = [o | i for o, i in rows]
@@ -393,7 +408,8 @@ def _search_plans(f, roots):
         steps, placed = [], 0
         for u in order:
             o, i = rows[u]
-            steps.append((u, degree[u], o >> u & 1, o, i, near[u] & placed))
+            need = (o.bit_count(), i.bit_count()) if near[u] else None
+            steps.append((u, need, o >> u & 1, o, i, near[u] & placed))
             placed |= 1 << u
         plans.append(tuple(steps))
     return tuple(plans)
@@ -425,7 +441,10 @@ def _search(plan, pos, g_out, g_in, g_full, image, used):
         v = low.bit_length() - 1
         cands ^= low
         go, gi = g_out[v], g_in[v]
-        if need and (go & g_full).bit_count() + (gi & g_full).bit_count() < need:
+        if need and (
+            (go & g_full).bit_count() < need[0]
+            or (gi & g_full).bit_count() < need[1]
+        ):
             continue
         if go >> v & 1 != loop or go & used != want_out or gi & used != want_in:
             continue

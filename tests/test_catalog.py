@@ -318,13 +318,23 @@ class TestAgeDeciders:
         "du(iso_inf,cycle(3))",
         "du(ray,iso_inf)",
         "du(chain(2),chain(3))",
+        # padded ages, decided on the linked elements in place
+        "tilde(omega)",
+        "tilde(omega_star)",
+        "tilde(poset_p(2))",
+        "du(ray(4),iso_inf)",
+        "du(iso_inf,ray)",
+        "du(cyc_comp(3),iso_inf)",
     ]
 
     @pytest.mark.parametrize("target_key", STRUCTS)
     def test_matches_brute_force(self, target_key):
         target = parse_structure(target_key)
+        # the last three give fragments with isolated points among their
+        # linked ones
         sources = ["chain(3)", "cycle(3)", "cycle(4)", "ray(3)", "iso(4)",
-                   "poset_p(1)"]
+                   "poset_p(1)", "tilde(chain(3))", "du(ray(3),iso_inf)",
+                   "du(cycle(3),iso_inf)"]
         for src_key in sources:
             src = parse_structure(src_key)
             for sub in distinct_substructures(src, 4):

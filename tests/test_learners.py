@@ -619,6 +619,47 @@ def test_id_to_co_matches_the_reslicing_rule_past_a_finite_member():
     assert late > 0
 
 
+def test_id_to_co_carries_a_bounded_output_tail():
+    """id_to_co on each cycles member over 1,024 stages: every run in its
+    state, the stream's own and each member's, carries at most 7 output
+    positions, those a later comparison can still read, while the
+    outputs grow by one position a stage."""
+    family = H.get_family("cycles")
+    learner = H.LEARNERS["id_to_co"](family)
+    longest = 0
+    for member in family:
+        state, pres = learner.initial_state(), Presentation(member, 1)
+        for s in range(1024):
+            state, _ = learner.step(state, pres.restrict(s))
+            runs = (state["mine"],) + state["refs"]
+            longest = max(longest, *(len(run[-1]) for run in runs))
+    assert longest == 7
+
+
+@pytest.mark.parametrize("name, family, members", [
+    ("ex_min_embed", "padded_chains", None),
+    ("ex_min_embed", "rays", None),
+    ("pl_pairwise", "rays", ["du(ray,iso_inf)"]),
+])
+def test_padded_ages_copy_nothing(monkeypatch, name, family, members):
+    """1,024 stages of each named member (by default every member) make
+    no `FiniteFragment.induced` call: a padded age, of `tilde(X)` or of
+    `du(X, iso_inf)`, is decided on the fragment's linked elements in
+    place, with no copy of them."""
+    family = H.get_family(family)
+    learner = H.LEARNERS[name](family)
+    calls, induced = [], FiniteFragment.induced
+
+    def counted(frag, elements):
+        calls.append(frag.size)
+        return induced(frag, elements)
+
+    monkeypatch.setattr(FiniteFragment, "induced", counted)
+    for member in family if members is None else map(parse_structure, members):
+        run(learner, Presentation(member, 1), 1024)
+        assert calls == [], member.key()
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_carried_summary_on_random_orders(data):

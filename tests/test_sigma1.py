@@ -13,7 +13,6 @@ from limitlab.catalog import (
     Presentation,
     UnsupportedOracleError,
     _components,
-    _nonisolated_part,
     canonical_fragment,
     fragment_embeds,
     parse_structure,
@@ -632,8 +631,8 @@ def reference_candidates(a, bound):
     for m in range(1, top + 1):
         prefix = canonical_fragment(a, m)
         add(prefix)
-        add(_nonisolated_part(prefix))
-        for comp in _components(*prefix.masks()):
+        add(prefix.induced(prefix.linked()))
+        for comp in _components(*prefix.masks(), (1 << m) - 1):
             add(prefix.induced(iter_bits(comp)))
     out.sort(key=lambda f: (f.size, f.fact_count()))
     return out

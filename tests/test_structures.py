@@ -101,14 +101,16 @@ def grown_around(f, data):
 
 def every_root(f, g, required):
     """The rooted search that tries each root's plan in element order,
-    after the per-root self-loop and degree check."""
+    after the per-root self-loop check and the check of its out- and
+    in-degree, which `required`'s must each reach."""
     g.masks()
     g_out, g_in, g_full = g._out, g._in, (1 << g.size) - 1
     go, gi = g_out[required] & g_full, g_in[required] & g_full
     for plan in structures._search_plans(f, range(f.size)):
-        u, need, loop = plan[0][:3]
-        room = go.bit_count() + gi.bit_count()
-        if loop != go >> required & 1 or need > room:
+        u, _, loop, fo, fi = plan[0][:5]
+        if loop != go >> required & 1 or (
+            fo.bit_count() > go.bit_count() or fi.bit_count() > gi.bit_count()
+        ):
             continue
         image = [0] * f.size
         image[u] = required
@@ -444,6 +446,32 @@ class TestEmbedding:
         assert tests and f._plans is not None
         assert all(degrees[u] == degrees[v] for u, v in tests)
 
+    def test_rooted_chain_search_stays_local(self):
+        """A 7-element chain searched rooted at each element of a padded
+        omega stream: the out- and in-degree filter rejects every image
+        without room above or below it, so no stage through 64 makes more
+        than 50 `_search` calls (a summed degree made 10,261 at stage
+        32), and the map found at stage 51 is the one found before."""
+        chain = canonical_fragment(parse_structure("chain(7)"), 7)
+        chain = chain.induced(range(7))  # a pattern without kept plans
+        pres = Presentation(parse_structure("tilde(omega)"), 1)
+        calls, real = [], structures._search
+
+        def search(*args):
+            calls.append(args[1])
+            return real(*args)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(structures, "_search", search)
+            for s in range(1, 65):
+                calls.clear()
+                got = embed_map(chain, pres.restrict(s), required=s - 1)
+                assert len(calls) <= 50, s
+                if s == 51:
+                    assert got == {
+                        6: 50, 0: 2, 1: 3, 2: 5, 3: 9, 4: 13, 5: 15
+                    }
+
     def test_search_leaves_no_reference_cycle(self):
         """Each call's recursive search is freed by reference counting,
         not left for the cyclic collector."""
@@ -747,6 +775,40 @@ def test_summary_learners_read_no_full_masks(monkeypatch, name, family):
         for s in range(1, 1024):
             state, _ = learner.step(state, pres.restrict(s))
         assert calls == [], member.key()
+
+
+def test_order_check_folds_each_element_once(monkeypatch):
+    """pl_fstar on each fstar member over 1,024 stages: the order check
+    folds each new element in the walk that checks it, and `_settle`
+    folds none that the check folded, so every element of the stream is
+    folded exactly once (the first by the learner's first `extends`).
+    Folded elements are read off the fold record."""
+    settled, checked = [], []
+    settle, grows = FiniteFragment._settle, FiniteFragment._order_grows_from
+
+    def counted_settle(frag):
+        if frag._fold is not None:
+            settled.extend(range(frag._fold[0], len(frag._out)))
+        settle(frag)
+
+    def counted_grows(frag, old):
+        fold = frag._fold
+        start = None if fold is None else fold[0]
+        stop = grows(frag, old)
+        if fold is not None:
+            checked.extend(range(start, fold[0]))
+        return stop
+
+    monkeypatch.setattr(FiniteFragment, "_settle", counted_settle)
+    monkeypatch.setattr(FiniteFragment, "_order_grows_from", counted_grows)
+    family = H.get_family("fstar")
+    learner = H.LEARNERS["pl_fstar"](family)
+    for member in family:
+        settled.clear()
+        checked.clear()
+        run(learner, Presentation(member, 1), 1024)
+        assert sorted(settled + checked) == list(range(1024)), member.key()
+        assert len(checked) == 1023
 
 
 def mentioned(frag):
