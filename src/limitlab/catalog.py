@@ -166,6 +166,10 @@ class _Ranks:
             below[k] |= bit
         return lower, higher
 
+    def at_most(self, tok):
+        """The positions of the filed tokens at most tok."""
+        return self.below[bisect.bisect(self.tokens, tok)]
+
 
 class _LinearOrder(CatalogStructure):
     """A linear order on numeric tokens, by value (reversed when reverse
@@ -244,18 +248,21 @@ class _SparseGraph(CatalogStructure):
         return y in self.neighbours(x)
 
     def age_holds(self, fragment, part):
-        out, inn = fragment.masks()
-        if out != inn or any(
-            m >> e & 1 or m.bit_count() > 2 for e, m in enumerate(out)
-        ):
-            return False
+        # only the part's elements are in facts, so only their rows count
+        out, ends = {}, 0
+        for e in iter_bits(part):
+            succ, pred = fragment.row(e)
+            degree = succ.bit_count()
+            if succ != pred or succ >> e & 1 or degree > 2:
+                return False
+            out[e], ends = succ, ends | (degree < 2) << e
         # a connected, loop-free symmetric graph of maximum degree 2 is a
-        # path or a cycle, and a cycle when its degree sum is twice its size
+        # path or a cycle, and a cycle when no element has under 2 neighbours
         count, cycles = 0, []
-        for comp in _components(out, inn, part):
-            count, size = count + 1, comp.bit_count()
-            if sum(out[e].bit_count() for e in iter_bits(comp)) == 2 * size:
-                cycles.append(size)
+        for comp in _components(out, out, part):
+            count += 1
+            if not comp & ends:
+                cycles.append(comp.bit_count())
         return self.fits(part.bit_count(), count, cycles)
 
     def fits(self, size, components, cycles):
@@ -322,7 +329,8 @@ class PosetP(_Numbered):
     below 2i+1 (i <= n).  For n = 0 the domain is all of N with 2i below
     2i+2 and 2j below 2j-1 for j > 0.  Tokens are the domain elements and
     the relation is the strict order with the transitive closure
-    materialized.
+    materialized.  admit files the evens by index and the odds by their
+    cover, the index of the top even below them, in two _Ranks.
     """
 
     name = "poset_p"
@@ -337,10 +345,21 @@ class PosetP(_Numbered):
         # strictly below, after closing under transitivity
         if x == y or x % 2 == 1:
             return False
-        i = x // 2
-        if y % 2 == 0:
-            return i < y // 2
-        return i <= (y + 1) // 2 if self.n == 0 else i <= y // 2
+        return x < y if y % 2 == 0 else x // 2 <= self._cover(y)
+
+    def _cover(self, odd):
+        return (odd + 1) // 2 if self.n == 0 else odd // 2
+
+    def admit(self, groups, tok, j):
+        if not groups:
+            groups[0] = _Ranks(), _Ranks()
+        evens, odds = groups[0]
+        if tok % 2:
+            odds.add(self._cover(tok), j)
+            return 0, evens.at_most(self._cover(tok))
+        below, above = evens.add(tok // 2, j)
+        # the odds whose cover is at least tok's index lie above it
+        return above | odds.below[-1] ^ odds.at_most(tok // 2 - 1), below
 
     def age_holds(self, fragment, part):
         if self.n:

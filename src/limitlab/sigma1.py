@@ -107,13 +107,17 @@ class StreamWatch:
     one-element extension starts the record afresh.
 
     Formulas often share disjuncts (a family's pair witnesses repeat one
-    witness per member), so each distinct disjunct is searched at most once
-    per stage, as a one-disjunct formula.  A disjunct that held belongs
-    only to formulas that hold, so only the pending ones are searched.
-    The searches through a new element are rooted `embed_map` calls, and
-    each disjunct keeps their search plans, one per root, from its first
-    rooted search on (not from the watch's set-up) for as long as the
-    disjunct lives; a fresh record's unrooted searches keep none.
+    witness per member), so the watch searches each distinct disjunct at
+    most once per stage, and only the pending ones, those of a formula
+    that has not held; the formulas are walked only on a stage where a
+    search holds.  A search through a new element is a rooted `embed_map`
+    call, which maps to it an element of the disjunct whose shape
+    (self-loop bit, out-degree, in-degree) it covers, with the same loop
+    bit and at least both degrees (`embed_map`'s root check), so an
+    extension searches only the pending disjuncts with such a shape, read
+    off the shapes each records at set-up (an element in no fact covers
+    only (0, 0, 0)).  Each disjunct keeps its rooted search plans from its
+    first rooted search on; a fresh record's unrooted searches keep none.
 
     The members found to hold the last fragment are carried too.  An
     extension by an element in no fact keeps those whose age absorbs
@@ -121,9 +125,9 @@ class StreamWatch:
     stages ask them nothing; any other change asks them afresh.
 
     A state is (last fragment, {key: first stage it held}, bitmask of the
-    members left, bitmask of the members known to hold the last fragment);
-    `advance` and `first_inside` return new states and never mutate the
-    old one.
+    members left, bitmask of the members known to hold the last fragment,
+    bitmask of the pending disjuncts); `advance` and `first_inside`
+    return new states and never mutate the old one.
     """
 
     def __init__(self, formulas, members=()):
@@ -132,22 +136,28 @@ class StreamWatch:
         self._absorbing = sum(
             1 << i for i, m in enumerate(self.members) if m.absorbs_isolated()
         )
-        # each formula as indices into the distinct disjuncts, in its order
-        index, self._atoms, self._parts = {}, [], {}
+        # each formula as a mask of distinct disjuncts, and their shapes
+        index, self._atoms, self._shapes, self._parts = {}, [], [], {}
         for key, w in self.formulas.items():
-            parts = []
             for d, label in zip(w.disjuncts, w.labels):
                 if d not in index:
                     index[d] = len(self._atoms)
                     self._atoms.append(FormulaWitness((d,), (label,)))
-                parts.append(index[d])
-            self._parts[key] = parts
+                    self._shapes.append({
+                        (o >> u & 1, o.bit_count(), i.bit_count())
+                        for u, (o, i) in enumerate(zip(*d.masks()))
+                    })
+            self._parts[key] = sum({1 << index[d] for d in w.disjuncts})
+        self._all = (1 << len(self._atoms)) - 1
+        self._free = sum(  # the disjuncts with an element in no fact
+            1 << a for a, s in enumerate(self._shapes) if (0, 0, 0) in s
+        )
 
     def initial(self):
-        return (None, {}, 0, 0)
+        return (None, {}, 0, 0, self._all)
 
     def advance(self, state, fragment):
-        last, held, left, inside = state
+        last, held, left, inside, pending = state
         if (
             last is not None
             and 0 <= fragment.size - last.size <= 1
@@ -155,42 +165,52 @@ class StreamWatch:
         ):
             if fragment.size == last.size:
                 return state
+            if not pending | inside:  # nothing to search or to keep
+                return (fragment, held, left, 0, 0)
             required = last.size
-            if inside:
-                isolated = fragment.row(required) == (0, 0)
-                inside = inside & self._absorbing if isolated else 0
+            succ, pred = fragment.row(required)
+            if succ | pred:
+                loop = succ >> required & 1
+                n_out, n_in = succ.bit_count(), pred.bit_count()
+                inside = asked = 0
+                for a in iter_bits(pending):
+                    for l, o, i in self._shapes[a]:
+                        if l == loop and o <= n_out and i <= n_in:
+                            asked |= 1 << a
+                            break
+            else:
+                inside, asked = inside & self._absorbing, pending & self._free
         else:
-            held, left, inside, required = {}, 0, 0, None
-        s = fragment.size - 1
-        new, known = {}, {}  # known: atom index -> held on this fragment
-        for key, parts in self._parts.items():
-            if key in held:
-                continue
-            for a in parts:
-                hit = known.get(a)
-                if hit is None:
-                    hit = known[a] = sat_fragment(
-                        self._atoms[a], fragment, required
-                    )
-                if hit:
-                    new[key] = s
-                    break
-        return (fragment, {**held, **new} if new else held, left, inside)
+            held, left, inside, pending = {}, 0, 0, self._all
+            required, asked = None, pending
+        hits = asked and sum(
+            1 << a for a in iter_bits(asked)
+            if sat_fragment(self._atoms[a], fragment, required)
+        )
+        if hits:
+            s, held, pending = fragment.size - 1, dict(held), 0
+            for key, parts in self._parts.items():
+                if key not in held:
+                    if parts & hits:
+                        held[key] = s
+                    else:
+                        pending |= parts
+        return (fragment, held, left, inside, pending)
 
     def first_inside(self, state, order):
         """The first member index in `order` whose age holds the last
         fragment, or None, with the state marking each member found left
         on the way and the hit found inside; members after the hit are not
         asked, and neither is a hit already known inside."""
-        last, held, left, inside = state
+        last, held, left, inside, pending = state
         for i in order:
             if inside >> i & 1:
-                return i, (last, held, left, inside)
+                return i, (last, held, left, inside, pending)
             if not left >> i & 1:
                 if fragment_embeds(last, self.members[i]):
-                    return i, (last, held, left, inside | 1 << i)
+                    return i, (last, held, left, inside | 1 << i, pending)
                 left |= 1 << i
-        return None, (last, held, left, inside)
+        return None, (last, held, left, inside, pending)
 
 
 def sigma1_leq(a, b, max_size=None):

@@ -18,6 +18,7 @@ from limitlab.catalog import Family, canonical_fragment, parse_structure
 from limitlab.learners import QUESTION, ConfigurationError, Learner, run_on_stream
 from limitlab import adversaries as A
 from limitlab import harness as H
+from limitlab import sigma1
 
 
 def S(key):
@@ -320,3 +321,28 @@ def test_rounds_need_cap_at_start_times_power_of_two(adversary, start, cap):
     duel = next(d for d in sorted(PINS) if d.startswith(adversary + "/"))
     with pytest.raises(ValueError, match="cap = start"):
         _duel(duel, start=start, cap=cap)
+
+
+def test_co_comparable_duel_against_nus_makes_no_rooted_search(monkeypatch):
+    """A deterministic count of work: the bench duel of
+    adv_vs_co_comparable against nus on tilde_chains presents
+    tilde(chain(3)), whose padding elements are in no fact and whose chain
+    elements have at most two neighbours, while every element of the
+    learner's pending witness, a 4-chain, has three; so its stream watch
+    makes no rooted embed_map call."""
+    rooted = []
+    real = sigma1.embed_map
+
+    def counted(f, g, required=None):
+        if required is not None:
+            rooted.append(required)
+        return real(f, g, required=required)
+
+    monkeypatch.setattr(sigma1, "embed_map", counted)
+    family = H.get_family("tilde_chains")
+    _, cert = A.adv_vs_co_comparable(
+        H.LEARNERS["nus"](family), family.members[:2],
+        seed=1, start=128, cap=1024,
+    )
+    assert cert.kind == "MissingCode"
+    assert rooted == []

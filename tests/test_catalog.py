@@ -5,6 +5,7 @@ import pytest
 from limitlab.adversaries import StreamBuilder
 from limitlab.structures import FiniteFragment
 from limitlab.catalog import (
+    CatalogStructure,
     ConstructionError,
     Family,
     Presentation,
@@ -255,6 +256,27 @@ class TestRelationMasks:
                 builder.add_index(idx)
             with pytest.raises(ValueError, match="already revealed"):
                 builder.add_index(order[0])
+
+    @pytest.mark.parametrize(
+        "key", ["poset_p(%d)" % n for n in range(4)]
+        + ["tilde(poset_p(%d))" % n for n in range(4)],
+    )
+    def test_poset_hook_matches_the_default_hook(self, key):
+        # poset_p files its tokens in two ranks; the base class asks
+        # related about every earlier token, on the poset's own positions
+        s = parse_structure(key)
+        poset = s.right if key.startswith("tilde") else s
+        n = 300 if s.size() is None else s.size()
+        for seed in (1, 2, 3):
+            p = Presentation(s, seed)
+            p.restrict(n - 1)
+            groups = {}
+            for j, tok in enumerate(p.tokens):
+                want = (0, 0)
+                if poset is s or tok[0] == "r":
+                    t = tok if poset is s else tok[1]
+                    want = CatalogStructure.admit(poset, groups, t, j)
+                assert p.fragments[j + 1].row(j) == want, (seed, j, tok)
 
 
 #: each sparse graph's relation by its name, stated apart from the

@@ -19,7 +19,7 @@ from limitlab.reductions import (
     verify_reduction,
 )
 from limitlab.sigma1 import classify_family
-from limitlab import harness as H, reductions
+from limitlab import harness as H, reductions, sigma1
 
 
 def S(key):
@@ -285,3 +285,22 @@ class TestGammaErangeToE3:
         op = H.GAMMAS["gamma_erange_to_e3"](fam)
         report = verify_reduction(op, fam, horizon=120)
         assert report["passed"]
+
+
+def test_erange_to_e3_verify_on_cyc_comp_rooted_search_count(monkeypatch):
+    """A deterministic count of work: verify_reduction of
+    gamma_erange_to_e3 on cyc_comp at horizon 48 makes exactly 263 rooted
+    embed_map calls, those whose new element can root a pending pair
+    witness."""
+    rooted = [0]
+    real = sigma1.embed_map
+
+    def counted(f, g, required=None):
+        rooted[0] += required is not None
+        return real(f, g, required=required)
+
+    monkeypatch.setattr(sigma1, "embed_map", counted)
+    fam = H.get_family("cyc_comp")
+    op = H.GAMMAS["gamma_erange_to_e3"](fam)
+    assert verify_reduction(op, fam, horizon=48)["passed"]
+    assert rooted[0] == 263

@@ -491,7 +491,10 @@ def test_stream_watch_searches_shared_disjuncts_once(source, seed, steps):
     """Formulas that share disjuncts, on the streams of the replay test:
     the watch records the replay's first-hold stages in the order they
     happened (formula order within a stage), and searches each distinct
-    disjunct of the pending formulas at most once per stage."""
+    disjunct of the pending formulas at most once per stage; on a
+    one-element extension, only a disjunct with an element whose shape
+    the new element covers: the same self-loop bit and at most its out-
+    and in-degree."""
     keys = list(SHARED_FORMULAS)
     watch = StreamWatch(SHARED_FORMULAS)
     state = watch.initial()
@@ -528,6 +531,11 @@ def test_stream_watch_searches_shared_disjuncts_once(source, seed, steps):
         assert state == snapshot, "advance mutated its input"
         assert all(searched.count(d) == 1 for d in searched)
         assert all(d in pending for d in searched)
+        if len(run) > 1 and frag.size > run[-2].size:
+            e = frag.size - 1
+            succ, pred = frag.row(e)
+            assert all(_has_shape_covered_by(d, succ >> e & 1, succ, pred)
+                       for d in searched)
         state = new
 
         expected = {}
@@ -537,6 +545,16 @@ def test_stream_watch_searches_shared_disjuncts_once(source, seed, steps):
                 expected[key] = min(stages)
         order = sorted(expected, key=lambda k: (expected[k], keys.index(k)))
         assert list(state[1].items()) == [(k, expected[k]) for k in order]
+
+
+def _has_shape_covered_by(pattern, loop, succ, pred):
+    out, inn = pattern.masks()
+    return any(
+        o >> u & 1 == loop
+        and o.bit_count() <= succ.bit_count()
+        and i.bit_count() <= pred.bit_count()
+        for u, (o, i) in enumerate(zip(out, inn))
+    )
 
 
 def _counting_embeds(monkeypatch):
