@@ -362,16 +362,23 @@ class PosetP(_Numbered):
         return above | odds.below[-1] ^ odds.at_most(tok // 2 - 1), below
 
     def age_holds(self, fragment, part):
-        if self.n:
-            return super().age_holds(fragment, part)
-        # g embeds iff the non-maximal elements are totally ordered: evens
-        # form a chain, odds are maximal with prefix down-sets that can be
-        # spread arbitrarily far apart; an element in no fact is maximal
-        succ, pred = strict_order_relation(fragment)
-        low = sum(1 << e for e, m in enumerate(succ) if m)
-        return all(
-            (succ[e] | pred[e] | 1 << e) & low == low for e in iter_bits(low)
-        )
+        # non-maximal elements map onto evens, so form a chain C: their
+        # predecessor counts differ.  A maximal one with d elements of C
+        # below takes an odd between the d-th and (d+1)-th images; for n > 0
+        # the n + 1 odds give d = 0 the first image's index, d >= 1 at least 1
+        ranks, counts = 0, [0] * (part.bit_count() + 1)
+        for e in iter_bits(part):
+            succ, pred = fragment.row(e)
+            d = pred.bit_count()
+            if succ:
+                if ranks >> d & 1:
+                    return False
+                ranks |= 1 << d
+            else:
+                counts[d] += 1
+        top = ranks.bit_length()  # the size of C
+        slots = counts[0] + sum(max(c, 1) for c in counts[1:top + 1])
+        return not self.n or slots <= self.n + 1
 
 
 class CycleComplement(_Numbered, _SparseGraph):

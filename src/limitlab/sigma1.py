@@ -8,7 +8,6 @@ extension, and truth in a catalog structure reduces to age membership.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .structures import embed_map, iter_bits
@@ -24,12 +23,13 @@ from .catalog import (
 WITNESS_SIZE_BOUND = 8
 # each age question asked once per process: member keys -> leq_matrix,
 # (member keys, bound) -> classify_family, (structure key, max_size) ->
-# age_fragments, (structure key, bound) -> _witness_candidates, and
-# structure key -> {fragment: fragment_embeds} for fragments of at most
-# max_size or bound elements (see _verdicts_of)
+# age_fragments and (size, pattern) -> its one fragment, (structure key,
+# bound) -> _witness_candidates, and structure key -> {fragment:
+# fragment_embeds} for fragments of at most max_size or bound elements
 _leq_matrices = {}
 _classifications = {}
 _ages = {}
+_fragments = {}
 _candidates = {}
 _verdicts = {}
 
@@ -227,8 +227,14 @@ def sigma1_leq(a, b, max_size=None):
     if max_size is None:
         n = 2 * (a.param() + b.param()) + 8
         return fragment_embeds(saturated_fragment(a, n), b)
-    embeds = _verdicts_of(b)
-    return all(embeds(sub) for sub in age_fragments(a, max_size))
+    verdicts = _verdicts.setdefault(b.key(), {})  # see _verdicts_of
+    for sub in age_fragments(a, max_size):
+        hit = verdicts.get(sub)
+        if hit is None:
+            hit = verdicts[sub] = fragment_embeds(sub, b)
+        if not hit:
+            return False
+    return True
 
 
 def _verdicts_of(structure):
@@ -250,11 +256,17 @@ def _verdicts_of(structure):
 
 def age_fragments(a, max_size):
     """The labelled-distinct induced subfragments of `a` with at most
-    max_size elements, smallest first, drawn from a canonical prefix deep
-    enough for the bounded comparison in `sigma1_leq`.
+    max_size elements, smallest first, each from the lexicographically
+    first subset with its pattern of a canonical prefix deep enough for
+    the bounded comparison in `sigma1_leq`; computed once per (structure
+    key, max_size) and shared, so callers must not mutate the list.
 
-    Computed once per (structure key, max_size); the returned list is
-    shared, so callers must not mutate it.
+    Ascending subsets are walked depth first, each pattern an int grown
+    from its parent's by two bits per earlier element and the loop bit.  A
+    subset matching an earlier one in size, pattern, largest element m and
+    every later element's facts with it is not extended: each extension
+    repeats that one's by the same elements above m.  Kept fragments are
+    interned in `_fragments` by (size, pattern), each induced once.
     """
     if max_size < 1:
         raise ValueError("max_size must be at least 1, got %r" % (max_size,))
@@ -264,17 +276,28 @@ def age_fragments(a, max_size):
         return age
     prefix = saturated_fragment(a, 2 * max_size + a.param() + 4)
     n = prefix.size
-    succ, _ = prefix.masks()
-    age = []
-    seen = set()
-    for k in range(1, min(max_size, n) + 1):
-        for subset in itertools.combinations(range(n), k):
-            # the subset's facts, as one bit per ordered pair
-            bits = tuple(succ[u] >> v & 1 for u in subset for v in subset)
-            if bits not in seen:
-                seen.add(bits)
-                age.append(prefix.induced(subset))
-    _ages[key] = age
+    succ, pred = prefix.masks()
+    kept, classes = {}, set()
+
+    def grow(subset, pattern, rows):
+        # rows[i]: the facts of element subset[-1] + 1 + i with the subset
+        k = len(subset) + 1
+        for i, x in enumerate(range(subset[-1] + 1 if subset else 0, n)):
+            p = pattern << 2 * k - 1 | rows[i] << 1 | succ[x] >> x & 1
+            if (k, p) not in _fragments:
+                _fragments[k, p] = prefix.induced(subset + (x,))
+            kept.setdefault((k, p), _fragments[k, p])
+            if k < max_size:
+                above = tuple(
+                    r << 2 | (pred[x] >> y & 1) << 1 | succ[x] >> y & 1
+                    for y, r in enumerate(rows[i + 1:], x + 1)
+                )
+                if (k, p, above) not in classes:
+                    classes.add((k, p, above))
+                    grow(subset + (x,), p, above)
+
+    grow((), 0, (0,) * n)
+    age = _ages[key] = sorted(kept.values(), key=lambda f: f.size)
     return age
 
 

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from limitlab.adversaries import StreamBuilder
 from limitlab.structures import FiniteFragment
@@ -8,6 +9,7 @@ from limitlab.catalog import (
     CatalogStructure,
     ConstructionError,
     Family,
+    PosetP,
     Presentation,
     ReplayPresentation,
     canonical_fragment,
@@ -356,7 +358,9 @@ class TestAgeDeciders:
         # linked ones
         sources = ["chain(3)", "cycle(3)", "cycle(4)", "ray(3)", "iso(4)",
                    "poset_p(1)", "tilde(chain(3))", "du(ray(3),iso_inf)",
-                   "du(cycle(3),iso_inf)"]
+                   "du(cycle(3),iso_inf)",
+                   # ladders with several rungs
+                   "poset_p(2)", "poset_p(3)", "tilde(poset_p(1))"]
         for src_key in sources:
             src = parse_structure(src_key)
             for sub in distinct_substructures(src, 4):
@@ -364,6 +368,27 @@ class TestAgeDeciders:
                     sub, target
                 ), (src_key, target_key, sorted(sub.tuples()))
 
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_ladder_age_matches_the_embedding_default(self, data):
+        """PosetP decides its age in closed form; the default asks a
+        saturated prefix for a copy of the part."""
+        size = data.draw(st.integers(1, 8))
+        pairs = [(i, j) for i in range(size) for j in range(i + 1, size)]
+        below = {p for p in pairs if data.draw(st.booleans())}
+        for k in range(size):  # close transitively
+            below |= {(i, j) for i, m in below if m == k
+                      for l, j in below if l == k}
+        label = data.draw(st.permutations(range(size)))
+        facts = [(0, (label[i], label[j])) for i, j in below]
+        for n in range(7):
+            target = PosetP(n)
+            frag = FiniteFragment.from_tuples(size, facts)
+            for part in ((1 << size) - 1, frag.linked_mask()):
+                assert target.age_holds(frag, part) == (
+                    CatalogStructure.age_holds(target, frag, part)
+                ), (n, size, sorted(below), part)
 
     ABSORBING = [
         "iso_inf",

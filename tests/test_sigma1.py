@@ -110,6 +110,61 @@ def test_age_fragments_are_the_induced_subsets_of_the_prefix(key):
     assert age_fragments(a, k) is age
 
 
+AGE_EXTRA_KEYS = (
+    ["tilde(chain(%d))" % n for n in range(2, 7)]
+    + ["tilde(omega)", "tilde(omega_star)", "du(ray,iso_inf)"]
+    + ["du(cycle(%d),iso_inf)" % n for n in range(3, 7)]
+    + ["du(ray(%d),iso_inf)" % n for n in range(2, 7)]
+    + ["tilde(poset_p(%d))" % n for n in range(4)]
+    + ["du(chain(2),chain(3))"]
+)
+
+
+def scanned_age(a, max_size):
+    """Every subset of the prefix, size by size in lexicographic order,
+    kept when its labelled facts are new."""
+    n = 2 * max_size + a.param() + 4
+    if a.size() is not None:
+        n = min(n, a.size())
+    prefix = canonical_fragment(a, n)
+    out, seen = [], set()
+    for m in range(1, min(max_size, prefix.size) + 1):
+        for subset in itertools.combinations(range(prefix.size), m):
+            sub = prefix.induced(subset)
+            if (m, sub.tuple_set()) not in seen:
+                seen.add((m, sub.tuple_set()))
+                out.append((m, sub.tuples()))
+    return out
+
+
+@pytest.mark.parametrize("max_size", [1, 2, 3, 4, 5])
+def test_age_fragments_equal_the_subset_scan(max_size, fresh_sigma1):
+    for key in GRID_KEYS + AGE_EXTRA_KEYS:
+        got = age_fragments(S(key), max_size)
+        assert [(f.size, f.tuples()) for f in got] == scanned_age(
+            S(key), max_size
+        ), key
+
+
+@pytest.mark.parametrize("max_size, calls", [(3, 22), (5, 183)])
+def test_age_fragments_induce_each_pattern_once(
+    max_size, calls, monkeypatch, fresh_sigma1
+):
+    induced = []
+    real = FiniteFragment.induced
+
+    def counted(self, elements):
+        induced.append(self.size)
+        return real(self, elements)
+
+    monkeypatch.setattr(FiniteFragment, "induced", counted)
+    ages = {key: age_fragments(S(key), max_size) for key in GRID_KEYS}
+    assert len(induced) == calls == len(sigma1._fragments)
+    # equal patterns from two structures are one object
+    assert all(f is g for f, g in zip(ages["chain(3)"], ages["omega"]))
+    assert ages["poset_p(2)"][0] is ages["cycle(3)"][0]
+
+
 class TestFormulas:
     def test_parse_round_trip(self):
         phi = embeds("chain(4)") | embeds("cycle(3)")

@@ -1,4 +1,5 @@
-"""Print each registered learner's cost per horizon doubling.
+"""Print each registered learner's cost per horizon doubling, and the
+cost of the bounded age grid.
 
     python tools/stage_cost.py
 
@@ -11,8 +12,13 @@ members; `induced` counts the `FiniteFragment.induced` calls and `rooted`
 the rooted `embed_map` searches (a stream watch's searches through a new
 element) of one more run at each horizon, made apart so that counting
 costs no timed run anything.  The output is one Markdown table row per
-cell.  Wall times on a shared machine move between runs; the counts
-repeat exactly.
+cell.
+
+The second table times `sigma1.age_fragments` over the structure grid of
+bench/config/age.json at max_size 3, 4 and 5: the best of two passes, each
+from empty sigma1 memos after a warm-up pass that builds the canonical
+prefixes, and the `induced` calls of one more such pass.  Wall times on a
+shared machine move between runs; the counts repeat exactly.
 """
 
 import json
@@ -24,7 +30,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 from limitlab import harness, sigma1  # noqa: E402
-from limitlab.catalog import Presentation  # noqa: E402
+from limitlab.catalog import Presentation, parse_structure  # noqa: E402
 from limitlab.learners import run  # noqa: E402
 from limitlab.structures import FiniteFragment  # noqa: E402
 
@@ -47,8 +53,8 @@ def best_time(learner, family, horizon):
     return best
 
 
-def call_counts(learner, family, horizon):
-    """(`induced` calls, rooted `embed_map` calls) of one run."""
+def call_counts(work, *args):
+    """(`induced` calls, rooted `embed_map` calls) of one work(*args)."""
     calls = [0, 0]
     real_induced, real_map = FiniteFragment.induced, sigma1.embed_map
 
@@ -62,10 +68,34 @@ def call_counts(learner, family, horizon):
 
     FiniteFragment.induced, sigma1.embed_map = induced, embed_map
     try:
-        run_members(learner, family, horizon)
+        work(*args)
     finally:
         FiniteFragment.induced, sigma1.embed_map = real_induced, real_map
     return calls
+
+
+def age_pass(grid, max_size):
+    """The grid's bounded ages from empty age memos; the seconds taken."""
+    sigma1._ages.clear()
+    sigma1._fragments.clear()
+    start = time.perf_counter()
+    for a in grid:
+        sigma1.age_fragments(a, max_size)
+    return time.perf_counter() - start
+
+
+def age_table():
+    config = json.loads((ROOT / "bench" / "config" / "age.json").read_text())
+    grid = [parse_structure(key) for key in config["grid"]]
+    print()
+    print("| bounded grid | max_size | enumeration | `induced` |")
+    print("| --- | --- | --- | --- |")
+    for k in (3, 4, 5):
+        age_pass(grid, k)  # warm-up
+        took = min(age_pass(grid, k) for _ in range(REPEATS))
+        print("| %d structures | %d | %.4f s | %d |" % (
+            len(grid), k, took, call_counts(age_pass, grid, k)[0]
+        ))
 
 
 def main():
@@ -79,7 +109,9 @@ def main():
         run_members(learner, family, h)  # warm-up
         horizons = (h, 2 * h, 4 * h)
         times = [best_time(learner, family, n) for n in horizons]
-        counts = [call_counts(learner, family, n) for n in horizons]
+        counts = [
+            call_counts(run_members, learner, family, n) for n in horizons
+        ]
         print("| `%s` (`%s`) | %d | %s s | %.1f | %s | %s |" % (
             cell["learner"], cell["family"], h,
             " / ".join("%.3f" % t for t in times), times[2] / times[1],
@@ -87,6 +119,7 @@ def main():
             " / ".join(str(c[1]) for c in counts),
         ))
         sys.stdout.flush()
+    age_table()
 
 
 if __name__ == "__main__":
