@@ -11,7 +11,7 @@ never a fabricated certificate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .structures import embed_map
 from .catalog import (
@@ -48,16 +48,7 @@ class FailureCertificate:
     shape_audit_ok: bool = True
 
     def to_json(self):
-        return {
-            "kind": self.kind,
-            "adversary": self.adversary,
-            "opponent": self.opponent,
-            "seed": self.seed,
-            "horizon": self.horizon,
-            "details": self.details,
-            "transcript_excerpt": list(self.transcript_excerpt),
-            "shape_audit_ok": self.shape_audit_ok,
-        }
+        return asdict(self)
 
 
 class StreamBuilder(TokenChain):
@@ -142,7 +133,8 @@ def _drive(name, opponent, seed, start, cap, play):
     None when the round at the cap, which is told it is the last, has none.
 
     play(horizon, last) replays its stream from scratch and returns None
-    or (builder, kind, details[, transcript excerpt[, shape audit]]).
+    or (builder, kind, details[, transcript excerpt]); the certificate's
+    shape audit is the builder's.
     """
     if not (1 <= start <= cap and cap % start == 0
             and (cap // start) & (cap // start - 1) == 0):
@@ -155,10 +147,10 @@ def _drive(name, opponent, seed, start, cap, play):
         last = horizon == cap
         verdict = play(horizon, last)
         if verdict is not None:
-            builder, kind, details, *rest = verdict
+            builder, kind, details, *excerpt = verdict
             return builder.presentation(), FailureCertificate(
                 kind, name, type(opponent).__name__, seed, horizon,
-                details, *rest,
+                details, *excerpt, shape_audit_ok=builder.audit_ok,
             )
         if last:
             return None
@@ -212,13 +204,13 @@ def adv_vs_ex_rays(learner, seed=0, start=START_HORIZON, cap=HORIZON_CAP):
             return builder, "InfinitelyManyMindChanges", {
                 "expansionary_stages": expansionary[-10:],
                 "ray_length": ray_len,
-            }, _excerpt(transcript, expansionary[-3:]), builder.audit_ok
+            }, _excerpt(transcript, expansionary[-3:])
         if not expansionary or expansionary[-1] < horizon // 2:
             return builder, "StuckWrong", {
                 "final_hypothesis": transcript[-1],
                 "truth_code": ray_code.get(ray_len),
                 "truth": "du(ray(%d),iso_inf)" % ray_len,
-            }, _excerpt(transcript), builder.audit_ok
+            }, _excerpt(transcript)
         if last:
             return builder, "Inconclusive", {}
 
@@ -268,7 +260,7 @@ def adv_vs_nus_poset(learner, seed=0, start=START_HORIZON, cap=HORIZON_CAP):
                     "code": codes[0], "stages": stages
                 }, _excerpt(
                     transcript, [stages["first"], stages["detour"], s]
-                ), builder.audit_ok
+                )
         # an unfinished wait: if the hypothesis has settled on something
         # other than the code the wait is for, the learner is stranded on
         # the stream's limit
@@ -280,7 +272,7 @@ def adv_vs_nus_poset(learner, seed=0, start=START_HORIZON, cap=HORIZON_CAP):
                 "final_hypothesis": transcript[-1],
                 "truth_code": truth,
                 "stages": stages,
-            }, _excerpt(transcript, list(stages.values())), builder.audit_ok
+            }, _excerpt(transcript, list(stages.values()))
         if last:
             return builder, "Inconclusive", {"phase": phase}
 
@@ -473,7 +465,7 @@ def adv_vs_e3_operator_fstar(
                         "branch": branch_key,
                         "column": 0,
                         "disagreement_rows": disagreements[:needed],
-                    }, (), builder.audit_ok
+                    }
             if last and branch_key == "tilde(omega_star)":
                 # no disagreement accumulated on either branch, and no
                 # stream witnesses that: the certificate comes with none

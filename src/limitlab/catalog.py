@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from .structures import FiniteFragment, embed_finite, iter_bits
 
 _SCHEDULE_WINDOW = 4
-_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 
 
 class ConstructionError(ValueError):
@@ -52,20 +51,7 @@ class CatalogStructure:
         """tok's successor and predecessor masks against the tokens at a
         chain's positions 0..j-1: bit i is related(tok, token i), resp.
         related(token i, tok); then record in groups, the chain's own
-        record for this hook, that position j holds tok.  By default
-        groups maps position to token and the masks ask related about
-        each of those, and an isolated structure records nothing."""
-        if self.style == "any":
-            return 0, 0
-        succ, pred = bytearray(j), bytearray(j)
-        for i, other in groups.items():
-            succ[i] = self.related(tok, other)
-            pred[i] = self.related(other, tok)
-        groups[j] = tok
-        # bit i of each mask is byte i of its flags
-        return tuple(
-            int(f[::-1].translate(_DIGITS) or b"0", 2) for f in (succ, pred)
-        )
+        record for this hook, that position j holds tok."""
 
     def age_holds(self, fragment, part):
         """Whether a nonempty fragment of this structure's style (see
@@ -302,24 +288,37 @@ class Cycle(_Numbered, _SparseGraph):
         return size + components <= self.n
 
 
-class IsolatedInfinite(CatalogStructure):
-    name, style = "iso_inf", "any"
+class _Isolated(CatalogStructure):
+    """A structure with no fact: its age is the fact-free fragments whose
+    part fits, and admit records nothing."""
+
+    style = "any"
 
     def related(self, x, y):
         return False
+
+    def admit(self, groups, tok, j):
+        return 0, 0
+
+    def age_holds(self, fragment, part):
+        size = self.size()
+        return not fragment.fact_count() and (
+            size is None or part.bit_count() <= size
+        )
+
+
+class IsolatedInfinite(_Isolated):
+    name = "iso_inf"
 
     def absorbs_isolated(self):
         return True
 
 
-class IsolatedFinite(_Numbered):
-    name, style = "iso", "any"
+class IsolatedFinite(_Numbered, _Isolated):
+    name = "iso"
 
     def param(self):
         return max(self.n, 1)
-
-    def related(self, x, y):
-        return False
 
 
 class PosetP(_Numbered):
@@ -632,12 +631,6 @@ def fragment_embeds(fragment, structure):
     age_holds decides."""
     if fragment.size == 0:
         return True
-    if structure.style == "any":
-        # isolated structures embed exactly the tuple-free fragments that fit
-        size = structure.size()
-        return not fragment.fact_count() and (
-            size is None or fragment.size <= size
-        )
     if structure.style == "order" and not fragment.is_strict_order():
         return False
     return structure.age_holds(fragment, (1 << fragment.size) - 1)

@@ -18,9 +18,3 @@ def unpair(n):
 
 def triple(s, i, j):
     return pair(s, pair(i, j))
-
-
-def untriple(n):
-    s, rest = unpair(n)
-    i, j = unpair(rest)
-    return s, i, j

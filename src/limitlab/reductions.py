@@ -28,17 +28,10 @@ class OutputPrefix:
     def __len__(self):
         return len(self.values)
 
-    def column(self, m):
-        cols = self.columns()
-        return cols[m] if m < len(cols) else ()
-
+    @cached_property
     def columns(self):
         """Every E3 column with a row in the prefix, as tuples, computed
-        on the first call and kept like the range set."""
-        return self._columns
-
-    @cached_property
-    def _columns(self):
+        on the first read and kept like the range set."""
         # diagonal w holds column m at row w - m, in descending m, so a
         # reversed diagonal lists columns 0..w; a partial last diagonal is
         # filled in front up to its missing columns, and each column then
@@ -56,13 +49,10 @@ class OutputPrefix:
             cols = [c[:-1] if c[-1] is _GAP else c for c in cols]
         return cols
 
-    def range_set(self):
-        """The set of values, computed on the first call and kept: a
-        prefix is compared with every other run of `verify_reduction`."""
-        return self._range
-
     @cached_property
-    def _range(self):
+    def range_set(self):
+        """The set of values, computed on the first read and kept: a
+        prefix is compared with every other run of `verify_reduction`."""
         return frozenset(self.values)
 
 
@@ -221,57 +211,73 @@ class GammaErangeToE3(GammaErange):
         return (watched, top), tuple(new)
 
 
-def check_prefix(rel, a, b, closed_range_a=None, closed_range_b=None):
-    """Compare two output prefixes under the named relation: =N, E-range or
-    E3.
+def _eqnat(a, b, closed_a, closed_b):
+    if len(a) and len(b):
+        if a.values[0] != b.values[0]:
+            return PrefixVerdict("DefinitelyDistinct", 0)
+        return PrefixVerdict("EquivalentByRule")
+    return PrefixVerdict("ConsistentSoFar", payload={"agreed": 0})
 
-    DefinitelyDistinct is only produced when no extension can restore
-    equivalence: differing first values for =N, or a range value outside
-    the other side's declared closed range for E-range.  E3 is an
-    almost-everywhere relation that never settles at a finite stage; its
-    verdict carries per-column mismatch counts instead.
-    """
-    if rel == "eqnat":
-        if len(a) and len(b):
-            if a.values[0] != b.values[0]:
-                return PrefixVerdict("DefinitelyDistinct", 0)
-            return PrefixVerdict("EquivalentByRule")
-        return PrefixVerdict("ConsistentSoFar", payload={"agreed": 0})
-    if rel == "E3":
-        # both sides reach row r of column m iff pair(m, r) < min(len(a),
-        # len(b)), so the rows they share are a column's common prefix
-        ac, bc, cols = a.columns(), b.columns(), {}
-        for m in compress(count(), map(ne, ac, bc)):
-            ca, cb = ac[m], bc[m]
-            n = sum(map(ne, ca, cb))
-            if n:
-                r = min(len(ca), len(cb)) - 1
-                while ca[r] == cb[r]:
-                    r -= 1
-                cols[m] = {"mismatches": n, "last_mismatch": r}
-        return PrefixVerdict("ConsistentSoFar", payload={"columns": cols})
-    if rel == "Erange":
-        ra, rb = a.range_set(), b.range_set()
-        # a side is scanned for its first value outside the other side's
-        # closed range only when its range set says there is one
-        for mine, values, closed in (
-            (ra, a.values, closed_range_b), (rb, b.values, closed_range_a)
-        ):
-            if closed is not None and not mine <= closed:
-                return PrefixVerdict("DefinitelyDistinct", next(
-                    p for p, x in enumerate(values) if x not in closed
-                ))
-        if (
-            closed_range_a is not None
-            and closed_range_b is not None
-            and closed_range_a == closed_range_b
-        ):
-            return PrefixVerdict("EquivalentByRule")
-        return PrefixVerdict(
-            "ConsistentSoFar",
-            payload={"delta": sorted(ra ^ rb)},
-        )
-    raise ValueError("unknown relation tag: %r" % rel)
+
+def _erange(a, b, closed_a, closed_b):
+    ra, rb = a.range_set, b.range_set
+    # a side is scanned for its first value outside the other side's
+    # closed range only when its range set says there is one
+    for mine, values, closed in (
+        (ra, a.values, closed_b), (rb, b.values, closed_a)
+    ):
+        if closed is not None and not mine <= closed:
+            return PrefixVerdict("DefinitelyDistinct", next(
+                p for p, x in enumerate(values) if x not in closed
+            ))
+    if closed_a is not None and closed_a == closed_b:
+        return PrefixVerdict("EquivalentByRule")
+    return PrefixVerdict("ConsistentSoFar", payload={"delta": sorted(ra ^ rb)})
+
+
+def _e3(a, b, closed_a, closed_b):
+    # both sides reach row r of column m iff pair(m, r) < min(len(a),
+    # len(b)), so the rows they share are a column's common prefix
+    ac, bc, cols = a.columns, b.columns, {}
+    for m in compress(count(), map(ne, ac, bc)):
+        ca, cb = ac[m], bc[m]
+        n = sum(map(ne, ca, cb))
+        if n:
+            r = min(len(ca), len(cb)) - 1
+            while ca[r] == cb[r]:
+                r -= 1
+            cols[m] = {"mismatches": n, "last_mismatch": r}
+    return PrefixVerdict("ConsistentSoFar", payload={"columns": cols})
+
+
+#: each relation an operator may target, by its tag: (its prefix
+#: comparison (a, b, closed range of a, closed range of b) -> PrefixVerdict,
+#: whether that reads the operators' declared closed ranges, its
+#: cross-member separation test on a ConsistentSoFar verdict).
+#: DefinitelyDistinct comes only where no extension restores equivalence:
+#: differing first values for =N, a value outside the other side's
+#: declared closed range for E-range.  E3 is an almost-everywhere relation
+#: that never settles at a finite stage; its verdict carries per-column
+#: mismatch counts, and three mismatches in one column separate.
+RELATIONS = {
+    "eqnat": (_eqnat, False, lambda verdict: False),
+    "Erange": (_erange, True, lambda verdict: bool(verdict.payload["delta"])),
+    "E3": (_e3, False, lambda verdict: any(
+        c["mismatches"] >= 3 for c in verdict.payload["columns"].values()
+    )),
+}
+
+
+def _relation(rel):
+    if rel not in RELATIONS:
+        raise ValueError("unknown relation tag: %r" % rel)
+    return RELATIONS[rel]
+
+
+def check_prefix(rel, a, b, closed_range_a=None, closed_range_b=None):
+    """Compare two output prefixes under the relation tagged `rel` in
+    RELATIONS: =N, E-range or E3."""
+    return _relation(rel)[0](a, b, closed_range_a, closed_range_b)
 
 
 def run_operator(operator, presentation, horizon):
@@ -282,24 +288,12 @@ def run_operator(operator, presentation, horizon):
     return OutputPrefix(tuple(values))
 
 
-def _separation_evidence(rel, verdict):
-    if verdict.kind == "DefinitelyDistinct":
-        return True
-    if rel == "E3":
-        return any(
-            c["mismatches"] >= 3 for c in verdict.payload["columns"].values()
-        )
-    if rel == "Erange":
-        return bool(verdict.payload["delta"])
-    return False
-
-
 def verify_reduction(operator, family, horizon=100, seeds=(1, 2, 3)):
     """Sample same-member and cross-member copy pairs and score the
     operator's outputs under its target relation.
 
     Same-member pairs must never be definitely distinct; cross pairs must
-    accumulate the relation-appropriate separation evidence by horizon.
+    be definitely distinct or separated by the relation's rule by horizon.
     Every member must be infinite: a finite one's stream ends before the
     horizon, too soon to show separation.
     """
@@ -313,8 +307,11 @@ def verify_reduction(operator, family, horizon=100, seeds=(1, 2, 3)):
             "member %s is finite, and verify_reduction runs every member "
             "to the horizon" % finite[0]
         )
-    if rel == "Erange":
-        ranges = [operator.declared_range(i) for i in range(len(members))]
+    _, reads_ranges, separated = _relation(rel)
+    ranges = [
+        operator.declared_range(i) if reads_ranges else None
+        for i in range(len(members))
+    ]
     runs = [
         (i, seed, run_operator(operator, Presentation(m, seed), horizon))
         for i, m in enumerate(members) for seed in seeds
@@ -322,12 +319,9 @@ def verify_reduction(operator, family, horizon=100, seeds=(1, 2, 3)):
     cells = []
     ok = True
     for (i, si, pa), (j, sj, pb) in combinations(runs, 2):
-        closed = (ranges[i], ranges[j]) if rel == "Erange" else ()
-        verdict = check_prefix(rel, pa, pb, *closed)
-        if i == j:
-            passed = verdict.kind != "DefinitelyDistinct"
-        else:
-            passed = _separation_evidence(rel, verdict)
+        verdict = check_prefix(rel, pa, pb, ranges[i], ranges[j])
+        distinct = verdict.kind == "DefinitelyDistinct"
+        passed = (distinct or separated(verdict)) if i != j else not distinct
         ok = ok and passed
         cells.append(
             {

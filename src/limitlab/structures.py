@@ -182,10 +182,6 @@ class FiniteFragment:
         facts are added, and carried along extensions."""
         return self._linked
 
-    def linked(self):
-        """The elements in at least one fact, ascending."""
-        return list(iter_bits(self.linked_mask()))
-
     def masks(self):
         """Per-element successor and predecessor bitmasks over this
         fragment's domain, as two lists indexed by element."""

@@ -151,7 +151,7 @@ def test_criterion_07_gamma_erange(announce):
     report = verify_reduction(op, family, horizon=100)
     marker = pair(1, 0)
     prefix = run_operator(op, Presentation(family.members[1], 1), 100)
-    separated = marker in prefix.range_set()
+    separated = marker in prefix.range_set
     try:
         H.GAMMAS["gamma_erange"](H.get_family("omega_pair"))
         rejected = False

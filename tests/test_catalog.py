@@ -182,8 +182,8 @@ class TestTokenChain:
 
 
 def _related_masks(structure, tokens, tok):
-    """The masks the default hook builds: related asked about every
-    earlier token."""
+    """The masks any hook must build: related asked about every earlier
+    token."""
     succ = pred = 0
     for j, other in enumerate(tokens):
         succ |= structure.related(tok, other) << j
@@ -264,20 +264,15 @@ class TestRelationMasks:
         + ["tilde(poset_p(%d))" % n for n in range(4)],
     )
     def test_poset_hook_matches_the_default_hook(self, key):
-        # poset_p files its tokens in two ranks; the base class asks
-        # related about every earlier token, on the poset's own positions
+        # poset_p files its tokens in two ranks; the default asks related
+        # about every earlier token
         s = parse_structure(key)
-        poset = s.right if key.startswith("tilde") else s
         n = 300 if s.size() is None else s.size()
         for seed in (1, 2, 3):
             p = Presentation(s, seed)
             p.restrict(n - 1)
-            groups = {}
             for j, tok in enumerate(p.tokens):
-                want = (0, 0)
-                if poset is s or tok[0] == "r":
-                    t = tok if poset is s else tok[1]
-                    want = CatalogStructure.admit(poset, groups, t, j)
+                want = _related_masks(s, p.tokens[:j], tok)
                 assert p.fragments[j + 1].row(j) == want, (seed, j, tok)
 
 
@@ -349,11 +344,15 @@ class TestAgeDeciders:
         "du(ray(4),iso_inf)",
         "du(iso_inf,ray)",
         "du(cyc_comp(3),iso_inf)",
+        # fact-free unions, whose isolated sides decide a partial part
+        "du(iso(2),iso_inf)",
+        "du(iso(2),iso(3))",
     ]
 
     @pytest.mark.parametrize("target_key", STRUCTS)
     def test_matches_brute_force(self, target_key):
         target = parse_structure(target_key)
+        assert fragment_embeds(FiniteFragment(0), target)
         # the last three give fragments with isolated points among their
         # linked ones
         sources = ["chain(3)", "cycle(3)", "cycle(4)", "ray(3)", "iso(4)",

@@ -379,7 +379,9 @@ def reference_levels(fragment):
     has k + 1 elements."""
     succ, pred = strict_order_relation(fragment)
     levels = []
-    for e in sorted(fragment.linked(), key=lambda e: pred[e].bit_count()):
+    for e in sorted(
+        iter_bits(fragment.linked_mask()), key=lambda e: pred[e].bit_count()
+    ):
         k = len(levels)
         while k and not pred[e] & levels[k - 1]:
             k -= 1
@@ -396,7 +398,7 @@ def reference_longest_chain(fragment):
     if masks is None:
         return 0, None, None
     succ, pred = masks
-    comp = fragment.linked()
+    comp = list(iter_bits(fragment.linked_mask()))
     if not comp:
         return 0, None, None
     lo = min(e for e in comp if not pred[e])

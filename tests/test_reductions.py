@@ -5,14 +5,14 @@ from hypothesis import given, settings, strategies as st
 
 from limitlab.catalog import Family, Presentation, parse_structure
 from limitlab.learners import ConfigurationError
-from limitlab.pairing import pair, triple, unpair, untriple
+from limitlab.pairing import pair, triple, unpair
 from limitlab.reductions import (
     GammaErange,
     GammaErangeToE3,
     GammaFinToEqnat,
     GammaFinToEqnatTotal,
+    RELATIONS,
     OutputPrefix,
-    _separation_evidence,
     check_prefix,
     outputs,
     run_operator,
@@ -35,7 +35,7 @@ class TestCheckPrefix:
         # an operator that has not committed yet leaves =N undecided
         open_ = check_prefix("eqnat", OutputPrefix(()), OutputPrefix((5,)))
         assert open_.kind == "ConsistentSoFar"
-        assert not _separation_evidence("eqnat", open_)
+        assert not RELATIONS["eqnat"][2](open_)
 
     def test_erange_distinct_outside_closed_range(self):
         a = OutputPrefix((0, 7))
@@ -49,7 +49,7 @@ class TestCheckPrefix:
                          closed_range_a={0, 7}, closed_range_b={0})
         assert v.kind == "ConsistentSoFar"
         assert v.payload == {"delta": []}
-        assert not _separation_evidence("Erange", v)
+        assert not RELATIONS["Erange"][2](v)
 
     def test_erange_distinct_at_first_value_outside(self):
         # the first value outside the other side's closed range sets the
@@ -84,7 +84,7 @@ class TestCheckPrefix:
         k = min(len(a), len(b))
         expected, m = {}, 0
         while pair(m, 0) < k:
-            ca, cb = a.column(m), b.column(m)
+            ca, cb = a.columns[m], b.columns[m]
             diffs = [r for r in range(min(len(ca), len(cb))) if ca[r] != cb[r]]
             if diffs:
                 expected[m] = {
@@ -101,8 +101,7 @@ class TestCheckPrefix:
 
     def test_columns_are_decoded_once(self):
         """At every length, partial last diagonals included, the kept
-        columns are the pairing's columns read position by position, and
-        `column` reads them."""
+        columns are the pairing's columns read position by position."""
         for k in range(81):
             prefix = OutputPrefix(tuple(range(k)))  # each value its position
             expected, m = [], 0
@@ -112,16 +111,47 @@ class TestCheckPrefix:
                 )
                 expected.append(tuple(pair(m, r) for r in rows))
                 m += 1
-            cols = prefix.columns()
+            cols = prefix.columns
             assert cols == expected
-            assert [prefix.column(m) for m in range(m + 1)] == expected + [()]
-            assert prefix.columns() is cols
+            assert prefix.columns is cols
 
     def test_unknown_relation(self):
         # no registered operator targets Id, E0 or Eset
         for rel in ("E9", "Id", "E0", "Eset"):
             with pytest.raises(ValueError, match="unknown relation tag"):
                 check_prefix(rel, OutputPrefix(()), OutputPrefix(()))
+
+
+def _flips(positions, length=10):
+    """A 0/1 prefix whose 1s are at the given flat positions."""
+    return OutputPrefix(tuple(int(p in positions) for p in range(length)))
+
+
+class TestRelations:
+    def test_one_row_per_operator_tag(self):
+        assert set(RELATIONS) == {cls.tag for cls in H.GAMMAS.values()}
+
+    @pytest.mark.parametrize("rel, a, b, closed, separated", [
+        # column 0 holds flat positions 0, 2, 5, column 1 positions 1, 4
+        ("E3", _flips(()), _flips({0, 2}), (), False),
+        ("E3", _flips(()), _flips({0, 2, 5}), (), True),
+        ("E3", _flips(()), _flips({0, 2, 1, 4}), (), False),
+        # values inside both closed ranges, which differ
+        ("Erange", OutputPrefix((0, 3)), OutputPrefix((3, 0)),
+         ({0, 3, 5}, {0, 3}), False),
+        ("Erange", OutputPrefix((0, 3)), OutputPrefix((0,)),
+         ({0, 3}, {0, 3, 5}), True),
+        ("eqnat", OutputPrefix(()), OutputPrefix((5,)), (), False),
+        ("eqnat", OutputPrefix((4, 4)), OutputPrefix(()), (), False),
+    ], ids=["E3-2", "E3-3", "E3-2+2", "Erange-empty", "Erange-delta",
+            "eqnat-open-a", "eqnat-open-b"])
+    def test_separation_at_its_boundary(self, rel, a, b, closed, separated):
+        """E3 separates on three mismatches in one column, not two, nor
+        two in each of two columns; E-range on a non-empty delta; =N on
+        no undecided pair."""
+        verdict = check_prefix(rel, a, b, *closed)
+        assert verdict.kind == "ConsistentSoFar"
+        assert RELATIONS[rel][2](verdict) is separated
 
 
 class TestGammaFinToEqnat:
@@ -162,10 +192,10 @@ class TestGammaErange:
         # member 1 strictly above member 0: the (1,0) marker value
         # appears only on member-1 streams
         marker = pair(1, 0)
-        assert marker in big.range_set()
-        assert marker not in small.range_set()
-        assert big.range_set() <= op.declared_range(1)
-        assert small.range_set() <= op.declared_range(0)
+        assert marker in big.range_set
+        assert marker not in small.range_set
+        assert big.range_set <= op.declared_range(1)
+        assert small.range_set <= op.declared_range(0)
 
     def test_output_is_continuous(self):
         fam = H.get_family("tilde_chains")
@@ -196,9 +226,9 @@ class TestGammaErange:
 
 def reference_step(op, state, fragment):
     """An E-range operator's step decoded one flat position at a time:
-    untriple for GammaErange, unpair of the position and of its column
-    for GammaErangeToE3.  A position once emitted is never emitted again,
-    also after a shorter fragment."""
+    unpair of the position and of its second coordinate for GammaErange,
+    of the position and of its column for GammaErangeToE3.  A position
+    once emitted is never emitted again, also after a shorter fragment."""
     watched, emitted = state
     watched = op.watch.advance(watched, fragment)
     first_sat, new = watched[1], []
@@ -211,7 +241,8 @@ def reference_step(op, state, fragment):
     else:
         top = max(emitted, triple(fragment.size, 0, 0))
         for q in range(emitted, top):
-            s, i, j = untriple(q)
+            s, rest = unpair(q)
+            i, j = unpair(rest)
             t = first_sat.get((i, j))
             new.append(pair(i, j) if t is not None and s >= t else 0)
     return (watched, top), tuple(new)
@@ -274,7 +305,7 @@ class TestGammaErangeToE3:
         fam = H.get_family("tilde_chains")
         op = H.GAMMAS["gamma_erange_to_e3"](fam)
         prefix = run_operator(op, Presentation(fam.members[1], 1), 120)
-        col = prefix.column(pair(1, 0))
+        col = prefix.columns[pair(1, 0)]
         assert 1 in col
         first = col.index(1)
         assert all(b == 1 for b in col[first:])

@@ -704,7 +704,7 @@ def reference_candidates(a, bound):
     for m in range(1, top + 1):
         prefix = canonical_fragment(a, m)
         add(prefix)
-        add(prefix.induced(prefix.linked()))
+        add(prefix.induced(iter_bits(prefix.linked_mask())))
         for comp in _components(*prefix.masks(), (1 << m) - 1):
             add(prefix.induced(iter_bits(comp)))
     out.sort(key=lambda f: (f.size, f.fact_count()))
