@@ -28,8 +28,7 @@ from .catalog import (
 )
 from .sigma1 import sigma1_leq
 from .learners import QUESTION, ConfigurationError, ladder_codes
-from .pairing import pair
-from .reductions import outputs
+from .reductions import OperatorRun, mismatched_rows, outputs
 
 START_HORIZON = 512
 HORIZON_CAP = 2 ** 14
@@ -432,13 +431,12 @@ def adv_vs_e3_operator_fstar(
 
         # each branch's rounds run before the loop moves on
         def play(horizon, last):
-            ref_out = outputs(operator, (
+            ref = OperatorRun(operator, (
                 canonical_fragment(target, s + 1) for s in range(horizon)
-            ))
+            )).runs(0)
             builder = StreamBuilder(target, (target,))
-            state, out = operator.initial(), []
+            run = OperatorRun(operator)
             disagreements = []
-            checked = 0
             chain_count = 0
             for s in range(horizon):
                 # the chain (the right side) grows once per fresh
@@ -449,17 +447,12 @@ def adv_vs_e3_operator_fstar(
                 )
                 if want_chain:
                     chain_count += 1
-                state, new = operator.step(state, frag)
-                out.extend(new)
-                r = checked
-                while True:
-                    flat = pair(0, r)
-                    if flat >= len(out) or flat >= len(ref_out):
-                        break
-                    if out[flat] != ref_out[flat]:
-                        disagreements.append(r)
-                    r += 1
-                checked = r
+                run.feed(frag)
+                # output is append-only, so the rows that disagree stay so
+                disagreements = [
+                    r for lo, hi in mismatched_rows(run.runs(0), ref)
+                    for r in range(lo, hi)
+                ]
                 if len(disagreements) >= needed:
                     return builder, "PrefixDisagreement", {
                         "branch": branch_key,

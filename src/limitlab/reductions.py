@@ -10,50 +10,156 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import combinations, compress, count, zip_longest
+from itertools import combinations, compress, count
 from operator import ne
 
-from .pairing import pair, unpair, triple
+from .pairing import pair, triple, unpair
 from .sigma1 import StreamWatch, classify_family, sat_catalog
 from .learners import QUESTION, ConfigurationError, FinLearner
 
 
-_GAP = object()  # a position beyond an E3 prefix, equal to no value
-
-
-@dataclass(frozen=True)
 class OutputPrefix:
-    values: tuple
+    """An operator's output over a run, as the values it emitted, and the
+    summaries a relation compares: `firsts` for E-range, `column_runs`
+    for E3.  A values prefix decodes each summary from its values
+    once, on the first read, and keeps it: a prefix is compared with every
+    other run of `verify_reduction`."""
+
+    def __init__(self, values):
+        self.values = values
 
     def __len__(self):
         return len(self.values)
 
     @cached_property
-    def columns(self):
-        """Every E3 column with a row in the prefix, as tuples, computed
-        on the first read and kept like the range set."""
-        # diagonal w holds column m at row w - m, in descending m, so a
-        # reversed diagonal lists columns 0..w; a partial last diagonal is
-        # filled in front up to its missing columns, and each column then
-        # reads one entry of every diagonal from its own on
-        values, diagonals, base, w = self.values, [], 0, 0
-        while base < len(values):
-            diagonal = values[base:base + w + 1][::-1]
-            diagonals.append((_GAP,) * (w + 1 - len(diagonal)) + diagonal)
-            base, w = base + w + 1, w + 1
-        cols = [col[m:] for m, col in enumerate(
-            zip_longest(*diagonals, fillvalue=_GAP)
-        )]
-        if cols and cols[0][-1] is _GAP:
-            # the partial last diagonal misses its low columns' last rows
-            cols = [c[:-1] if c[-1] is _GAP else c for c in cols]
-        return cols
+    def firsts(self):
+        """{value: its first flat position}."""
+        values = self.values
+        return dict(zip(values[::-1], range(len(values) - 1, -1, -1)))
 
     @cached_property
     def range_set(self):
-        """The set of values, computed on the first read and kept: a
-        prefix is compared with every other run of `verify_reduction`."""
-        return frozenset(self.values)
+        return frozenset(self.firsts)
+
+    @property
+    def width(self):
+        """The number of E3 columns with a row: column m starts at
+        pair(m, 0), so the last position's diagonal, plus one."""
+        return sum(unpair(len(self) - 1)) + 1 if len(self) else 0
+
+    @cached_property
+    def column_runs(self):
+        """The runs of every E3 column with a row."""
+        return [self.runs(m) for m in range(self.width)]
+
+    def runs(self, m):
+        """E3 column m as its runs of equal values: a tuple of (value, end
+        row) pairs, the last end being its row count.  Row r + 1 lies
+        m + r + 2 flat positions after row r."""
+        values, out = self.values, []
+        p, gap, r = pair(m, 0), m + 2, 0
+        while p < len(values):
+            x = values[p]
+            r += 1
+            if out and out[-1][0] == x:
+                out[-1] = (x, r)
+            else:
+                out.append((x, r))
+            p, gap = p + gap, gap + 1
+        return tuple(out)
+
+    @cached_property
+    def columns(self):
+        """Every E3 column with a row, as the tuple of its values."""
+        cols = []
+        for runs in self.column_runs:
+            col = []
+            for x, end in runs:
+                col += [x] * (end - len(col))
+            cols.append(tuple(col))
+        return cols
+
+
+class RecordPrefix(OutputPrefix):
+    """The output of an E-range or E3 operator over a chain of fragments,
+    each the last one or its one-element extension, kept as what decides
+    it: the last fragment's size and {code: the stage its formula first
+    held} from the operator's watch.
+
+    A position is settled at the first size past its stage (E-range) or
+    row (E3), by the stages recorded by then, and a stage recorded later
+    is at least that size, too late to count; so the values, derived on
+    the first read, are the ones `step` emitted, and the summary a
+    relation compares is read off the record in O(codes).
+    """
+
+    def __init__(self, size, held):
+        self.size, self.held = size, held
+
+    def __len__(self):
+        return self.length(self.size)
+
+    @cached_property
+    def values(self):
+        return self.settled(self.held, 0, self.size)
+
+
+class ErangeRecord(RecordPrefix):
+    @staticmethod
+    def length(size):
+        """The positions below (size, 0, 0): stage coordinate below size."""
+        return triple(size, 0, 0)
+
+    @staticmethod
+    def settled(held, lo, hi):
+        """The values of diagonals lo .. hi - 1 of the pairing: index b of
+        diagonal d is stage d - b and code b, which holds b once its
+        formula held by that stage, else 0."""
+        new = []
+        for d in range(lo, hi):
+            row = [0] * (d + 1)
+            for b, t in held.items():
+                if b <= d and d - b >= t:
+                    row[b] = b
+            new.extend(row)
+        return tuple(new)
+
+    @cached_property
+    def firsts(self):
+        # code b first shows at stage t, on diagonal t + b; 0 at position 0
+        firsts = {0: 0} if self.size else {}
+        for b, t in self.held.items():
+            if t + b < self.size:
+                firsts[b] = pair(t, b)
+        return firsts
+
+
+class E3Record(RecordPrefix):
+    @staticmethod
+    def length(size):
+        """The positions below pair(0, size): row below size."""
+        return pair(0, size)
+
+    @staticmethod
+    def settled(held, lo, hi):
+        """The values of [pair(0, lo), pair(0, hi)): [pair(0, d),
+        pair(0, d + 1)) is column 0 at row d, then column m at row
+        d + 1 - m for m = d + 1 .. 1, and column m is 1 from the stage its
+        formula first held on."""
+        new = []
+        for d in range(lo, hi):
+            chunk = [0] * (d + 2)
+            for m, t in held.items():
+                if m <= d + 1 and d + 1 - m >= t:
+                    chunk[d + 2 - m] = 1
+            new.extend(chunk)
+        return tuple(new)
+
+    def runs(self, m):
+        # column 0 has rows 0 .. size - 1, column m > 0 rows 0 .. size - m
+        rows = max(0, self.size - m + (m > 0))
+        t = min(self.held.get(m, rows), rows)
+        return ((0, t),) * (t > 0) + ((1, rows),) * (t < rows)
 
 
 @dataclass(frozen=True)
@@ -154,27 +260,27 @@ class GammaErange:
         self.watch = StreamWatch(_pair_witnesses(family))
         self.codes = {key: pair(*key) for key in self.watch.formulas}
 
+    record = ErangeRecord
+
     def initial(self):
         return (self.watch.initial(), 0)
 
     def step(self, state, fragment):
         watched, emitted = state
         watched = self.watch.advance(watched, fragment)
-        held = [(self.codes[key], t) for key, t in watched[1].items()]
-        # every flat position below (size, 0, 0) has stage coordinate below
-        # the size, so its value is already settled; they fill diagonals
-        # d = s + pair(i, j) of the pairing, where index b is stage d - b
-        # and code b, and only a code whose formula held by then is not 0;
-        # after a shorter fragment nothing is settled that was not emitted
-        top = max(emitted, triple(fragment.size, 0, 0))
-        new = []
-        for d in range(unpair(emitted)[0], fragment.size):
-            row = [0] * (d + 1)
-            for b, t in held:
-                if b <= d and d - b >= t:
-                    row[b] = b
-            new.extend(row)
-        return (watched, top), tuple(new)
+        # every position below the record's length at this size is settled,
+        # and `emitted` is that length at the stages emitted so far, so its
+        # unpair sums to their number; after a shorter fragment nothing is
+        # settled that was not emitted
+        top = max(emitted, self.record.length(fragment.size))
+        new = self.record.settled(
+            self.held(watched), sum(unpair(emitted)), fragment.size
+        )
+        return (watched, top), new
+
+    def held(self, watched):
+        """{code: the stage its formula first held} of a watch state."""
+        return {self.codes[key]: t for key, t in watched[1].items()}
 
     def declared_range(self, code):
         member = self.family.members[code]
@@ -187,28 +293,11 @@ class GammaErange:
 
 class GammaErangeToE3(GammaErange):
     """Column pair(i, j) flips 0 to 1 at the stage the (i, j) formula
-    first holds; comparable or diagonal pairs stay all-0."""
+    first holds; comparable or diagonal pairs stay all-0.  Column 0 is the
+    diagonal pair (0, 0), all 0."""
 
     tag = "E3"
-
-    def step(self, state, fragment):
-        watched, emitted = state
-        watched = self.watch.advance(watched, fragment)
-        held = [(self.codes[key], t) for key, t in watched[1].items()]
-        # every flat position below pair(0, size) has a row below the size,
-        # so its value is already settled; [pair(0, d), pair(0, d + 1)) is
-        # column 0 at row d, then column m at row d + 1 - m for
-        # m = d + 1 .. 1.  Column 0 is the diagonal pair (0, 0), all 0.
-        # After a shorter fragment nothing is settled that was not emitted.
-        top = max(emitted, pair(0, fragment.size))
-        new = []
-        for d in range(unpair(emitted)[1], fragment.size):
-            chunk = [0] * (d + 2)
-            for m, t in held:
-                if m <= d + 1 and d + 1 - m >= t:
-                    chunk[d + 2 - m] = 1
-            new.extend(chunk)
-        return (watched, top), tuple(new)
+    record = E3Record
 
 
 def _eqnat(a, b, closed_a, closed_b):
@@ -221,32 +310,42 @@ def _eqnat(a, b, closed_a, closed_b):
 
 def _erange(a, b, closed_a, closed_b):
     ra, rb = a.range_set, b.range_set
-    # a side is scanned for its first value outside the other side's
-    # closed range only when its range set says there is one
-    for mine, values, closed in (
-        (ra, a.values, closed_b), (rb, b.values, closed_a)
-    ):
+    # a side's first value outside the other side's closed range is looked
+    # for only when its range set says there is one
+    for mine, side, closed in ((ra, a, closed_b), (rb, b, closed_a)):
         if closed is not None and not mine <= closed:
-            return PrefixVerdict("DefinitelyDistinct", next(
-                p for p, x in enumerate(values) if x not in closed
+            return PrefixVerdict("DefinitelyDistinct", min(
+                p for x, p in side.firsts.items() if x not in closed
             ))
     if closed_a is not None and closed_a == closed_b:
         return PrefixVerdict("EquivalentByRule")
     return PrefixVerdict("ConsistentSoFar", payload={"delta": sorted(ra ^ rb)})
 
 
+def mismatched_rows(ra, rb):
+    """The spans [lo, hi) of the rows both columns have where their runs
+    (OutputPrefix.runs) hold different values, in order."""
+    spans, i, j, lo = [], 0, 0, 0
+    while i < len(ra) and j < len(rb):
+        (x, end_a), (y, end_b) = ra[i], rb[j]
+        hi = min(end_a, end_b)
+        if x != y:
+            spans.append((lo, hi))
+        lo, i, j = hi, i + (end_a == hi), j + (end_b == hi)
+    return spans
+
+
 def _e3(a, b, closed_a, closed_b):
     # both sides reach row r of column m iff pair(m, r) < min(len(a),
     # len(b)), so the rows they share are a column's common prefix
-    ac, bc, cols = a.columns, b.columns, {}
-    for m in compress(count(), map(ne, ac, bc)):
-        ca, cb = ac[m], bc[m]
-        n = sum(map(ne, ca, cb))
-        if n:
-            r = min(len(ca), len(cb)) - 1
-            while ca[r] == cb[r]:
-                r -= 1
-            cols[m] = {"mismatches": n, "last_mismatch": r}
+    ca, cb, cols = a.column_runs, b.column_runs, {}
+    for m in compress(count(), map(ne, ca, cb)):
+        spans = mismatched_rows(ca[m], cb[m])
+        if spans:
+            cols[m] = {
+                "mismatches": sum(hi - lo for lo, hi in spans),
+                "last_mismatch": spans[-1][1] - 1,
+            }
     return PrefixVerdict("ConsistentSoFar", payload={"columns": cols})
 
 
@@ -280,12 +379,72 @@ def check_prefix(rel, a, b, closed_range_a=None, closed_range_b=None):
     return _relation(rel)[0](a, b, closed_range_a, closed_range_b)
 
 
+def _record_class(operator):
+    """The operator's record class, unless a class below the one naming
+    it overrides `step`: that `step` is not the one the record describes,
+    and the operator is run through it."""
+    for cls in type(operator).__mro__:
+        if "record" in vars(cls):
+            return cls.record
+        if "step" in vars(cls):
+            return None
+    return None
+
+
+class OperatorRun:
+    """An operator fed a fragment stream one stage at a time.
+
+    An operator whose `step` is the one its record class describes
+    advances only its watch while each fragment is the last one or its
+    one-element extension, the chain on which the watch keeps its record,
+    and its prefix is a record.  Off such a chain, and for any other
+    operator, the run steps the operator and keeps the values.
+    """
+
+    def __init__(self, operator, fragments=()):
+        self.operator, self.record = operator, _record_class(operator)
+        self.state = (operator.watch if self.record else operator).initial()
+        self.values = []
+        for frag in fragments:
+            self.feed(frag)
+
+    def feed(self, fragment):
+        if self.record is not None:
+            last = self.state[0]
+            if last is None or (
+                0 <= fragment.size - last.size <= 1 and fragment.extends(last)
+            ):
+                self.state = self.operator.watch.advance(self.state, fragment)
+                return
+            # the watch starts its record afresh, which then no longer
+            # decides the values emitted: step on from them
+            self.values = list(self.prefix().values)
+            self.state, self.record = (self.state, len(self.values)), None
+        self.state, new = self.operator.step(self.state, fragment)
+        self.values.extend(new)
+
+    def prefix(self):
+        """The output so far."""
+        if self.record is None:
+            return OutputPrefix(tuple(self.values))
+        last = self.state[0]
+        return self.record(
+            0 if last is None else last.size, self.operator.held(self.state)
+        )
+
+    def runs(self, m):
+        """E3 column m of the output so far, as OutputPrefix.runs; a run
+        that keeps values is read in place, not copied."""
+        if self.record is None:
+            return OutputPrefix(self.values).runs(m)
+        return self.prefix().runs(m)
+
+
 def run_operator(operator, presentation, horizon):
     """The operator's output prefix over the first `horizon` stages."""
-    values = outputs(
+    return OperatorRun(
         operator, (presentation.restrict(s) for s in range(horizon))
-    )
-    return OutputPrefix(tuple(values))
+    ).prefix()
 
 
 def verify_reduction(operator, family, horizon=100, seeds=(1, 2, 3)):

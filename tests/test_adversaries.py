@@ -18,7 +18,8 @@ from limitlab.catalog import Family, canonical_fragment, parse_structure
 from limitlab.learners import QUESTION, ConfigurationError, Learner, run_on_stream
 from limitlab import adversaries as A
 from limitlab import harness as H
-from limitlab import sigma1
+from limitlab import catalog, sigma1
+from limitlab.reductions import GammaErangeToE3
 
 
 def S(key):
@@ -346,3 +347,24 @@ def test_co_comparable_duel_against_nus_makes_no_rooted_search(monkeypatch):
     )
     assert cert.kind == "MissingCode"
     assert rooted == []
+
+
+def test_default_e3_duel_never_steps_the_operator(monkeypatch):
+    """A deterministic count of work: at its default start 512 and cap
+    16,384 the E3 duel against gamma_erange_to_e3 reads both runs from
+    the operator's watch record, so it calls `step` not once and holds no
+    output list.  Its canonical chains of 16,385 elements stay in a memo
+    of their own, which goes with the test."""
+    monkeypatch.setattr(catalog, "_canonical_chains", {})
+    calls = [0]
+    real = GammaErangeToE3.step
+
+    def counted(self, state, fragment):
+        calls[0] += 1
+        return real(self, state, fragment)
+
+    monkeypatch.setattr(GammaErangeToE3, "step", counted)
+    op = H.GAMMAS["gamma_erange_to_e3"](H.get_family("tilde_chains"))
+    _, cert = adv_vs_e3_operator_fstar(op)
+    assert cert.kind == "Inconclusive"
+    assert calls[0] == 0

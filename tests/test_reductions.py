@@ -335,3 +335,105 @@ def test_erange_to_e3_verify_on_cyc_comp_rooted_search_count(monkeypatch):
     op = H.GAMMAS["gamma_erange_to_e3"](fam)
     assert verify_reduction(op, fam, horizon=48)["passed"]
     assert rooted[0] == 263
+
+
+def _erange_runs():
+    """(operator, runs) for gamma_erange and gamma_erange_to_e3 on every
+    member of tilde_chains and cyc_comp, at seeds 1-2 and horizons 0, 1,
+    2, 17 and 48; each run is (member code, its fragments)."""
+    for gamma in ("gamma_erange", "gamma_erange_to_e3"):
+        for name in ("tilde_chains", "cyc_comp"):
+            fam = H.get_family(name)
+            op = H.GAMMAS[gamma](fam)
+            runs = []
+            for code, member in enumerate(fam.members):
+                for seed in (1, 2):
+                    pres = Presentation(member, seed)
+                    for horizon in (0, 1, 2, 17, 48):
+                        frags = [pres.restrict(s) for s in range(horizon)]
+                        runs.append((code, pres, horizon, frags))
+            yield op, runs
+
+
+def test_record_prefixes_match_their_values():
+    """An E-range or E3 run's record prefix derives the values `step`
+    emits, and every comparison of two record prefixes, unequal horizons
+    included, gives the verdict their values give."""
+    compared = 0
+    for op, runs in _erange_runs():
+        rel = op.tag
+        reads_ranges = RELATIONS[rel][1]
+        ranges = [op.declared_range(i) for i in range(len(op.family.members))]
+        records, plain = [], []
+        for code, pres, horizon, frags in runs:
+            prefix = run_operator(op, pres, horizon)
+            assert isinstance(prefix, op.record)
+            values = tuple(outputs(op, frags))
+            assert prefix.values == values
+            want = OutputPrefix(values)
+            # the summaries themselves, one column past the last included
+            assert (len(prefix), prefix.width, prefix.firsts) == (
+                len(want), want.width, want.firsts
+            )
+            columns = range(want.width + 1)
+            assert [prefix.runs(m) for m in columns] == [
+                want.runs(m) for m in columns
+            ]
+            records.append((code, prefix))
+            plain.append(want)
+        for (i, a), pa in zip(records, plain):
+            for (j, b), pb in zip(records, plain):
+                for closed in ([(ranges[i], ranges[j])] if reads_ranges
+                               else []) + [(None, None)]:
+                    got = check_prefix(rel, a, b, *closed)
+                    want = check_prefix(rel, pa, pb, *closed)
+                    assert (got.kind, got.position, got.payload) == (
+                        want.kind, want.position, want.payload
+                    )
+                    compared += 1
+    # E-range pairs with and without closed ranges, E3 pairs without
+    assert compared == 3 * (20 ** 2 + 40 ** 2)
+
+
+def test_a_run_off_a_chain_steps_on_from_its_record():
+    """A fragment that is neither the last one nor its one-element
+    extension restarts the watch's record, so the run goes on by `step`
+    from the values its record stood for."""
+    fam = H.get_family("tilde_chains")
+    for gamma in (GammaErange, GammaErangeToE3):
+        op = gamma(fam)
+        pres = Presentation(fam.members[1], 1)
+        frags = [pres.restrict(s) for s in SCHEDULE]
+        run = reductions.OperatorRun(op, frags)
+        assert run.record is None
+        assert run.prefix().values == tuple(outputs(op, frags))
+
+
+class FlippedE3(GammaErangeToE3):
+    """A GammaErangeToE3 whose step flips every value it emits: still a
+    reduction to E3, but not the operator its record describes."""
+
+    def step(self, state, fragment):
+        state, new = super().step(state, fragment)
+        return state, tuple(1 - v for v in new)
+
+
+def test_an_overridden_step_is_verified_on_its_values(monkeypatch):
+    fam = H.get_family("tilde_chains")
+    op = FlippedE3(fam)
+    pres = Presentation(fam.members[1], 1)
+    prefix = run_operator(op, pres, 48)
+    assert not isinstance(prefix, reductions.RecordPrefix)
+    assert prefix.values == tuple(
+        outputs(op, [pres.restrict(s) for s in range(48)])
+    )
+    assert 0 in prefix.values and 1 in prefix.values
+    seen = []
+    real = reductions.check_prefix
+    monkeypatch.setattr(
+        reductions, "check_prefix",
+        lambda rel, a, b, *ranges: seen.append(a) or real(rel, a, b, *ranges),
+    )
+    assert verify_reduction(op, fam, horizon=48)["passed"]
+    # column 0, all 0 in the record, is all 1 in the flipped values
+    assert seen and all(a.runs(0) == ((1, 48),) for a in seen)

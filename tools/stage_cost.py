@@ -17,8 +17,13 @@ cell.
 The second table times `sigma1.age_fragments` over the structure grid of
 bench/config/age.json at max_size 3, 4 and 5: the best of two passes, each
 from empty sigma1 memos after a warm-up pass that builds the canonical
-prefixes, and the `induced` calls of one more such pass.  Wall times on a
-shared machine move between runs; the counts repeat exactly.
+prefixes, and the `induced` calls of one more such pass.
+
+The third table has one row per `verify` cell of bench/config/duel.json:
+`verify_reduction` of the cell's operator on its family at h, 2h and 4h
+(seeds 1-3), the best of two runs after a warm-up at h, and the
+operator's `step` calls in one more run at each horizon.  Wall times on
+a shared machine move between runs; the counts repeat exactly.
 """
 
 import json
@@ -32,6 +37,7 @@ sys.path.insert(0, str(ROOT / "src"))
 from limitlab import harness, sigma1  # noqa: E402
 from limitlab.catalog import Presentation, parse_structure  # noqa: E402
 from limitlab.learners import run  # noqa: E402
+from limitlab.reductions import verify_reduction  # noqa: E402
 from limitlab.structures import FiniteFragment  # noqa: E402
 
 SEED = 1
@@ -98,6 +104,54 @@ def age_table():
         ))
 
 
+def step_calls(operator, family, horizon):
+    """The operator's `step` calls in one verify_reduction at horizon,
+    counted on the instance, as the bench tracer counts them."""
+    calls = [0]
+    real = operator.step
+
+    def step(state, fragment):
+        calls[0] += 1
+        return real(state, fragment)
+
+    operator.step = step
+    try:
+        verify_reduction(operator, family, horizon=horizon)
+    finally:
+        del operator.step
+    return calls[0]
+
+
+def verify_table():
+    config = json.loads((ROOT / "bench" / "config" / "duel.json").read_text())
+    print()
+    print("| operator (family) | h | h / 2h / 4h | 4h/2h | `step` |")
+    print("| --- | --- | --- | --- | --- |")
+    for cell in config["verify"]:
+        family = harness.get_family(cell["family"])
+        operator = harness.GAMMAS[cell["gamma"]](family)
+        h = cell["horizon"]
+        verify_reduction(operator, family, horizon=h)  # warm-up
+        horizons = (h, 2 * h, 4 * h)
+        times = []
+        for n in horizons:
+            best = None
+            for _ in range(REPEATS):
+                start = time.perf_counter()
+                verify_reduction(operator, family, horizon=n)
+                took = time.perf_counter() - start
+                best = took if best is None else min(best, took)
+            times.append(best)
+        print("| `%s` (`%s`) | %d | %s s | %.1f | %s |" % (
+            cell["gamma"], cell["family"], h,
+            " / ".join("%.3f" % t for t in times), times[2] / times[1],
+            " / ".join(
+                str(step_calls(operator, family, n)) for n in horizons
+            ),
+        ))
+        sys.stdout.flush()
+
+
 def main():
     cells = json.loads((ROOT / "bench" / "config" / "matrix.json").read_text())
     print("| learner (family) | h | h / 2h / 4h | 4h/2h | `induced` | rooted |")
@@ -120,6 +174,7 @@ def main():
         ))
         sys.stdout.flush()
     age_table()
+    verify_table()
 
 
 if __name__ == "__main__":
