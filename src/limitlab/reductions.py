@@ -68,17 +68,6 @@ class OutputPrefix:
             p, gap = p + gap, gap + 1
         return tuple(out)
 
-    @cached_property
-    def columns(self):
-        """Every E3 column with a row, as the tuple of its values."""
-        cols = []
-        for runs in self.column_runs:
-            col = []
-            for x, end in runs:
-                col += [x] * (end - len(col))
-            cols.append(tuple(col))
-        return cols
-
 
 class RecordPrefix(OutputPrefix):
     """The output of an E-range or E3 operator over a chain of fragments,
@@ -123,6 +112,16 @@ class ErangeRecord(RecordPrefix):
                     row[b] = b
             new.extend(row)
         return tuple(new)
+
+    def runs(self, m):
+        # row r of column m is position pair(m, r), stage m and code r, on
+        # diagonal m + r: it holds r once r's formula held by stage m
+        rows, out, end = max(0, self.size - m), [], 0
+        for b in sorted(b for b, t in self.held.items() if 0 < b < rows
+                        and t <= m):
+            out += [(0, b)] * (end < b) + [(b, b + 1)]
+            end = b + 1
+        return tuple(out + [(0, rows)] * (end < rows))
 
     @cached_property
     def firsts(self):
@@ -411,9 +410,7 @@ class OperatorRun:
     def feed(self, fragment):
         if self.record is not None:
             last = self.state[0]
-            if last is None or (
-                0 <= fragment.size - last.size <= 1 and fragment.extends(last)
-            ):
+            if last is None or self.operator.watch.continues(last, fragment):
                 self.state = self.operator.watch.advance(self.state, fragment)
                 return
             # the watch starts its record afresh, which then no longer

@@ -156,13 +156,15 @@ class StreamWatch:
     def initial(self):
         return (None, {}, 0, 0, self._all)
 
+    @staticmethod
+    def continues(last, fragment):
+        """Whether `fragment` is `last` or its one-element extension: the
+        chain along which a state keeps its record."""
+        return 0 <= fragment.size - last.size <= 1 and fragment.extends(last)
+
     def advance(self, state, fragment):
         last, held, left, inside, pending = state
-        if (
-            last is not None
-            and 0 <= fragment.size - last.size <= 1
-            and fragment.extends(last)
-        ):
+        if last is not None and self.continues(last, fragment):
             if fragment.size == last.size:
                 return state
             if not pending | inside:  # nothing to search or to keep

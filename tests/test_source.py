@@ -18,7 +18,6 @@ ALLOWED = {
     "tuple_set": "tests/_oracles.py uses it, and the oracles stay as they are",
     "from_tuples": "the tests' fragment constructor",
     "indices": "StreamBuilder.indices, the tests' stream observer",
-    "columns": "OutputPrefix.columns, the tests' E3 column observer",
 }
 
 
