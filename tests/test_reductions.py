@@ -94,9 +94,9 @@ class TestCheckPrefix:
     def test_e3_columns_match_column_reference(self, xs, ys):
         a, b = OutputPrefix(tuple(xs)), OutputPrefix(tuple(ys))
         k = min(len(a), len(b))
-        expected, m = {}, 0
+        expected, m, ac, bc = {}, 0, columns(a), columns(b)
         while pair(m, 0) < k:
-            ca, cb = columns(a)[m], columns(b)[m]
+            ca, cb = ac[m], bc[m]
             diffs = [r for r in range(min(len(ca), len(cb))) if ca[r] != cb[r]]
             if diffs:
                 expected[m] = {
