@@ -28,7 +28,7 @@ from .catalog import (
 )
 from .sigma1 import sigma1_leq
 from .learners import QUESTION, ConfigurationError, ladder_codes
-from .reductions import OperatorRun, mismatched_rows, outputs
+from .reductions import OperatorRun, mismatched_rows
 
 START_HORIZON = 512
 HORIZON_CAP = 2 ** 14
@@ -362,30 +362,40 @@ def adv_vs_fin(
     return _drive("adv_vs_fin", learner, seed, start, cap, play)
 
 
+def _plays(adversary, operator, rel):
+    """ConfigurationError unless the operator reduces to relation `rel`."""
+    if operator.tag != rel:
+        raise ConfigurationError(
+            "%s plays operators into %s, and %s reduces to %s"
+            % (adversary, rel, type(operator).__name__, operator.tag)
+        )
+
+
 def adv_vs_total_id_operator(
     operator, family, seed=0, start=START_HORIZON, cap=HORIZON_CAP
 ):
     """Feeds only isolated vertices until the operator's output takes a
     side, then completes the stream into the member it disagreed with."""
+    _plays("adv_vs_total_id_operator", operator, "eqnat")
     members = list(family)
     iso = parse_structure("iso_inf")
 
     def play(horizon, last):
         refs = [
-            outputs(operator, (
+            OperatorRun(operator, (
                 canonical_fragment(m, s + 1) for s in range(horizon)
-            ))
+            )).values
             for m in members
         ]
         builder = StreamBuilder(iso)
-        state, out = operator.initial(), []
+        run = OperatorRun(operator)
+        out = run.values
         # outputs are append-only: positions below checked[i] agree with
         # reference i for good
         checked = [0] * len(refs)
         disagreement = None
         for s in range(horizon):
-            state, new = operator.step(state, builder.add_least_unused())
-            out.extend(new)
+            run.feed(builder.add_least_unused())
             for i, ref in enumerate(refs):
                 k = min(len(out), len(ref))
                 for p in range(checked[i], k):
@@ -426,6 +436,7 @@ def adv_vs_e3_operator_fstar(
     """Grows a chain inside a padded infinite chain, extending it once per
     fresh column-0 disagreement with the operator's canonical run; probes
     the increasing branch first, then the decreasing one."""
+    _plays("adv_vs_e3_operator_fstar", operator, "E3")
     for branch_key in ("tilde(omega)", "tilde(omega_star)"):
         target = parse_structure(branch_key)
 

@@ -113,16 +113,6 @@ class ErangeRecord(RecordPrefix):
             new.extend(row)
         return tuple(new)
 
-    def runs(self, m):
-        # row r of column m is position pair(m, r), stage m and code r, on
-        # diagonal m + r: it holds r once r's formula held by stage m
-        rows, out, end = max(0, self.size - m), [], 0
-        for b in sorted(b for b, t in self.held.items() if 0 < b < rows
-                        and t <= m):
-            out += [(0, b)] * (end < b) + [(b, b + 1)]
-            end = b + 1
-        return tuple(out + [(0, rows)] * (end < rows))
-
     @cached_property
     def firsts(self):
         # code b first shows at stage t, on diagonal t + b; 0 at position 0
@@ -168,21 +158,14 @@ class PrefixVerdict:
     payload: dict = field(default_factory=dict)
 
 
-def outputs(operator, fragments):
-    """The values an operator emits along a fragment stream, in order: its
-    `initial()` state, then `step(state, fragment)` -> (state, new values)."""
-    state, out = operator.initial(), []
-    for frag in fragments:
-        state, new = operator.step(state, frag)
-        out.extend(new)
-    return out
-
-
 class GammaFinToEqnat:
     """Empty output until the family's one-shot learner commits, then the
-    constant sequence of the committed code."""
+    constant sequence of the committed code; with a patience bound (None:
+    none), a stream past it uncommitted commits to code 0.  The learner
+    is not stepped after a commitment."""
 
     tag = "eqnat"
+    patience = None
 
     def __init__(self, family):
         self.family = family
@@ -193,14 +176,12 @@ class GammaFinToEqnat:
 
     def step(self, state, fragment):
         fin_state, committed, emitted = state
-        fin_state, hyp = self.fin.step(fin_state, fragment)
-        if committed is None and hyp != QUESTION:
-            committed = hyp
-        return self._catch_up(fin_state, committed, emitted, fragment)
-
-    @staticmethod
-    def _catch_up(fin_state, committed, emitted, fragment):
-        """Once committed, emit the code at every stage not yet covered."""
+        if committed is None:
+            if self.patience is not None and fragment.size > self.patience:
+                committed = 0
+            else:
+                fin_state, hyp = self.fin.step(fin_state, fragment)
+                committed = None if hyp == QUESTION else hyp
         if committed is None:
             return (fin_state, None, emitted), ()
         new = (committed,) * (fragment.size - emitted)
@@ -214,16 +195,6 @@ class GammaFinToEqnatTotal(GammaFinToEqnat):
     def __init__(self, family, patience=64):
         super().__init__(family)
         self.patience = patience
-
-    def step(self, state, fragment):
-        fin_state, committed, emitted = state
-        if committed is None and fragment.size > self.patience:
-            committed = 0
-        if committed is not None:
-            # the inner learner is never stepped again once it has
-            # committed or the default has fired
-            return self._catch_up(fin_state, committed, emitted, fragment)
-        return super().step(state, fragment)
 
 
 def _pair_witnesses(family):
@@ -387,47 +358,46 @@ def _record_class(operator):
             return cls.record
         if "step" in vars(cls):
             return None
-    return None
 
 
 class OperatorRun:
-    """An operator fed a fragment stream one stage at a time.
+    """An operator fed one presentation chain a stage at a time: each
+    fragment is the last one or its one-element extension.
 
-    An operator whose `step` is the one its record class describes
-    advances only its watch while each fragment is the last one or its
-    one-element extension, the chain on which the watch keeps its record,
-    and its prefix is a record.  Off such a chain, and for any other
-    operator, the run steps the operator and keeps the values.
+    The run keeps one path, chosen when it starts.  An operator whose
+    `step` is the one its record class describes advances only its watch,
+    and its prefix is a record; any other operator is stepped, and the
+    run keeps the values it emits.
     """
 
     def __init__(self, operator, fragments=()):
         self.operator, self.record = operator, _record_class(operator)
         self.state = (operator.watch if self.record else operator).initial()
-        self.values = []
+        self.last, self.values = None, []
         for frag in fragments:
             self.feed(frag)
 
     def feed(self, fragment):
+        last = self.last
+        if last is not None and not StreamWatch.continues(last, fragment):
+            raise ValueError(
+                "a run reads one presentation chain, each fragment the last "
+                "one or its one-element extension: got %d elements after %d"
+                % (fragment.size, last.size)
+            )
+        self.last = fragment
         if self.record is not None:
-            last = self.state[0]
-            if last is None or self.operator.watch.continues(last, fragment):
-                self.state = self.operator.watch.advance(self.state, fragment)
-                return
-            # the watch starts its record afresh, which then no longer
-            # decides the values emitted: step on from them
-            self.values = list(self.prefix().values)
-            self.state, self.record = (self.state, len(self.values)), None
-        self.state, new = self.operator.step(self.state, fragment)
-        self.values.extend(new)
+            self.state = self.operator.watch.advance(self.state, fragment)
+        else:
+            self.state, new = self.operator.step(self.state, fragment)
+            self.values.extend(new)
 
     def prefix(self):
         """The output so far."""
         if self.record is None:
             return OutputPrefix(tuple(self.values))
-        last = self.state[0]
-        return self.record(
-            0 if last is None else last.size, self.operator.held(self.state)
-        )
+        size = 0 if self.last is None else self.last.size
+        return self.record(size, self.operator.held(self.state))
 
     def runs(self, m):
         """E3 column m of the output so far, as OutputPrefix.runs; a run

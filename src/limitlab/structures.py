@@ -29,9 +29,10 @@ class FiniteFragment:
     stores each fact once.  An extension stores only its new element's
     row, its facts with the earlier elements; the older rows take its
     bits on the first read that needs an older element's full row, and
-    that read folds every pending element of the chain in one pass.  The
-    chain shares one fold record, [number of its elements whose bits are
-    in the older rows]; `_fold` is that record while this fragment may
+    that read folds the chain's pending elements below its own size in
+    one pass, so a short fragment of a long chain folds only its own.  The
+    chain shares one fold record, [number of its first elements whose bits
+    are in the older rows]; `_fold` is that record while this fragment may
     have elements to fold, and None once it has none or when it owns its
     masks (`from_tuples`, `induced`).  Folding element x sets only bit x
     of older rows and every read masks to the fragment's size, so no
@@ -111,14 +112,14 @@ class FiniteFragment:
         return child
 
     def _settle(self):
-        """Fold every element of the chain not yet folded into the older
-        rows: bit x of R(j, x) goes into j's successors, of R(x, j) into
-        j's predecessors; nothing when no record is pending.  An unfolded
-        row has no bit above its element."""
+        """Fold each of this fragment's elements not yet folded into the
+        older rows: bit x of R(j, x) goes into j's successors, of R(x, j)
+        into j's predecessors; nothing when no record is pending.  An
+        unfolded row has no bit above its element."""
         fold, out, inn = self._fold, self._out, self._in
         if fold is None:
             return
-        top = len(out)
+        top = self.size
         for x in range(fold[0], top):
             bit = 1 << x
             m = inn[x]
@@ -131,7 +132,7 @@ class FiniteFragment:
                 low = m & -m
                 inn[low.bit_length() - 1] |= bit
                 m ^= low
-        fold[0] = top
+        fold[0] = max(fold[0], top)
         self._fold = None
 
     def has(self, rel, args):

@@ -252,6 +252,20 @@ class TestStreamBuilder:
             assert frag.tuple_set() == expected.tuple_set()
 
 
+@pytest.mark.parametrize("duel,rel", [
+    ("adv_vs_total_id_operator/gamma_erange", "eqnat"),
+    ("adv_vs_total_id_operator/gamma_erange_to_e3", "eqnat"),
+    ("adv_vs_e3_operator_fstar/gamma_erange", "E3"),
+])
+def test_operator_adversaries_play_only_their_relation(duel, rel):
+    """An operator adversary refutes reductions to its own relation only:
+    under E-range, say, a position where two runs differ refutes nothing.
+    A direct call with another operator is a configuration error that
+    names the adversary's relation, before any round is played."""
+    with pytest.raises(ConfigurationError, match="into %s," % rel):
+        _duel(duel, start=16, cap=64)
+
+
 # every registered duel whose opponent builds on the adversary's default
 # family: its certificate and stream length at seed 3, start 16, cap 64,
 # recorded before every adversary's doubling rounds moved into `_drive`
@@ -349,14 +363,14 @@ def test_co_comparable_duel_against_nus_makes_no_rooted_search(monkeypatch):
     assert rooted == []
 
 
-@pytest.mark.parametrize("gamma", ["gamma_erange", "gamma_erange_to_e3"])
+@pytest.mark.parametrize("gamma", ["gamma_erange_to_e3"])
 def test_default_e3_duel_never_steps_the_operator(gamma, monkeypatch):
     """A deterministic count of work: at its default start 512 and cap
-    16,384 the E3 duel against gamma_erange or gamma_erange_to_e3 reads
-    column 0 of both runs from the operator's watch record, so it calls
-    `step` not once and derives no output value: the first call fails
-    the test, where a run that derived values at every stage would take
-    time cubic in the cap.  Its canonical chains of 16,385 elements stay
+    16,384 the E3 duel against gamma_erange_to_e3 reads column 0 of both
+    runs from the operator's watch record, so it calls `step` not once
+    and derives no output value: the first call fails the test, where a
+    run that derived values at every stage would take time cubic in the
+    cap.  Its canonical chains of 16,385 elements stay
     in a memo of their own, which goes with the test."""
     monkeypatch.setattr(catalog, "_canonical_chains", {})
     op = H.GAMMAS[gamma](H.get_family("tilde_chains"))

@@ -521,6 +521,24 @@ class TestCli:
                     assert err.startswith("error: ") and err.count("\n") == 1
                     assert "%s that build on %s: " % (kind, family_name) in err
 
+    @pytest.mark.parametrize(
+        "adversary,rel",
+        [("adv_vs_e3_operator_fstar", "E3"),
+         ("adv_vs_total_id_operator", "eqnat")],
+    )
+    def test_duel_operator_of_another_relation_exit_code(
+        self, adversary, rel, capsys
+    ):
+        # gamma_erange builds on the adversary's family, but reduces to
+        # E-range, which the adversary does not play
+        assert cli.main(["duel", adversary, "gamma_erange"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: %s plays operators into %s,"
+                                       % (adversary, rel))
+        assert captured.err.count("\n") == 1
+        assert "Traceback" not in captured.err
+
     def test_run_certificate_records_seed_and_learner(self, capsys):
         argv = [
             "run", "omega_pair", "ex_minmax", "Co", "--seed", "1",

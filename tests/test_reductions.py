@@ -14,7 +14,6 @@ from limitlab.reductions import (
     RELATIONS,
     OutputPrefix,
     check_prefix,
-    outputs,
     run_operator,
     verify_reduction,
 )
@@ -24,6 +23,17 @@ from limitlab import harness as H, reductions, sigma1
 
 def S(key):
     return parse_structure(key)
+
+
+def outputs(operator, fragments):
+    """The values an operator emits along a fragment stream, in order: its
+    `initial()` state, then `step(state, fragment)` -> (state, new values);
+    the reference every run path is checked against."""
+    state, out = operator.initial(), []
+    for frag in fragments:
+        state, new = operator.step(state, frag)
+        out.extend(new)
+    return out
 
 
 def columns(prefix):
@@ -408,18 +418,28 @@ def test_record_prefixes_match_their_values():
     assert compared == 3 * (20 ** 2 + 40 ** 2)
 
 
-def test_a_run_off_a_chain_steps_on_from_its_record():
-    """A fragment that is neither the last one nor its one-element
-    extension restarts the watch's record, so the run goes on by `step`
-    from the values its record stood for."""
-    fam = H.get_family("tilde_chains")
-    for gamma in (GammaErange, GammaErangeToE3):
-        op = gamma(fam)
-        pres = Presentation(fam.members[1], 1)
-        frags = [pres.restrict(s) for s in SCHEDULE]
-        run = reductions.OperatorRun(op, frags)
-        assert run.record is None
-        assert run.prefix().values == tuple(outputs(op, frags))
+@pytest.mark.parametrize("gamma,name", [
+    ("gamma_erange", "tilde_chains"),
+    ("gamma_erange_to_e3", "tilde_chains"),
+    ("gamma_fin_to_eqnat", "cycles"),
+])
+def test_a_run_refuses_a_fragment_off_its_chain(gamma, name):
+    """A run reads one presentation chain: a fragment that is neither the
+    last one nor its one-element extension raises, on the record path
+    (E-range, E3) and on the stepped one (=N), and the run goes on along
+    its chain, a repeated fragment included."""
+    fam = H.get_family(name)
+    op = H.GAMMAS[gamma](fam)
+    pres = Presentation(fam.members[1], 1)
+    run = reductions.OperatorRun(op, [pres.restrict(s) for s in (0, 1, 1)])
+    assert (run.record is None) == (op.tag == "eqnat")
+    for s in (3, 0):
+        with pytest.raises(ValueError, match="one presentation chain"):
+            run.feed(pres.restrict(s))
+    frags = [pres.restrict(s) for s in (0, 1, 1, 2, 3)]
+    run.feed(frags[3])
+    run.feed(frags[4])
+    assert run.prefix().values == tuple(outputs(op, frags))
 
 
 class FlippedE3(GammaErangeToE3):

@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from limitlab import harness as H, sigma1, structures
+from limitlab import catalog, harness as H, sigma1, structures
 from limitlab.learners import run
 from limitlab.catalog import (
     Presentation,
@@ -752,6 +752,28 @@ def test_min_max_learner_never_folds_its_stream():
         owned = FiniteFragment.from_tuples(frag.size, frag.tuples())
         assert frag.masks() == owned.masks()
         assert frag._fold is None and pres.fragments[1]._fold == [1024]
+
+
+@pytest.mark.parametrize("key", ["tilde(omega)", "tilde(omega_star)"])
+def test_a_short_fragment_of_a_long_chain_folds_only_its_own(
+    key, monkeypatch
+):
+    """Reading an 8-element fragment of a 512-element canonical chain
+    folds only its own elements: no row of the first 8 takes a bit at or
+    above 8, so a long chain in the shared memo costs a later short read
+    nothing.  Reading the whole chain then folds the rest, and both reads
+    see the rows of fragments that own their masks."""
+    monkeypatch.setattr(catalog, "_canonical_chains", {})
+    target = parse_structure(key)
+    whole = canonical_fragment(target, 512)
+    short = canonical_fragment(target, 8)
+    owned = FiniteFragment.from_tuples(8, short.tuples())
+    assert short.masks() == owned.masks()
+    assert all(row >> 8 == 0 for row in short._out[:8] + short._in[:8])
+    assert whole.masks() == FiniteFragment.from_tuples(
+        512, whole.tuples()
+    ).masks()
+    assert any(row >> 8 for row in whole._out[:8] + whole._in[:8])
 
 
 @pytest.mark.parametrize("name, family", [
