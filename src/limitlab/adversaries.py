@@ -28,7 +28,7 @@ from .catalog import (
 )
 from .sigma1 import sigma1_leq
 from .learners import QUESTION, ConfigurationError, ladder_codes
-from .reductions import OperatorRun, mismatched_rows
+from .reductions import OperatorRun, check_prefix, mismatched_rows
 
 START_HORIZON = 512
 HORIZON_CAP = 2 ** 14
@@ -371,53 +371,50 @@ def _plays(adversary, operator, rel):
         )
 
 
+def _named(operator, fragments):
+    """The operator's output prefix once it names its number, its first
+    =N value, or once the fragments run out; and the last stage fed."""
+    run = OperatorRun(operator)
+    for s, fragment in enumerate(fragments):
+        run.feed(fragment)
+        if run.values:
+            break
+    return run.prefix(), s
+
+
 def adv_vs_total_id_operator(
     operator, family, seed=0, start=START_HORIZON, cap=HORIZON_CAP
 ):
-    """Feeds only isolated vertices until the operator's output takes a
-    side, then completes the stream into the member it disagreed with."""
+    """Feeds only isolated vertices until the operator's output names a
+    number, then completes the stream into a member whose canonical
+    output names a different one."""
     _plays("adv_vs_total_id_operator", operator, "eqnat")
     members = list(family)
     iso = parse_structure("iso_inf")
 
     def play(horizon, last):
-        refs = [
-            OperatorRun(operator, (
-                canonical_fragment(m, s + 1) for s in range(horizon)
-            )).values
-            for m in members
-        ]
         builder = StreamBuilder(iso)
-        run = OperatorRun(operator)
-        out = run.values
-        # outputs are append-only: positions below checked[i] agree with
-        # reference i for good
-        checked = [0] * len(refs)
-        disagreement = None
-        for s in range(horizon):
-            run.feed(builder.add_least_unused())
-            for i, ref in enumerate(refs):
-                k = min(len(out), len(ref))
-                for p in range(checked[i], k):
-                    if out[p] != ref[p]:
-                        disagreement = (i, p, s)
-                        break
-                if disagreement:
-                    break
-                checked[i] = k
-            if disagreement:
+        probe, s = _named(operator, (
+            builder.add_least_unused() for _ in range(horizon)
+        ))
+        for member in members:
+            verdict = check_prefix(operator.tag, probe, _named(operator, (
+                canonical_fragment(member, t + 1) for t in range(horizon)
+            ))[0])
+            if verdict.kind == "DefinitelyDistinct":
                 break
-        if disagreement is not None:
-            i, p, s = disagreement
-            if not builder.retarget(members[i]):
-                return builder, "Inconclusive", {
-                    "reason": "completion embedding not found"
-                }
-            for _ in range(s + 1, horizon):
-                builder.add_least_unused()
+        else:
+            member = None
+        if member is not None and not builder.retarget(member):
+            return builder, "Inconclusive", {
+                "reason": "completion embedding not found"
+            }
+        for _ in range(s + 1, horizon):
+            builder.add_least_unused()
+        if member is not None:
             return builder, "PrefixDisagreement", {
-                "position": p,
-                "member": members[i].key(),
+                "position": verdict.position,
+                "member": member.key(),
                 "probe_stage": s,
             }
         if last:

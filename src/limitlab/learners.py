@@ -175,69 +175,52 @@ class CoLearner(Learner):
 
 
 class IdToCoLearner(Learner):
-    """Refutes member i the first time the operator's output on the stream
-    is inconsistent with its output on member i's canonical stream; each
-    refuted code is emitted once, least first.  Outputs only grow: per
-    member the length of the prefix found to agree is kept (None once
-    refuted), and only the positions added since are compared.
-
-    A run is (operator state, output length, output tail), the tail only
-    the positions a later comparison can read: from the member's agreed
-    length on, and for the stream's run from the least agreed length of a
-    member not refuted.  A refuted member's run is no longer stepped."""
+    """Refutes member i once the operator's output on the stream and its
+    output on member i's canonical stream have both named their number,
+    the first value as =N reads it, and the numbers differ; each refuted
+    code is emitted once, least first.  A run is (operator state, its
+    number or None) and is stepped only until it names its number, which
+    no later stage changes; a finite member's run also stops once the
+    stream outgrows the member."""
 
     def __init__(self, family, operator):
         super().__init__(family)
+        if operator.tag != "eqnat":
+            raise ConfigurationError(
+                "id_to_co reads operators into eqnat, and %s reduces to %s"
+                % (type(operator).__name__, operator.tag)
+            )
         self.operator = operator
 
     def initial_state(self):
-        n = len(self.family)
-        start = (self.operator.initial(), 0, ())
-        return {"mine": start, "refs": (start,) * n, "agreed": (0,) * n}
+        start = (self.operator.initial(), None)
+        refs = (start,) * len(self.family)
+        return {"mine": start, "refs": refs, "refuted": frozenset()}
 
     def _advance(self, run, fragment):
-        op_state, end, tail = run
-        op_state, new = self.operator.step(op_state, fragment)
-        return op_state, end + len(new), tail + tuple(new)
+        op_state, new = self.operator.step(run[0], fragment)
+        return op_state, new[0] if new else None
 
     def step(self, state, fragment):
         s = fragment.size - 1
-        mine = self._advance(state["mine"], fragment)
-        refs, agreed = list(state["refs"]), list(state["agreed"])
+        mine, refuted = state["mine"], state["refuted"]
+        if mine[1] is None:
+            mine = self._advance(mine, fragment)
+        refs = list(state["refs"])
         for i, member in enumerate(self.family):
             size = member.size()
-            if agreed[i] is not None and (size is None or s < size):
+            if refs[i][1] is None and (size is None or s < size):
                 refs[i] = self._advance(
                     refs[i], canonical_fragment(member, s + 1)
                 )
-        hyp = QUESTION
-        for i, done in enumerate(agreed):
-            if done is None:
-                continue
-            k = min(mine[1], refs[i][1])
-            if _outputs(mine, done, k) != _outputs(refs[i], done, k):
-                hyp, agreed[i] = i, None
-                break
-            agreed[i] = k
-        live = [(i, done) for i, done in enumerate(agreed) if done is not None]
-        for i, done in live:
-            refs[i] = _from(refs[i], done)
-        mine = _from(mine, min((done for _, done in live), default=mine[1]))
-        state = {"mine": mine, "refs": tuple(refs), "agreed": tuple(agreed)}
+        hyp = next((
+            i for i, (_, number) in enumerate(refs) if i not in refuted
+            and None not in (mine[1], number) and number != mine[1]
+        ), QUESTION)
+        if hyp != QUESTION:
+            refuted |= {hyp}
+        state = {"mine": mine, "refs": tuple(refs), "refuted": refuted}
         return state, hyp
-
-
-def _outputs(run, start, stop):
-    """Positions start..stop-1 of a run's output, which its tail holds."""
-    _, end, tail = run
-    base = end - len(tail)
-    return tail[start - base:stop - base]
-
-
-def _from(run, start):
-    """The run with its tail cut to the positions from start on."""
-    op_state, end, _ = run
-    return op_state, end, _outputs(run, start, end)
 
 
 class NusLearner(Learner):

@@ -185,7 +185,7 @@ class GammaFinToEqnat:
         if committed is None:
             return (fin_state, None, emitted), ()
         new = (committed,) * (fragment.size - emitted)
-        return (fin_state, committed, fragment.size), new
+        return (fin_state, committed, max(emitted, fragment.size)), new
 
 
 class GammaFinToEqnatTotal(GammaFinToEqnat):

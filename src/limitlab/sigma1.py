@@ -16,7 +16,6 @@ from .catalog import (
     UnsupportedOracleError,
     canonical_fragment,
     fragment_embeds,
-    parse_structure,
     saturated_fragment,
 )
 
@@ -61,18 +60,6 @@ class FormulaWitness:
 
     def __str__(self):
         return " | ".join("embeds(%s)" % l for l in self.labels)
-
-
-def embeds(expr):
-    """`embeds("chain(4)")`: the statement that the named finite structure
-    occurs as an induced substructure."""
-    structure = parse_structure(expr) if isinstance(expr, str) else expr
-    size = structure.size()
-    if size is None:
-        raise ValueError("embed targets must be finite: %s" % structure.key())
-    return FormulaWitness(
-        (canonical_fragment(structure, size),), (structure.key(),)
-    )
 
 
 def sat_fragment(formula, fragment, required=None):
@@ -359,7 +346,7 @@ def _find_separating_witness(a, candidates, others):
     `others`, or None when the bounded search exhausts."""
     others = [_verdicts_of(o) for o in others]
     for cand in candidates:
-        if not any(embeds(cand) for embeds in others):
+        if not any(verdict(cand) for verdict in others):
             label = "prefix(%s)[%d]" % (a.key(), cand.size)
             return FormulaWitness((cand,), (label,))
     return None

@@ -30,6 +30,13 @@ from limitlab.learners import (
     run_on_stream,
 )
 from limitlab.structures import FiniteFragment, iter_bits
+from limitlab.reductions import (
+    GammaErange,
+    GammaFinToEqnatTotal,
+    run_operator,
+    verify_reduction,
+)
+from limitlab.adversaries import adv_vs_total_id_operator
 from limitlab.pairing import unpair
 from limitlab import harness as H
 
@@ -577,65 +584,88 @@ def reference_id_to_co(family, operator, stream):
     return transcript
 
 
-class LinkedOperator:
-    """Emits, for each element not yet covered, whether it is in some
-    fact of the current fragment: outputs that disagree at scattered
-    positions, several of them per stage on a stream that skips sizes."""
-
-    def initial(self):
-        return 0
-
-    def step(self, emitted, fragment):
-        linked = fragment.linked_mask()
-        new = tuple(linked >> p & 1 for p in range(emitted, fragment.size))
-        return max(emitted, fragment.size), new
-
-
 def test_id_to_co_matches_the_reslicing_rule_past_a_finite_member():
     """Member 0 has four elements, so from stage 4 on its reference output
     is frozen; it is refuted on the other members' streams, which also
-    switch copies and skip sizes.  The family's own operator emits
-    constant sequences, so a second operator makes the outputs disagree
-    at positions inside a stage's new ones."""
+    switch copies and skip sizes."""
     fam = H.get_family("cycle(4),du(cycle(3),iso_inf),du(cycle(5),iso_inf)")
     late = 0
-    for learner in (
-        H.LEARNERS["id_to_co"](fam), IdToCoLearner(fam, LinkedOperator())
-    ):
-        for code in (1, 2):
-            for seed in (1, 2, 3):
-                pres = Presentation(fam.members[code], seed)
-                other = Presentation(fam.members[3 - code], seed)
-                full = [pres.restrict(s) for s in range(40)]
-                switched = full[:20] + [
-                    other.restrict(s) for s in range(20, 40)
-                ]
-                for stream in (full, switched, full[::3], full[1::4]):
-                    transcript = run_on_stream(learner, stream)
-                    assert transcript == reference_id_to_co(
-                        fam, learner.operator, stream
-                    )
-                    if 0 in transcript:
-                        stage = transcript.index(0)
-                        late += stream[stage].size > fam.members[0].size()
+    learner = H.LEARNERS["id_to_co"](fam)
+    for code in (1, 2):
+        for seed in (1, 2, 3):
+            pres = Presentation(fam.members[code], seed)
+            other = Presentation(fam.members[3 - code], seed)
+            full = [pres.restrict(s) for s in range(40)]
+            switched = full[:20] + [
+                other.restrict(s) for s in range(20, 40)
+            ]
+            for stream in (full, switched, full[::3], full[1::4]):
+                transcript = run_on_stream(learner, stream)
+                assert transcript == reference_id_to_co(
+                    fam, learner.operator, stream
+                )
+                if 0 in transcript:
+                    stage = transcript.index(0)
+                    late += stream[stage].size > fam.members[0].size()
     assert late > 0
 
 
-def test_id_to_co_carries_a_bounded_output_tail():
-    """id_to_co on each cycles member over 1,024 stages: every run in its
-    state, the stream's own and each member's, carries at most 7 output
-    positions, those a later comparison can still read, while the
-    outputs grow by one position a stage."""
+class LinkedTail(GammaFinToEqnatTotal):
+    """A sound =N operator whose values after the first depend on the
+    copy: its first value is the committed code, and position p > 0
+    says whether element p is in some fact of the fragment emitting it."""
+
+    def step(self, state, fragment):
+        state, new = super().step(state, fragment)
+        linked, start = fragment.linked_mask(), state[2] - len(new)
+        return state, tuple(
+            new[0] if p == 0 else linked >> p & 1
+            for p in range(start, state[2])
+        )
+
+
+def test_id_to_co_and_the_eqnat_duel_read_the_number_named():
+    """Two copies of one member name the same number through LinkedTail
+    and differ after it: verify_reduction passes it, id_to_co on it never
+    emits the true code, and the =N adversary against its total variant
+    retargets into a member whose output names another number than the
+    probe's, at position 0."""
+    fam = H.get_family("cycles")
+    partial = LinkedTail(fam, patience=None)
+    assert verify_reduction(partial, fam, horizon=40)["passed"]
+    learner = IdToCoLearner(fam, partial)
+    for code, member in enumerate(fam):
+        for seed in (1, 2, 3):
+            transcript = run(learner, Presentation(member, seed), 60)
+            assert set(transcript) == {QUESTION, 1 - code}
+    total = LinkedTail(fam, patience=5)
+    pres, cert = adv_vs_total_id_operator(total, fam, seed=1, start=16, cap=64)
+    details = cert.details
+    assert cert.kind == "PrefixDisagreement" and details["position"] == 0
+    probe = run_operator(total, pres, details["probe_stage"] + 1)
+    ref = run_operator(total, Presentation(S(details["member"]), 1), 64)
+    assert probe.values[0] != ref.values[0]
+    with pytest.raises(ConfigurationError, match="eqnat"):
+        IdToCoLearner(fam, GammaErange(fam))
+
+
+def test_id_to_co_steps_each_run_until_it_names_a_number(monkeypatch):
+    """id_to_co on each cycles member over 1,024 stages steps its operator
+    31 times in all: the stream's run and each member's run only until
+    they name their number, where a run stepped at every stage would make
+    thousands of calls."""
     family = H.get_family("cycles")
     learner = H.LEARNERS["id_to_co"](family)
-    longest = 0
+    calls, step = [], learner.operator.step
+
+    def counted(state, fragment):
+        calls.append(fragment.size)
+        return step(state, fragment)
+
+    monkeypatch.setattr(learner.operator, "step", counted)
     for member in family:
-        state, pres = learner.initial_state(), Presentation(member, 1)
-        for s in range(1024):
-            state, _ = learner.step(state, pres.restrict(s))
-            runs = (state["mine"],) + state["refs"]
-            longest = max(longest, *(len(run[-1]) for run in runs))
-    assert longest == 7
+        run(learner, Presentation(member, 1), 1024)
+    assert len(calls) == 31
 
 
 @pytest.mark.parametrize("name, family, members", [

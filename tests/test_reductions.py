@@ -323,6 +323,24 @@ def test_erange_operators_never_reemit(gamma):
     assert out == outputs(op, [pres.restrict(50)])
 
 
+@pytest.mark.parametrize("gamma", [GammaFinToEqnat, GammaFinToEqnatTotal])
+def test_eqnat_operators_never_reemit(gamma):
+    """A shorter fragment after a commitment emits nothing and leaves the
+    emitted length as it was, so the longer one after it adds no stage
+    twice: both =N operators, the total one committing past `patience`."""
+    fam = H.get_family("cycles")
+    op = gamma(fam)
+    if gamma is GammaFinToEqnatTotal:
+        op.patience = 3
+    pres = Presentation(fam.members[0], 1)
+    state, out = op.initial(), []
+    for size in (20, 2, 20):
+        state, new = op.step(state, pres.restrict(size - 1))
+        out.extend(new)
+    assert state[2] == len(out) == 20
+    assert out == outputs(op, [pres.restrict(19)])
+
+
 class TestGammaErangeToE3:
     def test_column_flips_once(self):
         fam = H.get_family("tilde_chains")

@@ -24,7 +24,6 @@ from limitlab.sigma1 import (
     StreamWatch,
     age_fragments,
     classify_family,
-    embeds,
     sat_catalog,
     sat_fragment,
     sigma1_leq,
@@ -34,6 +33,7 @@ from limitlab import learners as L
 from limitlab import reductions as R
 from limitlab import sigma1
 
+from _formulas import embeds
 from _oracles import brute_age_inclusion, brute_embeds_structure
 from test_acceptance import GRID_KEYS
 

@@ -2,8 +2,9 @@
 method it defines is named somewhere in src/limitlab, unless ALLOWED says
 why not.  A method is named only by an attribute reference; a function by
 a name, an attribute or an import, and a module-level function also by a
-string constant (the adversary names that `getattr` reads).  Dunder
-methods are exempt, since Python calls them."""
+string constant (the adversary names that `getattr` reads).  A name read
+in a function that binds it, as a local or a parameter, names only a
+nested function.  Dunder methods are exempt, since Python calls them."""
 
 import ast
 from pathlib import Path
@@ -35,27 +36,58 @@ def _definitions(node, kind, where, out):
             _definitions(child, kind, where, out)
 
 
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+
+
+def _locals(function):
+    """The names a function binds: its parameters, and every name stored
+    or defined in its body outside nested functions, comprehension
+    targets included."""
+    args = function.args
+    names = {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs}
+    names |= {a.arg for a in (args.vararg, args.kwarg) if a}
+    stack = list(ast.iter_child_nodes(function))
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                               ast.ClassDef)):
+            names.add(node.name)
+        elif not isinstance(node, ast.Lambda):
+            stack.extend(ast.iter_child_nodes(node))
+    return names
+
+
+def _references(node, bound, referenced):
+    """Add the names under node to `referenced`; a name that the innermost
+    function around it binds (`bound`) is a local reference."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, FUNCTIONS):
+            _references(child, _locals(child), referenced)
+            continue
+        if isinstance(child, ast.Name):
+            referenced["local" if child.id in bound else "name"].add(child.id)
+        elif isinstance(child, ast.Attribute):
+            referenced["attribute"].add(child.attr)
+        elif isinstance(child, ast.alias):
+            referenced["import"].add(child.name)
+        elif isinstance(child, ast.Constant) and isinstance(child.value, str):
+            referenced["string"].add(child.value)
+        _references(child, bound, referenced)
+
+
 def defined_and_referenced(paths):
     """[(function name, kind, file:line defining it)], and {kind of
-    reference: the set of names it makes}: names, attributes, imported
-    names and string constants."""
+    reference: the set of names it makes}: names, local names, attributes,
+    imported names and string constants."""
     defined = []
-    referenced = {"name": set(), "attribute": set(), "import": set(),
-                  "string": set()}
+    referenced = {"name": set(), "local": set(), "attribute": set(),
+                  "import": set(), "string": set()}
     for path in paths:
         tree = ast.parse(path.read_text())
         _definitions(tree, "module", path.name, defined)
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
-                referenced["name"].add(node.id)
-            elif isinstance(node, ast.Attribute):
-                referenced["attribute"].add(node.attr)
-            elif isinstance(node, ast.alias):
-                referenced["import"].add(node.name)
-            elif isinstance(node, ast.Constant) and isinstance(
-                node.value, str
-            ):
-                referenced["string"].add(node.value)
+        _references(tree, set(), referenced)
     return defined, referenced
 
 
@@ -64,7 +96,9 @@ def naming(kind, referenced):
     if kind == "method":
         return referenced["attribute"]
     names = referenced["name"] | referenced["attribute"] | referenced["import"]
-    return names | referenced["string"] if kind == "module" else names
+    if kind == "nested":
+        return names | referenced["local"]
+    return names | referenced["string"]
 
 
 def test_every_function_is_named_in_src():
@@ -97,3 +131,21 @@ def test_a_string_names_no_method(tmp_path):
     named = {name for name, kind, _ in defined
              if name in naming(kind, referenced)}
     assert named == {"adversary"}
+
+
+def test_a_local_or_a_parameter_names_no_function(tmp_path):
+    """A module-level function read only where a local or a parameter of
+    the same name is bound, here a comprehension target and a parameter,
+    is unnamed; a nested function is named by the local its def binds."""
+    path = tmp_path / "x.py"
+    path.write_text(
+        "def embeds():\n    pass\n"
+        "def given():\n    pass\n"
+        "def outer(given, others):\n"
+        "    def inner():\n        pass\n"
+        "    return any(embeds(1) for embeds in others), given(), inner\n"
+    )
+    defined, referenced = defined_and_referenced([path])
+    named = {name for name, kind, _ in defined
+             if name in naming(kind, referenced)}
+    assert named == {"inner"}

@@ -14,7 +14,7 @@ from limitlab.catalog import (
     saturated_fragment,
 )
 from limitlab.pairing import pair, unpair, triple
-from limitlab.sigma1 import StreamWatch, embeds
+from limitlab.sigma1 import StreamWatch
 from limitlab.structures import (
     FiniteFragment,
     embed_finite,
@@ -22,6 +22,7 @@ from limitlab.structures import (
     iter_bits,
 )
 
+from _formulas import embeds
 from _oracles import brute_embed, brute_embed_all_injections, induced_copy
 
 
